@@ -82,14 +82,9 @@ int main() {
     grid.axis("attack", std::move(points));
   }
 
-  const std::vector<scenario::ScenarioSpec> cells = grid.cells();
-  std::vector<metrics::ExperimentConfig> configs;
-  configs.reserve(cells.size());
-  for (const scenario::ScenarioSpec& cell : cells) configs.push_back(cell.config());
-
   const bench::WallTimer timer;
   const std::vector<metrics::ExperimentResult> runs =
-      metrics::run_batch(configs, knobs.threads);
+      scenario::Runner(knobs.threads).run_each(grid.cells());
 
   // Row-major like GridResult: latency slowest, attack fastest.
   const std::size_t P = partitions.size();

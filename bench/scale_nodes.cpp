@@ -241,7 +241,7 @@ int main() {
 
   // --- part 1: width identity gate ---------------------------------------
   // Full stack (Byzantine adversary, trusted nodes, fixed eviction),
-  // loss 0: every width, the sequential baseline included, must serialize
+  // loss 0: every width, 1 included, must serialize
   // to the same result bytes. results::to_json(result) carries no config,
   // so the width itself cannot leak into the compared document.
   const Round gate_rounds = std::min<Round>(knobs.rounds, 16);

@@ -20,8 +20,9 @@
 //
 // Latency numbers are machine-dependent (they live next to the timing row
 // for that reason); the schema and the invariants the smoke asserts —
-// requests > 0, p50 <= p99, schema-valid JSON, schema-valid scrape — are
-// not.
+// requests > 0, errors == 0, p50 <= p99, schema-valid JSON, schema-valid
+// scrape — are not. The load generator lets the request in flight at the
+// end of a pass finish, so any error on either pass is a real failure.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -143,6 +144,12 @@ int run() {
 
   if (plain.load.requests == 0 || monitored.load.requests == 0) {
     std::fprintf(stderr, "FAIL: a pass completed no request\n");
+    return 1;
+  }
+  if (plain.load.errors != 0 || monitored.load.errors != 0) {
+    std::fprintf(stderr, "FAIL: load errors (plain %llu, monitored %llu)\n",
+                 static_cast<unsigned long long>(plain.load.errors),
+                 static_cast<unsigned long long>(monitored.load.errors));
     return 1;
   }
   if (plain.load.p50_us > plain.load.p99_us ||

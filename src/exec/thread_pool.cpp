@@ -163,8 +163,8 @@ void ThreadPool::parallel_for(std::size_t n,
   RAPTEE_REQUIRE(body != nullptr, "parallel_for requires a body");
   if (n == 0) return;
   if (impl_->workers.empty()) {
-    // Inline sequential path (threads == 1): no queues, no synchronization
-    // — byte-for-byte the legacy loop.
+    // Inline path (threads == 1): no queues, no synchronization, indices
+    // in order on the caller.
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }

@@ -17,7 +17,7 @@
 // loop, which the scenario test-suite asserts end to end.
 //
 // threads == 1 builds no workers at all: loops run inline on the caller,
-// byte-for-byte the legacy sequential path.
+// in index order.
 #pragma once
 
 #include <cstddef>

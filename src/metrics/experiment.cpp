@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "adversary/byzantine.hpp"
-#include "exec/parallel.hpp"
 #include "adversary/injection.hpp"
 #include "common/assert.hpp"
 #include "core/node_factory.hpp"
@@ -416,28 +415,6 @@ RepeatedResult aggregate_runs(const ExperimentResult* results, std::size_t count
   return agg;
 }
 
-std::vector<ExperimentResult> run_batch(const std::vector<ExperimentConfig>& configs,
-                                        std::size_t threads) {
-  // One work-stealing task per run; each run derives every random stream
-  // from its own config.seed, so the map is bit-identical to the
-  // sequential loop for any pool width.
-  return exec::parallel_map(threads, configs.size(),
-                            [&configs](std::size_t i) { return run_experiment(configs[i]); });
-}
-
-RepeatedResult run_repeated(ExperimentConfig config, std::size_t reps,
-                            std::size_t threads) {
-  std::vector<ExperimentConfig> configs;
-  configs.reserve(reps);
-  for (std::size_t r = 0; r < reps; ++r) {
-    ExperimentConfig c = config;
-    c.seed = repetition_seed(config.seed, r);
-    configs.push_back(c);
-  }
-  const auto results = run_batch(configs, threads);
-  return aggregate_runs(results.data(), results.size());
-}
-
 ExperimentConfig comparison_baseline(const ExperimentConfig& raptee_config) {
   ExperimentConfig baseline = raptee_config;
   baseline.trusted_fraction = 0.0;
@@ -474,12 +451,6 @@ ComparisonResult finalize_comparison(RepeatedResult raptee, RepeatedResult basel
         100.0 * (cmp.raptee.stability.mean() / cmp.baseline.stability.mean() - 1.0);
   }
   return cmp;
-}
-
-ComparisonResult run_comparison(const ExperimentConfig& raptee_config, std::size_t reps,
-                                std::size_t threads) {
-  return finalize_comparison(run_repeated(raptee_config, reps, threads),
-                             run_repeated(comparison_baseline(raptee_config), reps, threads));
 }
 
 }  // namespace raptee::metrics

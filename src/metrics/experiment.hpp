@@ -1,6 +1,7 @@
 // Experiment harness: one function from configuration to the paper's
-// metrics, plus repetition/aggregation and baseline comparison — the
-// machinery every bench binary (Figs. 3, 5–13) is built on.
+// metrics, plus the repetition seeds, aggregation and baseline comparison
+// that scenario::Runner — the executor under every bench binary (Figs. 3,
+// 5–13) — builds on.
 //
 // A single experiment:
 //   1. builds the population — h honest, t trusted, f Byzantine (optionally
@@ -100,21 +101,17 @@ struct ExperimentConfig {
   /// observable results are identical either way).
   bool link_sessions = true;
 
-  /// Engine-internal parallelism (sim::EngineConfig::threads): 1 = legacy
-  /// sequential rounds (the default), 0 = shard over hardware concurrency,
+  /// Engine-internal parallelism (sim::EngineConfig::threads): 1 = one
+  /// inline worker (the default), 0 = shard over hardware concurrency,
   /// n > 1 = shard over n workers. Shards every round phase except the
-  /// serial exchange legs. Opting in (any value != 1) switches push-loss
-  /// draws to splittable per-node random streams, so lossy sharded runs
-  /// differ from legacy runs — but are bit-identical across worker counts
-  /// and machines; every other phase (and any lossless run) is bit-
-  /// identical to the sequential path too. ScenarioSpec::threads() sets
-  /// this.
+  /// serial exchange legs; results are bit-identical across every width
+  /// and machine, lossy runs included. ScenarioSpec::threads() sets this.
   std::size_t engine_threads = 1;
 
   /// Event-driven time (sim::EngineConfig::event, src/evt): opt-in message
   /// latency/jitter, region partitions and a virtual clock. Off = round
   /// mode, the bit-exact baseline. ScenarioSpec's event setters fill this.
-  evt::EventConfig event;
+  evt::EventConfig event{};
 
   [[nodiscard]] std::size_t byzantine_count() const;
   [[nodiscard]] std::size_t trusted_count() const;
@@ -182,8 +179,8 @@ struct ExperimentResult {
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config,
                                               scenario::IScenarioObserver* observer = nullptr);
 
-/// Mean/σ aggregation over `reps` runs with decorrelated seeds, executed on
-/// up to `threads` worker threads (0 = hardware concurrency).
+/// Mean/σ aggregation over seed-decorrelated runs (aggregate_runs; the
+/// scenario::Runner executes the runs).
 struct RepeatedResult {
   RunningStats pollution;        // fractions, all non-Byzantine nodes
   RunningStats pollution_honest; // fractions, honest untrusted nodes only
@@ -207,9 +204,6 @@ struct RepeatedResult {
   std::size_t stability_reached = 0;
 };
 
-[[nodiscard]] RepeatedResult run_repeated(ExperimentConfig config, std::size_t reps,
-                                          std::size_t threads = 0);
-
 /// RAPTEE-vs-Brahms comparison at matched f: the paper's "resilience
 /// improvement" (relative drop in the Byzantine share of *honest* nodes'
 /// views, §V-B) and round-overhead percentages for discovery and stability.
@@ -225,33 +219,24 @@ struct ComparisonResult {
   std::optional<double> stability_overhead_pct;
 };
 
-[[nodiscard]] ComparisonResult run_comparison(const ExperimentConfig& raptee_config,
-                                              std::size_t reps, std::size_t threads = 0);
-
-/// The matched-f Brahms baseline run_comparison measures against: same
+/// The matched-f Brahms baseline a comparison measures against: same
 /// config with the trusted population, eviction, overlay and injection
 /// stripped.
 [[nodiscard]] ExperimentConfig comparison_baseline(const ExperimentConfig& raptee_config);
 
-/// Derived comparison percentages from two already-aggregated sides
-/// (shared by run_comparison and the scenario Runner's fused batch path).
+/// Derived comparison percentages from two already-aggregated sides (the
+/// last step of scenario::Runner::run_comparison).
 [[nodiscard]] ComparisonResult finalize_comparison(RepeatedResult raptee,
                                                    RepeatedResult baseline);
 
-/// Runs a batch of experiments over an exec::ThreadPool (work-stealing,
-/// one task per run), preserving order. Results are bit-identical to the
-/// sequential loop for any `threads` (0 = hardware concurrency).
-[[nodiscard]] std::vector<ExperimentResult> run_batch(
-    const std::vector<ExperimentConfig>& configs, std::size_t threads = 0);
-
-/// The seed-decorrelation stream used by run_repeated and every scenario
-/// batch: repetition `rep` of a spec with base seed `base_seed` always runs
-/// with this derived seed, so a batch cell and a standalone repetition of
-/// the same spec agree bit for bit.
+/// The seed-decorrelation stream used by every scenario::Runner batch:
+/// repetition `rep` of a spec with base seed `base_seed` always runs with
+/// this derived seed, so a batch cell and a standalone repetition of the
+/// same spec agree bit for bit.
 [[nodiscard]] std::uint64_t repetition_seed(std::uint64_t base_seed, std::size_t rep);
 
 /// Aggregates a contiguous slice of per-run results into mean/σ form (the
-/// reduction step under run_repeated and the scenario batch/grid paths).
+/// reduction step under every scenario::Runner aggregate).
 [[nodiscard]] RepeatedResult aggregate_runs(const ExperimentResult* results,
                                             std::size_t count);
 

@@ -118,8 +118,10 @@ WorkerResult run_worker(const LoadConfig& config, std::uint32_t index,
   std::uint64_t reconnects = 0;
   std::vector<std::uint8_t> framed;
   std::vector<std::uint8_t> payload;
+  // The end of the run stops new requests only: the request in flight keeps
+  // its full reply_timeout, so a reply cut off by the end is not an error.
   while (Clock::now() < end) {
-    const auto deadline = std::min(end, Clock::now() + config.reply_timeout);
+    const auto deadline = Clock::now() + config.reply_timeout;
     if (!session) {
       session = open_session(config, index,
                              nonce_base + index + (reconnects++ << 16), deadline);
@@ -129,6 +131,7 @@ WorkerResult run_worker(const LoadConfig& config, std::uint32_t index,
         continue;
       }
       result.ever_connected = true;
+      continue;  // the handshake may have outlasted the run
     }
     SampleRequest req;
     req.tag = ++tag;

@@ -23,7 +23,8 @@ struct LoadConfig {
   std::chrono::milliseconds duration{1000};
   std::uint16_t samples_per_request = 8;
   /// Per-reply wait budget; a connection that exceeds it records an error
-  /// and reconnects.
+  /// and reconnects. The end of the run stops new requests but not this
+  /// budget: the request in flight at the end still gets all of it.
   std::chrono::milliseconds reply_timeout{2000};
   std::uint64_t nonce_seed = 0;         ///< HELLO nonce base (0 = entropy)
 };

@@ -38,11 +38,31 @@ class TeeObserver final : public IScenarioObserver {
   IScenarioObserver* b_;
 };
 
-/// Flattens (specs × reps) into one run list with decorrelated seeds —
+/// Runs every config as one exec::parallel_map task, preserving order —
+/// the multi-core backbone under every batch entry point. Each run derives
+/// all of its randomness from its own seed, so the output is bit-identical
+/// to threads == 1.
+std::vector<metrics::ExperimentResult> run_configs(
+    const std::vector<metrics::ExperimentConfig>& configs, std::size_t threads) {
+  // The env monitor (RAPTEE_BENCH_MONITOR_PORT) streams every cell; its
+  // callbacks are mutex-guarded, so parallel cells interleave safely, and
+  // the observer path is read-only, so attaching it leaves every result
+  // byte identical.
+  obs::ScenarioMonitor* monitor = obs::env_monitor();
+  return exec::parallel_map(threads, configs.size(), [&configs, monitor](std::size_t i) {
+    return metrics::run_experiment(configs[i], monitor);
+  });
+}
+
+/// Flattens (configs × reps) into one run list with decorrelated seeds —
 /// metrics::repetition_seed, so a batch cell and a standalone repetition of
-/// the same spec agree bit for bit.
-std::vector<metrics::ExperimentConfig> flatten_reps(
-    const std::vector<metrics::ExperimentConfig>& configs, std::size_t reps) {
+/// the same spec agree bit for bit — runs it as one batch, and reduces each
+/// consecutive `reps`-sized slice back to its aggregate. This is the path
+/// under run_repeated / run_batch / run_grid / run_comparison.
+std::vector<metrics::RepeatedResult> run_flattened(
+    const std::vector<metrics::ExperimentConfig>& configs, std::size_t reps,
+    std::size_t threads) {
+  RAPTEE_REQUIRE(reps >= 1, "need at least one repetition");
   std::vector<metrics::ExperimentConfig> flat;
   flat.reserve(configs.size() * reps);
   for (const metrics::ExperimentConfig& config : configs) {
@@ -52,27 +72,7 @@ std::vector<metrics::ExperimentConfig> flatten_reps(
       flat.push_back(cell);
     }
   }
-  return flat;
-}
-
-/// Runs every flattened cell as one exec::parallel_map task and reduces
-/// each consecutive `reps`-sized slice back to its aggregate. This is the
-/// multi-core backbone under run_repeated / run_batch / run_grid /
-/// run_comparison; parallel output is bit-identical to threads == 1.
-std::vector<metrics::RepeatedResult> run_flattened(
-    const std::vector<metrics::ExperimentConfig>& configs, std::size_t reps,
-    std::size_t threads) {
-  RAPTEE_REQUIRE(reps >= 1, "need at least one repetition");
-  const std::vector<metrics::ExperimentConfig> flat = flatten_reps(configs, reps);
-  // The env monitor (RAPTEE_BENCH_MONITOR_PORT) streams every cell; its
-  // callbacks are mutex-guarded, so parallel cells interleave safely, and
-  // the observer path is read-only, so attaching it leaves every result
-  // byte identical.
-  obs::ScenarioMonitor* monitor = obs::env_monitor();
-  const auto results = exec::parallel_map(
-      threads, flat.size(), [&flat, monitor](std::size_t i) {
-        return metrics::run_experiment(flat[i], monitor);
-      });
+  const std::vector<metrics::ExperimentResult> results = run_configs(flat, threads);
 
   std::vector<metrics::RepeatedResult> out;
   out.reserve(configs.size());
@@ -80,6 +80,13 @@ std::vector<metrics::RepeatedResult> run_flattened(
     out.push_back(metrics::aggregate_runs(results.data() + c * reps, reps));
   }
   return out;
+}
+
+std::vector<metrics::ExperimentConfig> configs_of(const std::vector<ScenarioSpec>& specs) {
+  std::vector<metrics::ExperimentConfig> configs;
+  configs.reserve(specs.size());
+  for (const ScenarioSpec& spec : specs) configs.push_back(spec.config());
+  return configs;
 }
 
 }  // namespace
@@ -246,12 +253,14 @@ metrics::ComparisonResult Runner::run_comparison(const ScenarioSpec& spec,
   return metrics::finalize_comparison(std::move(halves[0]), std::move(halves[1]));
 }
 
+std::vector<metrics::ExperimentResult> Runner::run_each(
+    const std::vector<ScenarioSpec>& specs) const {
+  return run_configs(configs_of(specs), threads_);
+}
+
 std::vector<metrics::RepeatedResult> Runner::run_batch(
     const std::vector<ScenarioSpec>& specs, std::size_t reps) const {
-  std::vector<metrics::ExperimentConfig> configs;
-  configs.reserve(specs.size());
-  for (const ScenarioSpec& spec : specs) configs.push_back(spec.config());
-  return run_flattened(configs, reps, threads_);
+  return run_flattened(configs_of(specs), reps, threads_);
 }
 
 GridResult Runner::run_grid(const Grid& grid, std::size_t reps) const {

@@ -1,6 +1,8 @@
 // Runner: executes ScenarioSpecs — single runs (optionally streamed to an
 // IScenarioObserver), seed-decorrelated repetitions, RAPTEE-vs-Brahms
 // comparisons, ordered batches across a worker pool, and multi-axis grids.
+// It is the only experiment executor: every batch entry point below fans
+// out through one exec::parallel_map.
 //
 // Grid models the paper's sweep shape directly: a base spec plus named
 // axes, each axis a list of labelled mutations. Cells are materialized in
@@ -110,6 +112,13 @@ class Runner {
   /// RAPTEE-vs-Brahms at matched f (§V-B resilience improvement).
   [[nodiscard]] metrics::ComparisonResult run_comparison(const ScenarioSpec& spec,
                                                          std::size_t reps) const;
+
+  /// Runs every spec once, at its own seed, as one batch across the worker
+  /// pool, preserving order. The per-run form, for callers that read
+  /// per-run fields RepeatedResult does not aggregate (the evt block, the
+  /// attack series).
+  [[nodiscard]] std::vector<metrics::ExperimentResult> run_each(
+      const std::vector<ScenarioSpec>& specs) const;
 
   /// Runs every spec `reps` times (seed-decorrelated), all cells flattened
   /// into one batch across the worker pool; aggregates per spec, preserving

@@ -81,14 +81,12 @@ class ScenarioSpec {
   ScenarioSpec& auth_mode(brahms::AuthMode mode);
   /// Engine-internal parallelism for THIS run — every shardable round
   /// phase: push generation and delivery, pull-target generation,
-  /// begin_round, and end_round (eviction/view renewal). 1 = legacy
-  /// sequential rounds (default), 0 = hardware concurrency, n > 1 = shard
-  /// over n workers. Results are deterministic and worker-count-independent
-  /// for every width; opting in (any value != 1) switches only the
-  /// push-LOSS draws onto splittable per-node streams, so lossless runs are
-  /// bit-identical to the sequential path too. Exchange legs stay serial
-  /// (shared loss/tamper stream, two-endpoint mutation). Batch-level
-  /// fan-out lives on Runner, not here.
+  /// begin_round, and end_round (eviction/view renewal). 1 = a pool of one
+  /// that runs the phases inline (default), 0 = hardware concurrency,
+  /// n > 1 = shard over n workers. Results are bit-identical for every
+  /// width, lossy runs included. Exchange legs stay serial (shared
+  /// loss/tamper stream, two-endpoint mutation). Batch-level fan-out lives
+  /// on Runner, not here.
   ScenarioSpec& threads(std::size_t n);
   ScenarioSpec& stability_window(std::size_t rounds);
   ScenarioSpec& cycle_model(bool enabled);

@@ -221,9 +221,9 @@ exec::ThreadPool& Engine::pool() {
 template <typename Fn>
 void Engine::shard_over_alive(const Fn& fn) {
   // Byzantine nodes share the mutable adversary Coordinator: run them on
-  // this thread first, in index order, exactly as the sequential loop's
-  // first-Byzantine-triggers-planning order does. Everyone else touches
-  // only its own state (plus read-only engine state) and shards freely.
+  // this thread first, in index order, so the first Byzantine call still
+  // triggers the round's planning. Everyone else touches only its own
+  // state (plus read-only engine state) and shards freely.
   for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
     if (kinds_[alive_scratch_[k].value] == NodeKind::kByzantine) fn(k);
   }
@@ -263,145 +263,113 @@ std::span<const NodeId> Engine::view_of(NodeId id) const {
 
 void Engine::run_begin_rounds() {
   alive_ids(alive_scratch_);
-  if (!sharded()) {
-    for (const NodeId id : alive_scratch_) nodes_[id.value]->begin_round(round_);
-    return;
-  }
   // begin_round touches only per-node state (buffer clears, view ageing):
-  // no draws on any shared stream, so sharding is bit-identical to the
-  // sequential loop for every worker count.
+  // no draws on any shared stream, so every width gives the same result.
   shard_over_alive(
       [&](std::size_t k) { nodes_[alive_scratch_[k].value]->begin_round(round_); });
 }
 
 void Engine::run_end_rounds() {
   alive_ids(alive_scratch_);
-  if (!sharded()) {
-    for (const NodeId id : alive_scratch_) nodes_[id.value]->end_round(round_);
-    return;
-  }
   // end_round is where eviction and view renewal happen — all driven by the
   // node's private rng_ plus the read-only aliveness probe, so as with
-  // begin_round the sharded result is bit-identical for every width.
+  // begin_round every width gives the same result.
   shard_over_alive(
       [&](std::size_t k) { nodes_[alive_scratch_[k].value]->end_round(round_); });
 }
 
-void Engine::deliver_pushes() {
-  // Collect (target, payload) pairs from all alive nodes, then deliver in a
-  // shuffled order so no node systematically observes pushes first. The
-  // delivery list is per-round scratch: staged in the arena, gone at the
-  // next step()'s reset.
-  ArenaVector<Delivery> deliveries(arena_);
+void Engine::plan_pushes(ArenaVector<Delivery>& deliveries) {
+  // Each alive node owns an output slot and a splittable loss stream, so
+  // the merged list is independent of how the partition maps to workers.
   alive_ids(alive_scratch_);
-
-  std::optional<obs::ScopedTimer> gen_timer;
-  gen_timer.emplace(phase_hist_[kPhasePushGen], &last_phase_us_[kPhasePushGen]);
-
-  if (!sharded()) {
-    // Legacy sequential path: loss draws interleave on the engine stream.
-    for (const NodeId id : alive_scratch_) {
-      INode& sender = *nodes_[id.value];
-      sender.push_targets(targets_scratch_);
-      for (NodeId target : targets_scratch_) {
-        ++counters_.pushes_sent;
-        if (config_.message_loss > 0.0 && rng_.chance(config_.message_loss)) {
-          ++counters_.legs_dropped;
-          continue;
-        }
-        if (!is_alive(target)) continue;
-        deliveries.push_back({target, sender.id(), sender.make_push()});
+  if (shard_slots_.size() < alive_scratch_.size()) shard_slots_.resize(alive_scratch_.size());
+  const Rng phase_base = rng_.fork("push-phase");
+  shard_over_alive([&](std::size_t k) {
+    const NodeId id = alive_scratch_[k];
+    INode& sender = *nodes_[id.value];
+    ShardSlot& slot = shard_slots_[k];
+    slot.deliveries.clear();
+    slot.sent = 0;
+    slot.dropped = 0;
+    Rng loss_rng = phase_base.split(id.value);
+    sender.push_targets(slot.targets);
+    for (NodeId target : slot.targets) {
+      ++slot.sent;
+      if (config_.message_loss > 0.0 && loss_rng.chance(config_.message_loss)) {
+        ++slot.dropped;
+        continue;
       }
+      if (!is_alive(target)) continue;
+      slot.deliveries.push_back({target, sender.id(), sender.make_push()});
     }
-  } else {
-    // Sharded generation: each alive node owns an output slot and a
-    // splittable loss stream, so the result is independent of how the
-    // partition maps to workers (see the declaration comment).
-    const Rng phase_base = rng_.fork("push-phase");
-    if (shard_slots_.size() < alive_scratch_.size()) {
-      shard_slots_.resize(alive_scratch_.size());
-    }
-    const auto collect = [&](std::size_t k) {
-      const NodeId id = alive_scratch_[k];
-      INode& sender = *nodes_[id.value];
-      ShardSlot& slot = shard_slots_[k];
-      slot.deliveries.clear();
-      slot.sent = 0;
-      slot.dropped = 0;
-      Rng loss_rng = phase_base.split(id.value);
-      sender.push_targets(slot.targets);
-      for (NodeId target : slot.targets) {
-        ++slot.sent;
-        if (config_.message_loss > 0.0 && loss_rng.chance(config_.message_loss)) {
-          ++slot.dropped;
-          continue;
-        }
-        if (!is_alive(target)) continue;
-        slot.deliveries.push_back({target, sender.id(), sender.make_push()});
-      }
-    };
-    shard_over_alive(collect);
-    std::size_t total = 0;
-    for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
-      total += shard_slots_[k].deliveries.size();
-    }
-    deliveries.reserve(total);
-    for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
-      ShardSlot& slot = shard_slots_[k];
-      counters_.pushes_sent += slot.sent;
-      counters_.legs_dropped += slot.dropped;
-      for (const Delivery& d : slot.deliveries) deliveries.push_back(d);
+  });
+  std::size_t total = 0;
+  for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
+    total += shard_slots_[k].deliveries.size();
+  }
+  deliveries.reserve(total);
+  for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
+    const ShardSlot& slot = shard_slots_[k];
+    counters_.pushes_sent += slot.sent;
+    counters_.legs_dropped += slot.dropped;
+    for (const Delivery& d : slot.deliveries) deliveries.push_back(d);
+  }
+}
+
+void Engine::plan_pulls(ArenaVector<PendingPull>& pulls) {
+  // Honest targets come from the node's private rng over its own view;
+  // Byzantine targets come from the shared Coordinator and stay on this
+  // thread. The pairs merge in node-index order, then one shuffle on the
+  // engine stream gives the round's global exchange order: exchanges
+  // interleave across nodes, as they would in a real deployment.
+  alive_ids(alive_scratch_);
+  if (shard_slots_.size() < alive_scratch_.size()) shard_slots_.resize(alive_scratch_.size());
+  shard_over_alive([&](std::size_t k) {
+    nodes_[alive_scratch_[k].value]->pull_targets(shard_slots_[k].targets);
+  });
+  for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
+    for (NodeId target : shard_slots_[k].targets) {
+      pulls.push_back({alive_scratch_[k], target});
     }
   }
+  rng_.shuffle(pulls);
+}
 
-  rng_.shuffle(deliveries);
-  gen_timer.reset();  // generation + shuffle measured; delivery starts here
+void Engine::deliver_pushes() {
+  // Plan every alive node's pushes, then deliver them in a shuffled order
+  // so no node systematically observes pushes first. The delivery list is
+  // per-round scratch: staged in the arena, gone at the next step()'s reset.
+  ArenaVector<Delivery> deliveries(arena_);
+  {
+    const obs::ScopedTimer t(phase_hist_[kPhasePushGen], &last_phase_us_[kPhasePushGen]);
+    plan_pushes(deliveries);
+    rng_.shuffle(deliveries);
+  }
   const obs::ScopedTimer deliver_timer(phase_hist_[kPhasePushDeliver],
                                        &last_phase_us_[kPhasePushDeliver]);
 
-  if (!sharded()) {
-    for (const Delivery& d : deliveries) {
-      nodes_[d.to.value]->on_push(d.payload);
-      ++counters_.pushes_delivered;
-      for_listeners([&](ITrafficListener& l) {
-        l.on_push_delivered(round_, d.from, d.payload.sender, d.to);
-      });
-    }
-    return;
-  }
-
-  // Sharded delivery: bucket the shuffled list by target (a stable counting
-  // sort, so each target's mailbox sees the exact subsequence the global
-  // shuffled order dictates) and apply each target's bucket on its own
-  // shard. on_push only mutates the receiving node, so per-target order is
-  // the only order that is observable — the result is bit-identical to the
-  // interleaved sequential application. Listener callbacks replay after
-  // application, serially, in the same global shuffled order as the
-  // sequential path (their arguments carry no engine state).
-  const std::size_t alive_count = alive_scratch_.size();
-  if (alive_rank_.size() < nodes_.size()) alive_rank_.resize(nodes_.size());
-  for (std::size_t k = 0; k < alive_count; ++k) {
-    alive_rank_[alive_scratch_[k].value] = static_cast<std::uint32_t>(k);
-  }
-  bucket_offsets_.assign(alive_count + 1, 0);
+  // Each shard owns the targets whose index is congruent to it modulo the
+  // pool width and walks the shuffled list in order, so every target's
+  // mailbox sees the exact subsequence the global shuffled order dictates.
+  // on_push only mutates the receiving node, so per-target order is the
+  // only order that is observable. Byzantine targets share the adversary
+  // Coordinator, so they go first, on this thread. Listener callbacks
+  // replay after application, serially, in the global shuffled order
+  // (their arguments carry no engine state).
   for (const Delivery& d : deliveries) {
-    ++bucket_offsets_[alive_rank_[d.to.value] + 1];  // targets are alive
+    if (kinds_[d.to.value] == NodeKind::kByzantine) nodes_[d.to.value]->on_push(d.payload);
   }
-  for (std::size_t k = 0; k < alive_count; ++k) {
-    bucket_offsets_[k + 1] += bucket_offsets_[k];
-  }
-  bucket_cursor_.assign(bucket_offsets_.begin(), bucket_offsets_.end());
-  std::uint32_t* order = arena_.allocate_array<std::uint32_t>(deliveries.size());
-  for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    order[bucket_cursor_[alive_rank_[deliveries[i].to.value]]++] =
-        static_cast<std::uint32_t>(i);
-  }
-  shard_over_alive([&](std::size_t k) {
-    INode& receiver = *nodes_[alive_scratch_[k].value];
-    for (std::size_t slot = bucket_offsets_[k]; slot < bucket_offsets_[k + 1]; ++slot) {
-      receiver.on_push(deliveries[order[slot]].payload);
-    }
-  });
+  pool().parallel_for(
+      pool().size(),
+      [this, &deliveries](std::size_t shard) {
+        const auto shards = static_cast<std::uint32_t>(pool_->size());
+        for (const Delivery& d : deliveries) {
+          if (d.to.value % shards == shard && kinds_[d.to.value] != NodeKind::kByzantine) {
+            nodes_[d.to.value]->on_push(d.payload);
+          }
+        }
+      },
+      /*grain=*/1);
   counters_.pushes_delivered += deliveries.size();
   if (!listeners_.empty()) {
     for (const Delivery& d : deliveries) {
@@ -528,41 +496,11 @@ bool Engine::run_exchange(INode& initiator, INode& responder) {
 }
 
 void Engine::run_pull_exchanges() {
-  struct PendingPull {
-    NodeId initiator;
-    NodeId target;
-  };
-  // Pull-target generation shards (honest targets come from the node's
-  // private rng over its own view; Byzantine targets come from the shared
-  // Coordinator and stay on this thread), with the (initiator, target)
-  // pairs merged in node-index order — identical to the sequential list
-  // for every worker count. The exchanges themselves then run serially:
-  // each five-leg exchange draws loss/tamper decisions from the shared
-  // engine stream and mutates both endpoints, so sharding legs would
-  // break the bit-identity contract.
+  // The exchanges run serially: each five-leg exchange draws loss/tamper
+  // decisions from the shared engine stream and mutates both endpoints, so
+  // sharding legs would break the bit-identity contract.
   ArenaVector<PendingPull> pulls(arena_);
-  alive_ids(alive_scratch_);
-  if (!sharded()) {
-    for (const NodeId id : alive_scratch_) {
-      nodes_[id.value]->pull_targets(targets_scratch_);
-      for (NodeId target : targets_scratch_) pulls.push_back({id, target});
-    }
-  } else {
-    if (shard_slots_.size() < alive_scratch_.size()) {
-      shard_slots_.resize(alive_scratch_.size());
-    }
-    shard_over_alive([&](std::size_t k) {
-      nodes_[alive_scratch_[k].value]->pull_targets(shard_slots_[k].targets);
-    });
-    for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
-      for (NodeId target : shard_slots_[k].targets) {
-        pulls.push_back({alive_scratch_[k], target});
-      }
-    }
-  }
-  // Randomized global order: exchanges within a round interleave across
-  // nodes, as they would in a real deployment.
-  rng_.shuffle(pulls);
+  plan_pulls(pulls);
   for (const PendingPull& p : pulls) {
     ++counters_.pulls_started;
     INode& initiator = *nodes_[p.initiator.value];
@@ -581,20 +519,15 @@ void Engine::run_pull_exchanges() {
 }
 
 void Engine::step_event() {
-  arena_.reset();
-  {
-    const obs::ScopedTimer t(phase_hist_[kPhaseBeginRound],
-                             &last_phase_us_[kPhaseBeginRound]);
-    run_begin_rounds();
-  }
-
   const evt::EventConfig& ev = config_.event;
   const std::uint64_t round_start = evt_sched_.now_us();
   const std::uint64_t deadline = round_start + ev.round_interval_us;
-  // Round-scoped base for every per-link stream: one advancing fork per
-  // round, so the same link draws fresh delays each round while each delay
-  // stays a pure function of (seed, round, from, to) — never of the worker
-  // count or of how many other links are in flight.
+  // Round-scoped base for every per-link stream. The labelled fork is const
+  // and does not advance rng_; the base differs each round only because
+  // the previous round's pull shuffle (and any loss, tamper or churn
+  // draws) advanced rng_. So the same link draws fresh delays each round while
+  // each delay stays a pure function of (seed, round, from, to) — never of
+  // the worker count or of how many other links are in flight.
   const Rng link_base = rng_.fork("evt.round");
   const auto region_of = [&](NodeId id) {
     return ev.topology.region_of(id.value);
@@ -606,53 +539,12 @@ void Engine::step_event() {
     return sampled;
   };
 
-  // --- push generation: the round-mode planner, but delivery goes through
-  // the event heap. Loss always draws per-node split streams (even at width
-  // 1) so event-mode results are bit-identical for every worker count.
+  // --- pushes: the round-mode plan, delivered through the event heap.
   ArenaVector<Delivery> deliveries(arena_);
-  alive_ids(alive_scratch_);
   {
     const obs::ScopedTimer t(phase_hist_[kPhasePushGen],
                              &last_phase_us_[kPhasePushGen]);
-    const Rng phase_base = rng_.fork("push-phase");
-    if (shard_slots_.size() < alive_scratch_.size()) {
-      shard_slots_.resize(alive_scratch_.size());
-    }
-    const auto collect = [&](std::size_t k) {
-      const NodeId id = alive_scratch_[k];
-      INode& sender = *nodes_[id.value];
-      ShardSlot& slot = shard_slots_[k];
-      slot.deliveries.clear();
-      slot.sent = 0;
-      slot.dropped = 0;
-      Rng loss_rng = phase_base.split(id.value);
-      sender.push_targets(slot.targets);
-      for (NodeId target : slot.targets) {
-        ++slot.sent;
-        if (config_.message_loss > 0.0 && loss_rng.chance(config_.message_loss)) {
-          ++slot.dropped;
-          continue;
-        }
-        if (!is_alive(target)) continue;
-        slot.deliveries.push_back({target, sender.id(), sender.make_push()});
-      }
-    };
-    if (!sharded()) {
-      for (std::size_t k = 0; k < alive_scratch_.size(); ++k) collect(k);
-    } else {
-      shard_over_alive(collect);
-    }
-    std::size_t total = 0;
-    for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
-      total += shard_slots_[k].deliveries.size();
-    }
-    deliveries.reserve(total);
-    for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
-      ShardSlot& slot = shard_slots_[k];
-      counters_.pushes_sent += slot.sent;
-      counters_.legs_dropped += slot.dropped;
-      for (const Delivery& d : slot.deliveries) deliveries.push_back(d);
-    }
+    plan_pushes(deliveries);
   }
   for (std::size_t i = 0; i < deliveries.size(); ++i) {
     const Delivery& d = deliveries[i];
@@ -666,34 +558,11 @@ void Engine::step_event() {
                         kEvtPush, i);
   }
 
-  // --- pull generation: same lists as round mode, started as events at the
-  // request's arrival; the remaining legs' delays are pre-sampled so each
-  // pull event carries its exchange's virtual completion time in `b`.
-  struct PendingPull {
-    NodeId initiator;
-    NodeId target;
-  };
+  // --- pulls: the round-mode plan, each exchange started as an event at
+  // the request's arrival; the remaining legs' delays are pre-sampled so
+  // each pull event carries its exchange's virtual completion time in `b`.
   ArenaVector<PendingPull> pulls(arena_);
-  alive_ids(alive_scratch_);
-  if (!sharded()) {
-    for (const NodeId id : alive_scratch_) {
-      nodes_[id.value]->pull_targets(targets_scratch_);
-      for (NodeId target : targets_scratch_) pulls.push_back({id, target});
-    }
-  } else {
-    if (shard_slots_.size() < alive_scratch_.size()) {
-      shard_slots_.resize(alive_scratch_.size());
-    }
-    shard_over_alive([&](std::size_t k) {
-      nodes_[alive_scratch_[k].value]->pull_targets(shard_slots_[k].targets);
-    });
-    for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
-      for (NodeId target : shard_slots_[k].targets) {
-        pulls.push_back({alive_scratch_[k], target});
-      }
-    }
-  }
-  rng_.shuffle(pulls);
+  plan_pulls(pulls);
   for (std::size_t i = 0; i < pulls.size(); ++i) {
     const PendingPull& p = pulls[i];
     if (!p.target.valid() || p.target.value >= nodes_.size()) {
@@ -772,36 +641,20 @@ void Engine::step_event() {
   // the leg was dropped, so the round still closes exactly on schedule.
   evt_sched_.close_window(deadline);
   if (evt_virtual_hist_) evt_virtual_hist_->record(deadline / 1000);
-
-  {
-    const obs::ScopedTimer t(phase_hist_[kPhaseEndRound],
-                             &last_phase_us_[kPhaseEndRound]);
-    run_end_rounds();
-    if (!listeners_.empty()) {
-      refresh_views();
-      for_listeners([&](ITrafficListener& l) { l.on_round_end(round_, *this); });
-    }
-  }
-  if (link_table_) link_table_->retire_idle(round_, config_.link_idle_rounds);
-  ++round_;
-  publish_metrics();
 }
 
 void Engine::step() {
-  if (config_.event.enabled) {
-    step_event();
-    return;
-  }
   arena_.reset();  // reclaim last round's scratch wholesale
   {
     const obs::ScopedTimer t(phase_hist_[kPhaseBeginRound],
                              &last_phase_us_[kPhaseBeginRound]);
     run_begin_rounds();
   }
-  deliver_pushes();  // records kPhasePushGen / kPhasePushDeliver itself
-  {
-    const obs::ScopedTimer t(phase_hist_[kPhasePulls],
-                             &last_phase_us_[kPhasePulls]);
+  if (config_.event.enabled) {
+    step_event();  // records kPhasePushGen / kPhasePulls itself
+  } else {
+    deliver_pushes();  // records kPhasePushGen / kPhasePushDeliver itself
+    const obs::ScopedTimer t(phase_hist_[kPhasePulls], &last_phase_us_[kPhasePulls]);
     run_pull_exchanges();
   }
   {

@@ -60,23 +60,21 @@ struct EngineConfig {
   Round link_idle_rounds = 64;
   /// Width of the sharded round phases — push generation and delivery,
   /// pull-target generation, begin_round and end_round (eviction included):
-  /// 1 = legacy sequential path (the default), 0 = hardware concurrency,
-  /// n > 1 = shard over n workers. Any value > 1 (or 0) opts into the
-  /// sharded push-loss stream; given that, results are bit-identical for
-  /// every worker count — see the determinism note on deliver_pushes. All
-  /// other sharded phases draw only per-node streams and are bit-identical
-  /// to the sequential path for every width. The exchange legs themselves
-  /// stay serial: their loss/tamper draws interleave on the shared engine
-  /// stream and each leg mutates two nodes, so sharding them could not
-  /// preserve the bit-identity contract.
+  /// 1 = a pool of one that runs every phase inline (the default),
+  /// 0 = hardware concurrency, n > 1 = shard over n workers. Results are
+  /// bit-identical for every width, lossy runs included: push loss always
+  /// draws per-node split streams (see the note on the round phases). The
+  /// exchange legs themselves stay serial: their loss/tamper draws
+  /// interleave on the shared engine stream and each leg mutates two
+  /// nodes, so sharding them could not preserve the bit-identity contract.
   std::size_t threads = 1;
   /// Opt-in event-driven step mode (src/evt): pushes and pulls become
   /// timestamped message events with per-link latency/jitter, partitions
   /// and a virtual clock. Off by default — round mode is the bit-exact
-  /// baseline. With event mode on, results are bit-identical across every
-  /// worker count (1 included): generation always draws per-node split
-  /// streams and the event heap drains serially on the coordinating thread.
-  evt::EventConfig event;
+  /// baseline. Event mode plans pushes and pulls exactly as round mode
+  /// does and drains the event heap serially on the coordinating thread,
+  /// so its results are bit-identical across every width too.
+  evt::EventConfig event{};
 };
 
 class Engine {
@@ -221,6 +219,11 @@ class Engine {
     NodeId from;
     wire::PushMessage payload;
   };
+  /// One planned pull exchange, staged in per-round arena scratch.
+  struct PendingPull {
+    NodeId initiator;
+    NodeId target;
+  };
   /// Per-node output slot of a sharded phase: private delivery/target lists
   /// plus counter shares, merged in node-index order once every shard
   /// finished. Slots persist across rounds so their capacity amortizes the
@@ -233,10 +236,9 @@ class Engine {
     std::uint64_t dropped = 0;
   };
 
-  [[nodiscard]] bool sharded() const { return config_.threads != 1; }
-  /// The lazily-built phase pool (sharded() only). Never wider than one
-  /// worker per node — oversized knobs would otherwise spawn thousands of
-  /// idle OS threads per engine.
+  /// The lazily-built phase pool; width 1 spawns no workers and runs every
+  /// loop inline. Never wider than one worker per node — oversized knobs
+  /// would otherwise spawn thousands of idle OS threads per engine.
   [[nodiscard]] exec::ThreadPool& pool();
 
   /// Runs `fn(k)` for every index into alive_scratch_: Byzantine nodes
@@ -251,24 +253,29 @@ class Engine {
   template <typename Fn>
   void for_listeners(const Fn& fn);
 
-  // The four shardable phases of a round. Phases that draw only per-node
-  // private streams — begin_round, pull-target generation, end_round
-  // (eviction) — are bit-identical to the sequential path for every worker
-  // count. Push generation: with threads == 1 this is the legacy
-  // sequential loop (loss draws interleaved on the engine stream); with
-  // threads != 1 every node draws its loss decisions from a private
-  // splittable stream (rng().fork("push-phase").split(node)) and the
-  // per-node delivery lists are merged in node-index order — so sharded
-  // results are a deterministic function of (seed, sharded-or-not) and
-  // never of the worker count. With message_loss == 0 no loss stream is
-  // consulted and all widths, 1 included, coincide exactly.
+  // The round phases, every one sharded over the pool. begin_round,
+  // pull-target generation and end_round (eviction) draw only the nodes'
+  // private streams. Push generation draws each node's loss decisions from
+  // its own split stream, rng().fork("push-phase").split(node), and merges
+  // the per-node delivery lists in node-index order. So a round's result is
+  // a function of the seed alone, never of the worker count.
   void run_begin_rounds();
-  void deliver_pushes();
-  void run_pull_exchanges();
   void run_end_rounds();
-  /// Event-driven round (config_.event.enabled): same begin/end phases, but
-  /// pushes and pull exchanges flow through the (virtual_time, seq) event
-  /// heap with per-link latency, partition cuts and the round deadline.
+  /// Push planning, shared by both step modes: every alive node's push
+  /// targets, its loss draws and the node-index merge into `deliveries`.
+  void plan_pushes(ArenaVector<Delivery>& deliveries);
+  /// Pull planning, shared by both step modes: every alive node's pull
+  /// targets merged in node-index order, then shuffled on the engine stream.
+  void plan_pulls(ArenaVector<PendingPull>& pulls);
+  /// Round mode: shuffles the planned pushes and applies them, sharded by
+  /// target.
+  void deliver_pushes();
+  /// Round mode: runs the planned exchanges serially in shuffled order.
+  void run_pull_exchanges();
+  /// Event mode (config_.event.enabled), between step()'s begin and end
+  /// phases: the planned pushes and pull exchanges flow through the
+  /// (virtual_time, seq) event heap with per-link latency, partition cuts
+  /// and the round deadline.
   void step_event();
   /// Runs one five-leg exchange; returns false on timeout.
   bool run_exchange(INode& initiator, INode& responder);
@@ -294,11 +301,7 @@ class Engine {
   Arena arena_;                              // per-round scratch, reset each step
   std::vector<ShardSlot> shard_slots_;
   std::vector<NodeId> alive_scratch_;        // reused by the round phases
-  std::vector<NodeId> targets_scratch_;      // sequential push/pull phases
-  std::vector<std::uint32_t> alive_rank_;    // node index -> alive_scratch_ slot
-  std::vector<std::size_t> bucket_offsets_;  // sharded delivery partition
-  std::vector<std::size_t> bucket_cursor_;
-  std::unique_ptr<exec::ThreadPool> pool_;   // lazily built, threads != 1
+  std::unique_ptr<exec::ThreadPool> pool_;   // lazily built on first use
 
   // Structure-of-arrays view slab (refresh_views / view_of): all node
   // views live in one dense NodeId array instead of n per-node heap

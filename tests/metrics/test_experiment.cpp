@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 
 namespace raptee::metrics {
@@ -9,7 +10,7 @@ namespace {
 
 // The metrics layer is exercised through configs materialized by the
 // public builder — the same path every bench and test takes.
-ExperimentConfig tiny_config() {
+scenario::ScenarioSpec tiny_spec() {
   return scenario::ScenarioSpec()
       .population(80)
       .adversary(0.10)
@@ -17,9 +18,10 @@ ExperimentConfig tiny_config() {
       .view_size(16)
       .eviction(core::EvictionSpec::adaptive())
       .rounds(20)
-      .seed(5)
-      .config();
+      .seed(5);
 }
+
+ExperimentConfig tiny_config() { return tiny_spec().config(); }
 
 TEST(ExperimentConfig, CountsAreRounded) {
   ExperimentConfig config = tiny_config();
@@ -124,9 +126,10 @@ TEST(Experiment, PoisonedTrustedNodesExtendPopulation) {
   EXPECT_GE(result.steady_pollution, 0.0);  // smoke: runs with injection
 }
 
+// Repetitions, per-run batches and comparisons run under scenario::Runner,
+// the only experiment executor.
 TEST(RunRepeated, AggregatesAcrossSeeds) {
-  auto config = tiny_config();
-  const auto agg = run_repeated(config, 3, /*threads=*/2);
+  const auto agg = scenario::Runner(2).run_repeated(tiny_spec(), 3);
   EXPECT_EQ(agg.runs, 3u);
   EXPECT_EQ(agg.pollution.count(), 3u);
   EXPECT_GT(agg.pollution.mean(), 0.0);
@@ -134,20 +137,17 @@ TEST(RunRepeated, AggregatesAcrossSeeds) {
   EXPECT_GT(agg.pollution.max(), agg.pollution.min());
 }
 
-TEST(RunBatch, PreservesOrderAndMatchesIndividualRuns) {
-  auto c1 = tiny_config();
-  auto c2 = tiny_config();
-  c2.seed = 99;
-  const auto batch = run_batch({c1, c2}, 2);
+TEST(RunEach, PreservesOrderAndMatchesIndividualRuns) {
+  const auto s1 = tiny_spec();
+  const auto s2 = tiny_spec().seed(99);
+  const auto batch = scenario::Runner(2).run_each({s1, s2});
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].steady_pollution, run_experiment(c1).steady_pollution);
-  EXPECT_EQ(batch[1].steady_pollution, run_experiment(c2).steady_pollution);
+  EXPECT_EQ(batch[0].steady_pollution, run_experiment(s1.config()).steady_pollution);
+  EXPECT_EQ(batch[1].steady_pollution, run_experiment(s2.config()).steady_pollution);
 }
 
 TEST(RunComparison, BaselineStripsTrustedMachinery) {
-  auto config = tiny_config();
-  config.rounds = 25;
-  const auto cmp = run_comparison(config, /*reps=*/2, /*threads=*/2);
+  const auto cmp = scenario::Runner(2).run_comparison(tiny_spec().rounds(25), /*reps=*/2);
   EXPECT_EQ(cmp.raptee.runs, 2u);
   EXPECT_EQ(cmp.baseline.runs, 2u);
   // The baseline is plain Brahms: no eviction telemetry.

@@ -63,11 +63,14 @@ TEST(ParallelDeterminism, RunComparisonJsonBytesMatchSequential) {
 }
 
 TEST(ParallelDeterminism, FusedComparisonMatchesTheMetricsLayer) {
-  // Runner fuses both comparison halves into one batch; the standalone
-  // metrics::run_comparison path must agree byte for byte.
+  // Runner fuses both comparison halves into one batch; finalizing two
+  // standalone run_repeated calls — the spec and its comparison_baseline —
+  // must agree byte for byte.
   const ScenarioSpec spec = fixture_spec().rounds(16);
   const auto fused = Runner(4).run_comparison(spec, 2);
-  const auto layered = metrics::run_comparison(spec.config(), 2, 2);
+  const auto layered = metrics::finalize_comparison(
+      Runner(2).run_repeated(spec, 2),
+      Runner(2).run_repeated(ScenarioSpec(metrics::comparison_baseline(spec.config())), 2));
   EXPECT_EQ(results::to_json(fused), results::to_json(layered));
 }
 

@@ -1,10 +1,9 @@
-// Sharded round phases (EngineConfig::threads != 1): results must be a
-// deterministic function of (seed, sharded-or-not) — the worker count must
-// never change a byte — and since only the push-LOSS draws move onto
-// per-node splittable streams, every lossless run coincides with the legacy
-// sequential path exactly, width 1 included. The scenario-level matrix
-// below asserts that bit-identity across the churn / attack / eviction /
-// tamper axes, down to every metric stream and counter.
+// Sharded round phases (EngineConfig::threads): width 1 is a pool of one
+// running the same phases inline, so results must be a deterministic
+// function of the seed alone — the worker count must never change a byte,
+// lossy runs included (push loss always draws per-node split streams). The
+// scenario-level matrix below asserts that bit-identity across the churn /
+// attack / eviction / tamper axes, down to every metric stream and counter.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -58,31 +57,38 @@ TEST_F(ParallelEngineFixture, ShardedResultIsIndependentOfWorkerCount) {
   EngineConfig config;
   config.seed = 21;
   config.message_loss = 0.3;
+  config.threads = 1;
+  const auto one = run_and_collect(config);
+  const Engine::Counters c1 = last_counters;
   config.threads = 2;
   const auto two = run_and_collect(config);
   const Engine::Counters c2 = last_counters;
   config.threads = 5;
   const auto five = run_and_collect(config);
   const Engine::Counters c5 = last_counters;
-  config.threads = 0;  // auto = hardware concurrency, still sharded
+  config.threads = 0;  // auto = hardware concurrency
   const auto autos = run_and_collect(config);
 
+  EXPECT_EQ(two, one);
   EXPECT_EQ(two, five);
   EXPECT_EQ(two, autos);
+  EXPECT_EQ(c2.pushes_sent, c1.pushes_sent);
+  EXPECT_EQ(c2.pushes_delivered, c1.pushes_delivered);
+  EXPECT_EQ(c2.legs_dropped, c1.legs_dropped);
   EXPECT_EQ(c2.pushes_sent, c5.pushes_sent);
   EXPECT_EQ(c2.pushes_delivered, c5.pushes_delivered);
   EXPECT_EQ(c2.legs_dropped, c5.legs_dropped);
 }
 
-TEST_F(ParallelEngineFixture, ShardedWithoutLossMatchesLegacyExactly) {
+TEST_F(ParallelEngineFixture, ShardedWithoutLossMatchesWidthOneExactly) {
   EngineConfig config;
   config.seed = 22;
   config.message_loss = 0.0;
   config.threads = 1;
-  const auto legacy = run_and_collect(config);
+  const auto one = run_and_collect(config);
   config.threads = 4;
   const auto sharded = run_and_collect(config);
-  EXPECT_EQ(legacy, sharded);
+  EXPECT_EQ(one, sharded);
 }
 
 TEST_F(ParallelEngineFixture, ShardedRunsAreReproducible) {
@@ -112,23 +118,22 @@ TEST(ParallelEngineScenario, FullRunIsWorkerCountIndependent) {
   EXPECT_EQ(two.pulls_completed, six.pulls_completed);
 }
 
-TEST(ParallelEngineScenario, ShardedLosslessRunMatchesLegacy) {
+TEST(ParallelEngineScenario, ShardedLosslessRunMatchesWidthOne) {
   const auto spec = test::Scenario()
                         .adversary(0.2)
                         .trusted_share(0.3)
                         .rounds(24)
                         .seed(25);
-  const auto legacy = scenario::ScenarioSpec(spec).threads(1).run();
+  const auto one = scenario::ScenarioSpec(spec).threads(1).run();
   const auto sharded = scenario::ScenarioSpec(spec).threads(4).run();
-  EXPECT_TRUE(test::same_metric_streams(legacy, sharded));
+  EXPECT_TRUE(test::same_metric_streams(one, sharded));
 }
 
 // Width matrix {1, 2, 4, hw} across the scenario axes the sharded phases
 // touch: churn (rejoin bootstraps), a non-default attack strategy
 // (Coordinator-driven Byzantine phases), fixed eviction (end_round), and
 // on-path tampering (serial exchange legs under the byte round-trip).
-// Lossless, so EVERY width — the sequential baseline included — must
-// produce bit-identical metric streams.
+// Every width, 1 included, must produce bit-identical metric streams.
 TEST(ParallelEngineScenario, LosslessWidthMatrixIsBitIdenticalAcrossAxes) {
   struct Cell {
     const char* name;
@@ -157,18 +162,18 @@ TEST(ParallelEngineScenario, LosslessWidthMatrixIsBitIdenticalAcrossAxes) {
                      .seed(34)},
   };
   for (const Cell& cell : cells) {
-    const auto sequential = scenario::ScenarioSpec(cell.spec).threads(1).run();
+    const auto one = scenario::ScenarioSpec(cell.spec).threads(1).run();
     for (const std::size_t width : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
       const auto sharded = scenario::ScenarioSpec(cell.spec).threads(width).run();
-      EXPECT_TRUE(test::same_metric_streams(sequential, sharded))
+      EXPECT_TRUE(test::same_metric_streams(one, sharded))
           << "axis " << cell.name << ", width " << width;
     }
   }
 }
 
-// With loss the sharded widths share the per-node loss streams (a different
-// stream than sequential), so {2, 4, hw} must coincide with each other —
-// here under churn + attack simultaneously, the heaviest shared-state mix.
+// With loss every width, 1 included, draws the same per-node loss streams,
+// so {1, 2, 4, hw} must coincide — here under churn + attack
+// simultaneously, the heaviest shared-state mix.
 TEST(ParallelEngineScenario, LossyShardedWidthsCoincideUnderChurnAndAttack) {
   const auto spec = test::Scenario()
                         .adversary(0.25)
@@ -178,9 +183,11 @@ TEST(ParallelEngineScenario, LossyShardedWidthsCoincideUnderChurnAndAttack) {
                         .message_loss(0.15)
                         .rounds(16)
                         .seed(35);
+  const auto one = scenario::ScenarioSpec(spec).threads(1).run();
   const auto two = scenario::ScenarioSpec(spec).threads(2).run();
   const auto four = scenario::ScenarioSpec(spec).threads(4).run();
   const auto hw = scenario::ScenarioSpec(spec).threads(0).run();
+  EXPECT_TRUE(test::same_metric_streams(two, one));
   EXPECT_TRUE(test::same_metric_streams(two, four));
   EXPECT_TRUE(test::same_metric_streams(two, hw));
 }

@@ -1,17 +1,18 @@
-// Zero-allocation steady state of Engine::step (the ISSUE's "default
-// scenario" gate): once the arena chunks, phase scratch vectors and the SoA
-// view slab have warmed their capacity, a full round — begin_round, push
-// fan-out, pull exchanges, end_round, listener dispatch — performs no heap
-// allocation at all. Verified by counting every global operator new in this
-// binary across a measured window, the same harness as
-// wire_test_wire_zero_alloc.
+// Zero-allocation steady state of Engine::step (the "default scenario"
+// gate): once the arena chunks, phase scratch vectors, the event heap and
+// the SoA view slab have warmed their capacity, a full round — begin_round,
+// push fan-out, pull exchanges, end_round, listener dispatch — performs no
+// heap allocation at all, in round mode and in event mode. Verified by
+// counting every global operator new in this binary across a measured
+// window, the same harness as wire_test_wire_zero_alloc.
 //
-// The gate covers the sequential path (EngineConfig::threads == 1, the
-// default). The sharded path is exempt by design: exec::ThreadPool's
-// parallel_for allocates its job state per call, and node-side protocol
-// messages (PullReply views) allocate regardless of the engine. Nodes here
-// are deliberately lean — fixed inline views, empty reply payloads — so the
-// counter isolates the engine's own round machinery.
+// The gate runs at width 1 (EngineConfig::threads == 1, the default): the
+// same sharded phases as every width, on a pool of one that runs them
+// inline. Wider pools are exempt by design: exec::ThreadPool's parallel_for
+// allocates its job state per call once it has workers. Node-side protocol
+// messages (PullReply views) allocate regardless of the engine, so nodes
+// here are deliberately lean — fixed inline views, empty reply payloads —
+// and the counter isolates the engine's own round machinery.
 //
 // The counting overrides forward to std::malloc/std::free, which keeps the
 // sanitizer jobs honest: ASan still intercepts the underlying malloc, so
@@ -25,6 +26,7 @@
 #include <new>
 #include <vector>
 
+#include "evt/latency.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
 #include "sim/traffic.hpp"
@@ -149,8 +151,8 @@ class SlabScanListener final : public ITrafficListener {
   std::uint64_t checksum = 0;
 };
 
-Engine make_engine() {
-  Engine engine(EngineConfig{});  // threads == 1: the sequential default
+Engine make_engine(EngineConfig config = {}) {  // threads == 1 by default
+  Engine engine(config);
   for (std::uint32_t i = 0; i < kPopulation; ++i) {
     engine.add_node(std::make_unique<LeanNode>(NodeId{i}), NodeKind::kHonest);
   }
@@ -189,6 +191,24 @@ TEST(EngineZeroAlloc, StepWithListenerAndViewSlabIsAllocationFree) {
   EXPECT_EQ(during, 0u)
       << "refresh_views + view_of listener reads must stay off the heap";
   EXPECT_GT(listener.checksum, 0u);
+}
+
+TEST(EngineZeroAlloc, EventStepIsAllocationFreeInSteadyState) {
+  EngineConfig config;
+  config.event.enabled = true;
+  config.event.latency = evt::LatencySpec::named("wan");
+  Engine engine = make_engine(config);
+
+  // Warm-up additionally grows the event heap to its per-round depth.
+  for (int i = 0; i < 3; ++i) engine.step();
+
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 50; ++i) engine.step();
+  const std::uint64_t during = g_allocations.load() - before;
+
+  EXPECT_EQ(during, 0u) << "steady-state event-mode Engine::step must not touch the heap";
+  EXPECT_GT(engine.counters().pushes_delivered, 0u);  // the rounds really ran
+  EXPECT_EQ(engine.virtual_now_us(), 53u * config.event.round_interval_us);
 }
 
 TEST(EngineZeroAlloc, CountersSeeOrdinaryAllocations) {

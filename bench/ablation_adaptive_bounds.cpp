@@ -50,17 +50,15 @@ int main() {
     for (std::size_t fi = 0; fi < fs.size(); ++fi) {
       const auto& baseline = cells[fi * stride];
       const auto& raptee = cells[fi * stride + 1 + vi];
-      const auto disc = bench::overhead_pct(baseline.discovery,
-                                            baseline.discovery_reached,
-                                            raptee.discovery, raptee.discovery_reached);
-      table.add_row({bounds, std::to_string(fs[fi]),
-                     metrics::fmt(bench::improvement_pct(baseline, raptee)),
+      const auto cmp = metrics::finalize_comparison(raptee, baseline);
+      const double imp = cmp.resilience_improvement_pct;
+      const auto disc = cmp.discovery_overhead_pct;
+      table.add_row({bounds, std::to_string(fs[fi]), metrics::fmt(imp),
                      bench::fmt_opt(disc),
                      metrics::fmt(raptee.ident_best_f1.mean(), 2),
                      metrics::fmt(100.0 * raptee.eviction_rate.mean())});
       csv.add_row({metrics::fmt(b.lower, 2), metrics::fmt(b.upper, 2),
-                   std::to_string(fs[fi]),
-                   metrics::fmt(bench::improvement_pct(baseline, raptee), 3),
+                   std::to_string(fs[fi]), metrics::fmt(imp, 3),
                    bench::fmt_opt(disc, 3),
                    metrics::fmt(raptee.ident_best_f1.mean(), 4),
                    metrics::fmt(100.0 * raptee.eviction_rate.mean(), 2)});
@@ -68,8 +66,7 @@ int main() {
                          .field("lower", b.lower)
                          .field("upper", b.upper)
                          .field("f_pct", fs[fi])
-                         .field("improvement_pct",
-                                bench::improvement_pct(baseline, raptee))
+                         .field("improvement_pct", imp)
                          .field("discovery_overhead_pct", disc)
                          .field("ident_f1", raptee.ident_best_f1.mean())
                          .field("mean_eviction_rate", raptee.eviction_rate.mean()));

@@ -44,27 +44,29 @@ int main() {
       const auto& baseline = cells[idx++];
       const auto& off = cells[idx++];
       const auto& on = cells[idx++];
-      table.add_row({std::to_string(f), std::to_string(t),
-                     metrics::fmt(bench::improvement_pct(baseline, off)),
-                     metrics::fmt(bench::improvement_pct(baseline, on)),
+      const double imp_off =
+          metrics::finalize_comparison(off, baseline).resilience_improvement_pct;
+      const double imp_on =
+          metrics::finalize_comparison(on, baseline).resilience_improvement_pct;
+      table.add_row({std::to_string(f), std::to_string(t), metrics::fmt(imp_off),
+                     metrics::fmt(imp_on),
                      metrics::fmt(100.0 * off.pollution_trusted.mean()),
                      metrics::fmt(100.0 * on.pollution_trusted.mean())});
-      csv.add_row({std::to_string(f), std::to_string(t), "off",
-                   metrics::fmt(bench::improvement_pct(baseline, off), 3),
+      csv.add_row({std::to_string(f), std::to_string(t), "off", metrics::fmt(imp_off, 3),
                    metrics::fmt(100.0 * off.pollution_trusted.mean(), 3)});
-      csv.add_row({std::to_string(f), std::to_string(t), "on",
-                   metrics::fmt(bench::improvement_pct(baseline, on), 3),
+      csv.add_row({std::to_string(f), std::to_string(t), "on", metrics::fmt(imp_on, 3),
                    metrics::fmt(100.0 * on.pollution_trusted.mean(), 3)});
-      const auto json_row = [&](const char* overlay, const metrics::RepeatedResult& cell) {
+      const auto json_row = [&](const char* overlay, double improvement,
+                                const metrics::RepeatedResult& cell) {
         report.add_row(metrics::JsonObject()
                            .field("f_pct", f)
                            .field("t_pct", t)
                            .field("overlay", overlay)
-                           .field("improvement_pct", bench::improvement_pct(baseline, cell))
+                           .field("improvement_pct", improvement)
                            .field("trusted_pollution", cell.pollution_trusted.mean()));
       };
-      json_row("off", off);
-      json_row("on", on);
+      json_row("off", imp_off, off);
+      json_row("on", imp_on, on);
     }
   }
   std::cout << table.render() << '\n';

@@ -48,30 +48,6 @@ std::string fmt_opt(const std::optional<double>& value, int precision) {
   return value ? metrics::fmt(*value, precision) : std::string("-");
 }
 
-double improvement_pct(const metrics::RepeatedResult& baseline,
-                       const metrics::RepeatedResult& raptee) {
-  const double base = baseline.pollution.mean();
-  if (base <= 0.0) return 0.0;
-  return 100.0 * (base - raptee.pollution.mean()) / base;
-}
-
-double improvement_honest_pct(const metrics::RepeatedResult& baseline,
-                              const metrics::RepeatedResult& raptee) {
-  const double base = baseline.pollution_honest.mean();
-  if (base <= 0.0) return 0.0;
-  return 100.0 * (base - raptee.pollution_honest.mean()) / base;
-}
-
-std::optional<double> overhead_pct(const RunningStats& baseline,
-                                   std::size_t baseline_reached,
-                                   const RunningStats& raptee,
-                                   std::size_t raptee_reached) {
-  if (baseline_reached == 0 || raptee_reached == 0 || baseline.mean() <= 0.0) {
-    return std::nullopt;
-  }
-  return 100.0 * (raptee.mean() / baseline.mean() - 1.0);
-}
-
 void run_eviction_figure(const char* fig_name, const char* title,
                          const core::EvictionSpec& eviction,
                          const scenario::Knobs& knobs) {
@@ -115,16 +91,15 @@ void run_eviction_figure(const char* fig_name, const char* title,
     std::vector<std::string> row_stab{std::to_string(f)};
     for (std::size_t ti = 0; ti < ts.size(); ++ti) {
       const auto& raptee = cells[fi * stride + 1 + ti];
-      const double imp = improvement_pct(baseline, raptee);
-      const auto disc = overhead_pct(baseline.discovery, baseline.discovery_reached,
-                                     raptee.discovery, raptee.discovery_reached);
-      const auto stab = overhead_pct(baseline.stability, baseline.stability_reached,
-                                     raptee.stability, raptee.stability_reached);
+      const auto cmp = metrics::finalize_comparison(raptee, baseline);
+      const double imp = cmp.resilience_improvement_pct;
+      const auto disc = cmp.discovery_overhead_pct;
+      const auto stab = cmp.stability_overhead_pct;
       row_imp.push_back(metrics::fmt(imp));
       row_disc.push_back(fmt_opt(disc));
       row_stab.push_back(fmt_opt(stab));
 
-      const double imp_honest = improvement_honest_pct(baseline, raptee);
+      const double imp_honest = cmp.resilience_improvement_honest_pct;
       csv.add_row({std::to_string(f), std::to_string(ts[ti]), eviction.describe(),
                    metrics::fmt(100.0 * baseline.pollution.mean(), 3),
                    metrics::fmt(100.0 * raptee.pollution.mean(), 3),

@@ -4,8 +4,9 @@
 // scenario::Knobs::from_env() sizes runs (RAPTEE_BENCH_* knobs, see
 // README.md), ScenarioSpec builds cells, Runner executes them. This header
 // only keeps what benches share to *present* results: aligned tables, the
-// CSV + JSON sinks under bench_out/, the derived-metric math (resilience
-// improvement, round overheads) and the Figures 5-9 eviction-sweep driver.
+// CSV + JSON sinks under bench_out/ and the Figures 5-9 eviction-sweep
+// driver. The derived metrics (resilience improvement, round overheads)
+// come from metrics::finalize_comparison.
 #pragma once
 
 #include <chrono>
@@ -44,19 +45,6 @@ void report_timing(scenario::results::BenchReport& report, const WallTimer& time
 
 /// "12.3" or "-" for missing optionals.
 [[nodiscard]] std::string fmt_opt(const std::optional<double>& value, int precision = 1);
-
-/// Relative pollution drop of `raptee` vs `baseline` (percent, all-correct).
-[[nodiscard]] double improvement_pct(const metrics::RepeatedResult& baseline,
-                                     const metrics::RepeatedResult& raptee);
-/// Same, restricted to honest untrusted nodes (§V-C prose metric).
-[[nodiscard]] double improvement_honest_pct(const metrics::RepeatedResult& baseline,
-                                            const metrics::RepeatedResult& raptee);
-/// Round-overhead percent for a rounds metric; nullopt when either side
-/// failed to reach the milestone.
-[[nodiscard]] std::optional<double> overhead_pct(const RunningStats& baseline,
-                                                 std::size_t baseline_reached,
-                                                 const RunningStats& raptee,
-                                                 std::size_t raptee_reached);
 
 /// Figures 5-9 all share this sweep: for a given eviction policy, produce
 /// the three panels (resilience improvement, discovery overhead, stability

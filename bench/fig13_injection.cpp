@@ -56,7 +56,8 @@ int main() {
       for (std::size_t ii = 0; ii < injections.size(); ++ii) {
         const auto& raptee =
             cells[fi * stride + 1 + pi * injections.size() + ii];
-        const double imp = bench::improvement_pct(baseline, raptee);
+        const double imp =
+            metrics::finalize_comparison(raptee, baseline).resilience_improvement_pct;
         row.push_back(metrics::fmt(imp));
         csv.add_row({std::to_string(t), std::to_string(injections[ii]),
                      std::to_string(fs[fi]),

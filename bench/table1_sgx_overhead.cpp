@@ -10,10 +10,8 @@
 // CycleModel used by the large-scale simulation, exactly as the paper
 // calibrates its Grid'5000 emulation from its NUC measurements.
 //
-// Output: google-benchmark timings for each variant, then the Table-I
-// style summary (standard cycles, SGX cycles, mean overhead, sd%).
-#include <benchmark/benchmark.h>
-
+// Output: the Table-I style summary (standard cycles, SGX cycles, mean
+// overhead, sd%).
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -35,16 +33,24 @@ using namespace raptee;
 
 constexpr std::size_t kViewSize = 200;  // the paper's deployment view size
 
+/// Keeps `value` alive so the compiler cannot drop the work that made it:
+/// an empty asm statement that claims to read it from memory, as
+/// google-benchmark's DoNotOptimize does for values wider than a register.
+template <typename T>
+void keep_alive(const T& value) {
+  asm volatile("" : : "m"(value) : "memory");
+}
+
 /// Emulated enclave transition: marshal 64 bytes in, MAC, unmarshal, MAC.
 void emulated_transition() {
   static const std::vector<std::uint8_t> key(32, 0x5A);
   std::uint8_t marshal[64];
   std::memset(marshal, 0x3C, sizeof marshal);
   const auto in_tag = crypto::hmac_sha256(key.data(), key.size(), marshal, sizeof marshal);
-  benchmark::DoNotOptimize(in_tag);
+  keep_alive(in_tag);
   const auto out_tag =
       crypto::hmac_sha256(key.data(), key.size(), in_tag.data(), in_tag.size());
-  benchmark::DoNotOptimize(out_tag);
+  keep_alive(out_tag);
 }
 
 /// Shared fixture data.
@@ -84,13 +90,13 @@ void fn_pull_request() {
   reply.auth = f.auth->make_response(challenge);
   reply.view = f.view.ids();
   const auto bytes = wire::encode(wire::Message{reply});
-  benchmark::DoNotOptimize(bytes.data());
+  keep_alive(bytes.data());
 }
 
 void fn_push_message() {
   const auto bytes = wire::encode(wire::Message{wire::PushMessage{NodeId{77}}});
   const auto decoded = wire::decode(bytes);
-  benchmark::DoNotOptimize(&decoded);
+  keep_alive(&decoded);
 }
 
 void fn_trusted_comms() {
@@ -101,14 +107,14 @@ void fn_trusted_comms() {
   incoming.reserve(half.size());
   for (NodeId id : half) incoming.push_back({NodeId{id.value + 500}, 0});
   scratch.framework_merge(incoming, NodeId{9999}, 0, half.size(), half, f.rng);
-  benchmark::DoNotOptimize(scratch.size());
+  keep_alive(scratch.size());
 }
 
 void fn_sample_list() {
   Fixture& f = fixture();
   for (std::uint32_t i = 0; i < 128; ++i) f.samplers.feed(NodeId{i * 13 % 900});
   const auto list = f.samplers.sample_list();
-  benchmark::DoNotOptimize(list.data());
+  keep_alive(list.data());
 }
 
 void fn_dynamic_view() {
@@ -120,7 +126,7 @@ void fn_dynamic_view() {
     if (next.full()) break;
     next.insert(id, 0);
   }
-  benchmark::DoNotOptimize(next.size());
+  keep_alive(next.size());
 }
 
 using BenchFn = void (*)();
@@ -138,23 +144,6 @@ const Row kRows[] = {
     {"Dynamic view comput.", sgx::FunctionClass::kDynamicViewComputation,
      fn_dynamic_view},
 };
-
-void register_benchmarks() {
-  for (const Row& row : kRows) {
-    benchmark::RegisterBenchmark((std::string(row.name) + "/standard").c_str(),
-                                 [fn = row.fn](benchmark::State& state) {
-                                   for (auto _ : state) fn();
-                                 });
-    benchmark::RegisterBenchmark((std::string(row.name) + "/sgx").c_str(),
-                                 [fn = row.fn](benchmark::State& state) {
-                                   for (auto _ : state) {
-                                     emulated_transition();
-                                     fn();
-                                     emulated_transition();
-                                   }
-                                 });
-  }
-}
 
 /// Cycle-accurate Table-I measurement (mean over kSamples calls).
 void print_table1() {
@@ -227,11 +216,7 @@ void print_table1() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  register_benchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   print_table1();
   return 0;
 }

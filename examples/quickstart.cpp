@@ -9,7 +9,8 @@
 #include <stdexcept>
 
 #include "metrics/report.hpp"
-#include "scenario/scenario.hpp"
+// The public umbrella header; including it here makes every build compile it.
+#include "raptee.hpp"
 
 namespace {
 

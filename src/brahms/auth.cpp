@@ -20,18 +20,6 @@ crypto::AuthToken mac_proof(const crypto::SymmetricKey& key, const char* domain,
   return token;
 }
 
-crypto::AuthToken oracle_proof(std::uint64_t fingerprint) {
-  crypto::AuthToken token{};
-  for (int i = 0; i < 8; ++i) token[i] = static_cast<std::uint8_t>(fingerprint >> (8 * i));
-  return token;
-}
-
-std::uint64_t oracle_extract(const crypto::AuthToken& token) {
-  std::uint64_t fp = 0;
-  for (int i = 0; i < 8; ++i) fp |= static_cast<std::uint64_t>(token[i]) << (8 * i);
-  return fp;
-}
-
 bool tokens_equal(const crypto::AuthToken& a, const crypto::AuthToken& b) {
   std::uint8_t diff = 0;
   for (std::size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
@@ -41,13 +29,11 @@ bool tokens_equal(const crypto::AuthToken& a, const crypto::AuthToken& b) {
 }  // namespace auth_detail
 
 using auth_detail::mac_proof;
-using auth_detail::oracle_proof;
-using auth_detail::oracle_extract;
 using auth_detail::tokens_equal;
 
 KeyedAuthenticator::KeyedAuthenticator(AuthMode mode, crypto::SymmetricKey key,
                                        crypto::Drbg drbg)
-    : mode_(mode), key_(key), fingerprint_(key.fingerprint()), drbg_(std::move(drbg)) {}
+    : mode_(mode), key_(key), drbg_(std::move(drbg)) {}
 
 crypto::AuthChallenge KeyedAuthenticator::make_challenge() {
   crypto::AuthChallenge challenge;
@@ -65,9 +51,6 @@ crypto::AuthResponse KeyedAuthenticator::make_response(
       break;
     case AuthMode::kFingerprint:
       response.proof_b = mac_proof(key_, "resp", challenge.r_a, response.r_b);
-      break;
-    case AuthMode::kOracle:
-      response.proof_b = oracle_proof(fingerprint_);
       break;
   }
   return response;
@@ -88,10 +71,6 @@ bool KeyedAuthenticator::verify_response(const crypto::AuthChallenge& challenge,
                              mac_proof(key_, "resp", challenge.r_a, response.r_b));
       confirm.proof_a = mac_proof(key_, "init", response.r_b, challenge.r_a);
       break;
-    case AuthMode::kOracle:
-      trusted = oracle_extract(response.proof_b) == fingerprint_;
-      confirm.proof_a = oracle_proof(fingerprint_);
-      break;
   }
   if (confirm_out != nullptr) *confirm_out = confirm;
   return trusted;
@@ -106,8 +85,6 @@ bool KeyedAuthenticator::verify_confirm(const crypto::AuthChallenge& challenge,
     case AuthMode::kFingerprint:
       return tokens_equal(confirm.proof_a,
                           mac_proof(key_, "init", response.r_b, challenge.r_a));
-    case AuthMode::kOracle:
-      return oracle_extract(confirm.proof_a) == fingerprint_;
   }
   return false;
 }

@@ -1,21 +1,15 @@
 // Authenticator abstraction used by every node for the challenge–response
 // that precedes pull requests (paper §IV-A).
 //
-// KeyedAuthenticator implements the three behaviourally-equivalent
-// transports of design decision D5 (DESIGN.md):
+// KeyedAuthenticator implements the two behaviourally-equivalent
+// transports of design decision D5:
 //   kFull        — the paper's exact 3-message protocol (AES-256-CTR +
 //                  SHA-256 proofs); used by tests and examples.
 //   kFingerprint — a single keyed MAC per direction proving knowledge of
 //                  the same key; same trust decisions, ~4x cheaper. Default
 //                  for simulation sweeps.
-//   kOracle      — proof carries the key fingerprint in clear; trust is a
-//                  fingerprint comparison. Zero crypto on the hot path, for
-//                  paper-scale runs only: it is NOT replay-safe, which is
-//                  acceptable solely because the simulated adversary cannot
-//                  eavesdrop trusted↔trusted handshakes (threat model
-//                  §III-B rules out a global eavesdropper).
 //
-// A gtest (test_auth_modes) asserts the three modes produce identical trust
+// A gtest (test_auth_modes) asserts the two modes produce identical trust
 // decisions over identical populations.
 #pragma once
 
@@ -26,7 +20,7 @@
 
 namespace raptee::brahms {
 
-enum class AuthMode : std::uint8_t { kFull, kFingerprint, kOracle };
+enum class AuthMode : std::uint8_t { kFull, kFingerprint };
 
 class IAuthenticator {
  public:
@@ -71,7 +65,6 @@ class KeyedAuthenticator final : public IAuthenticator {
  private:
   AuthMode mode_;
   crypto::SymmetricKey key_;
-  std::uint64_t fingerprint_;
   crypto::Drbg drbg_;
 };
 
@@ -81,9 +74,6 @@ namespace auth_detail {
 [[nodiscard]] crypto::AuthToken mac_proof(const crypto::SymmetricKey& key,
                                           const char* domain, const crypto::AuthNonce& a,
                                           const crypto::AuthNonce& b);
-/// Oracle-mode proof: the key fingerprint in the first 8 bytes.
-[[nodiscard]] crypto::AuthToken oracle_proof(std::uint64_t fingerprint);
-[[nodiscard]] std::uint64_t oracle_extract(const crypto::AuthToken& token);
 [[nodiscard]] bool tokens_equal(const crypto::AuthToken& a, const crypto::AuthToken& b);
 }  // namespace auth_detail
 

@@ -5,8 +5,6 @@
 namespace raptee::core {
 
 using brahms::AuthMode;
-using brahms::auth_detail::oracle_extract;
-using brahms::auth_detail::oracle_proof;
 using brahms::auth_detail::tokens_equal;
 
 EnclaveAuthenticator::EnclaveAuthenticator(AuthMode mode, sgx::Enclave& enclave,
@@ -33,9 +31,6 @@ crypto::AuthResponse EnclaveAuthenticator::make_response(
     case AuthMode::kFingerprint:
       response.proof_b = enclave_.auth_mac_proof("resp", challenge.r_a, response.r_b);
       break;
-    case AuthMode::kOracle:
-      response.proof_b = oracle_proof(enclave_.group_fingerprint());
-      break;
   }
   return response;
 }
@@ -55,10 +50,6 @@ bool EnclaveAuthenticator::verify_response(const crypto::AuthChallenge& challeng
           response.proof_b, enclave_.auth_mac_proof("resp", challenge.r_a, response.r_b));
       confirm.proof_a = enclave_.auth_mac_proof("init", response.r_b, challenge.r_a);
       break;
-    case AuthMode::kOracle:
-      trusted = oracle_extract(response.proof_b) == enclave_.group_fingerprint();
-      confirm.proof_a = oracle_proof(enclave_.group_fingerprint());
-      break;
   }
   if (confirm_out != nullptr) *confirm_out = confirm;
   return trusted;
@@ -73,8 +64,6 @@ bool EnclaveAuthenticator::verify_confirm(const crypto::AuthChallenge& challenge
     case AuthMode::kFingerprint:
       return tokens_equal(confirm.proof_a,
                           enclave_.auth_mac_proof("init", response.r_b, challenge.r_a));
-    case AuthMode::kOracle:
-      return oracle_extract(confirm.proof_a) == enclave_.group_fingerprint();
   }
   return false;
 }

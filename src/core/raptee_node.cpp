@@ -18,9 +18,6 @@ RapteeNode::RapteeNode(NodeId self, RapteeConfig config,
   RAPTEE_REQUIRE(enclave_->has_group_key(),
                  "RapteeNode requires an attested (provisioned) enclave");
   config_.eviction.validate();
-  if (config_.stream_unbias) {
-    unbiaser_.emplace(*config_.stream_unbias, BrahmsNode::rng());
-  }
 }
 
 void RapteeNode::begin_round(Round r) {
@@ -28,7 +25,6 @@ void RapteeNode::begin_round(Round r) {
   swap_received_.clear();
   pending_swap_ = {};
   trusted_store_.next_round();
-  if (unbiaser_) unbiaser_->next_round();
 }
 
 void RapteeNode::pull_targets(std::vector<NodeId>& out) {
@@ -124,11 +120,6 @@ brahms::BrahmsNode::PulledContribution RapteeNode::process_pulled(
   out.renewal_trusted.insert(out.renewal_trusted.end(), swap_received_.begin(),
                              swap_received_.end());
   out.untrusted_slice_cap = 1.0 - rate;
-  // E1 extension: clip over-represented IDs out of the untrusted stream
-  // before the renewal sampling sees their multiplicity.
-  if (unbiaser_) {
-    out.renewal_untrusted = unbiaser_->filter(out.renewal_untrusted);
-  }
   return out;
 }
 

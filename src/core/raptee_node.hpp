@@ -31,7 +31,6 @@
 #include <memory>
 #include <optional>
 
-#include "brahms/countmin.hpp"
 #include "brahms/node.hpp"
 #include "core/eviction.hpp"
 #include "core/trusted_store.hpp"
@@ -44,10 +43,6 @@ struct RapteeConfig {
   EvictionSpec eviction = EvictionSpec::adaptive();
   bool trusted_overlay = false;          ///< D1 extension
   std::size_t trusted_store_capacity = 64;
-  /// E1 extension (the paper's named future work): count-min-sketch
-  /// frequency capping over the untrusted pulled stream, applied before
-  /// eviction. Disabled (nullopt) in the paper-faithful configuration.
-  std::optional<brahms::StreamUnbiaser::Config> stream_unbias;
 };
 
 class RapteeNode : public brahms::BrahmsNode {
@@ -93,7 +88,6 @@ class RapteeNode : public brahms::BrahmsNode {
   RapteeConfig config_;
   std::unique_ptr<sgx::Enclave> enclave_;
   TrustedStore trusted_store_;
-  std::optional<brahms::StreamUnbiaser> unbiaser_;
 
   /// IDs received through trusted swaps this round ("transmitted to the
   /// list of pulled IDs", §IV-B) — exempt from eviction.

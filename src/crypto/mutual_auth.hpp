@@ -14,10 +14,9 @@
 // both challenges (fresh per handshake, preventing replay), hashing is
 // SHA-256.
 //
-// Cost note: the simulation offers three behaviourally-equivalent transports
-// (design decision D5 in DESIGN.md): the full three-message handshake below,
-// a single keyed-fingerprint comparison, and a type oracle. Tests assert all
-// three yield identical trust decisions.
+// Cost note: the simulation offers two behaviourally-equivalent transports
+// (design decision D5): the full three-message handshake below and a single
+// keyed-MAC comparison. Tests assert both yield identical trust decisions.
 #pragma once
 
 #include <array>

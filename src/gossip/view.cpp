@@ -46,24 +46,6 @@ bool PartialView::insert(NodeId id, std::uint32_t age) {
   return true;
 }
 
-void PartialView::insert_replace_oldest(NodeId id, std::uint32_t age) {
-  for (auto& e : entries_) {
-    if (e.id == id) {
-      e.age = std::min(e.age, age);
-      return;
-    }
-  }
-  if (!full()) {
-    entries_.push_back({id, age});
-    return;
-  }
-  auto victim = std::max_element(entries_.begin(), entries_.end(),
-                                 [](const ViewEntry& a, const ViewEntry& b) {
-                                   return a.age < b.age;
-                                 });
-  *victim = {id, age};
-}
-
 bool PartialView::remove(NodeId id) {
   auto it = std::find_if(entries_.begin(), entries_.end(),
                          [id](const ViewEntry& e) { return e.id == id; });
@@ -72,38 +54,9 @@ bool PartialView::remove(NodeId id) {
   return true;
 }
 
-std::optional<ViewEntry> PartialView::oldest() const {
-  if (entries_.empty()) return std::nullopt;
-  return *std::max_element(entries_.begin(), entries_.end(),
-                           [](const ViewEntry& a, const ViewEntry& b) {
-                             return a.age < b.age;
-                           });
-}
-
-std::optional<ViewEntry> PartialView::random(Rng& rng) const {
-  if (entries_.empty()) return std::nullopt;
-  return entries_[static_cast<std::size_t>(rng.below(entries_.size()))];
-}
-
-std::vector<NodeId> PartialView::sample_ids(Rng& rng, std::size_t k) const {
-  std::vector<NodeId> out;
-  const auto idx = rng.sample_indices(entries_.size(), k);
-  out.reserve(idx.size());
-  for (auto i : idx) out.push_back(entries_[i].id);
-  return out;
-}
-
 NodeId PartialView::pick_id(Rng& rng) const {
   RAPTEE_ASSERT_MSG(!entries_.empty(), "pick from empty view");
   return entries_[static_cast<std::size_t>(rng.below(entries_.size()))].id;
-}
-
-void PartialView::replace_all(const std::vector<NodeId>& ids) {
-  entries_.clear();
-  for (NodeId id : ids) {
-    if (entries_.size() >= capacity_) break;
-    insert(id, 0);
-  }
 }
 
 void PartialView::remove_oldest(std::size_t h) {
@@ -117,42 +70,11 @@ void PartialView::remove_oldest(std::size_t h) {
   }
 }
 
-void PartialView::remove_random(std::size_t s, Rng& rng) {
-  s = std::min(s, entries_.size());
-  for (std::size_t i = 0; i < s; ++i) {
-    entries_.erase(entries_.begin() +
-                   static_cast<std::ptrdiff_t>(rng.below(entries_.size())));
-  }
-}
-
-void PartialView::remove_ids(const std::vector<NodeId>& ids) {
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [&ids](const ViewEntry& e) {
-                                  return std::find(ids.begin(), ids.end(), e.id) !=
-                                         ids.end();
-                                }),
-                 entries_.end());
-}
-
 void PartialView::truncate_random(Rng& rng) {
   while (entries_.size() > capacity_) {
     entries_.erase(entries_.begin() +
                    static_cast<std::ptrdiff_t>(rng.below(entries_.size())));
   }
-}
-
-std::vector<ViewEntry> PartialView::select_to_send(Rng& rng, std::size_t k,
-                                                   NodeId exclude) const {
-  std::vector<const ViewEntry*> pool;
-  pool.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    if (e.id != exclude) pool.push_back(&e);
-  }
-  const auto idx = rng.sample_indices(pool.size(), k);
-  std::vector<ViewEntry> out;
-  out.reserve(idx.size());
-  for (auto i : idx) out.push_back(*pool[i]);
-  return out;
 }
 
 void PartialView::framework_merge(const std::vector<ViewEntry>& received, NodeId self,

@@ -1,12 +1,10 @@
 // Age-tagged partial view — the core data structure of gossip-based peer
 // sampling (Jelasity et al., TOCS 2007). Entries are unique node
 // descriptors carrying an age (rounds since the descriptor was created).
-// Used by the generic framework, by Cyclon/Newscast, by Brahms' dynamic
-// view V, and by RAPTEE's trusted exchanges.
+// Used by Brahms' dynamic view V and by RAPTEE's trusted exchanges.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,51 +46,30 @@ class PartialView {
   /// Increments every entry's age (once per round).
   void age_all();
 
-  /// Inserts a descriptor. On duplicate keeps the *fresher* age (framework
-  /// rule: a newer descriptor supersedes an older one). Returns true if the
+  /// Inserts a descriptor. On duplicate keeps the *fresher* age (Jelasity et
+  /// al.: a newer descriptor supersedes an older one). Returns true if the
   /// id was not present. Fails (returns false) when full and absent —
   /// callers decide the replacement policy explicitly.
   bool insert(NodeId id, std::uint32_t age = 0);
 
-  /// Inserts, evicting the oldest entry if full (Newscast-style).
-  void insert_replace_oldest(NodeId id, std::uint32_t age = 0);
-
   bool remove(NodeId id);
   void clear() { entries_.clear(); }
 
-  /// Entry with the maximal age (ties broken by position); nullopt if empty.
-  [[nodiscard]] std::optional<ViewEntry> oldest() const;
-  /// Uniformly random entry; nullopt if empty.
-  [[nodiscard]] std::optional<ViewEntry> random(Rng& rng) const;
-  /// `k` distinct ids drawn uniformly (all if k >= size).
-  [[nodiscard]] std::vector<NodeId> sample_ids(Rng& rng, std::size_t k) const;
   /// One id drawn uniformly *with replacement semantics* (Brahms target
   /// selection); view must be non-empty.
   [[nodiscard]] NodeId pick_id(Rng& rng) const;
 
-  /// Replaces the whole content with `ids` (ages reset to 0), truncating to
-  /// capacity. Duplicate ids are collapsed. Brahms' end-of-round renewal.
-  void replace_all(const std::vector<NodeId>& ids);
-
-  /// Removes the H oldest entries (framework "heal" parameter); removes at
-  /// most min(H, size) entries.
+  /// Removes the H oldest entries (the "heal" rule of framework_merge);
+  /// removes at most min(H, size) entries.
   void remove_oldest(std::size_t h);
-  /// Removes `s` entries uniformly at random.
-  void remove_random(std::size_t s, Rng& rng);
-  /// Removes specific ids (used by swap: drop the descriptors we sent).
-  void remove_ids(const std::vector<NodeId>& ids);
   /// Truncates to capacity by removing random entries.
   void truncate_random(Rng& rng);
 
-  /// Framework buffer construction: up to `k` entries chosen uniformly,
-  /// EXCLUDING `exclude` (the exchange partner). Entries are copied.
-  [[nodiscard]] std::vector<ViewEntry> select_to_send(Rng& rng, std::size_t k,
-                                                      NodeId exclude) const;
-
-  /// Merge policy used by framework exchanges: append `received` skipping
-  /// ids already present or equal to `self`, then shrink back to capacity
-  /// with the (H, S) rules: first drop min(H, surplus) oldest, then
-  /// min(S, surplus) of the entries we just sent (`sent`), then random.
+  /// Merge policy of Jelasity et al.'s exchanges, used by RAPTEE's trusted
+  /// swaps: append `received` skipping ids already present or equal to
+  /// `self`, then shrink back to capacity with the (H, S) rules: first drop
+  /// min(H, surplus) oldest, then min(S, surplus) of the entries we just
+  /// sent (`sent`), then random.
   void framework_merge(const std::vector<ViewEntry>& received, NodeId self,
                        std::size_t h, std::size_t s, const std::vector<NodeId>& sent,
                        Rng& rng);

@@ -61,7 +61,6 @@ void ExperimentConfig::validate() const {
   RAPTEE_REQUIRE(identification_threshold >= 0.0 && identification_threshold <= 1.0,
                  "identification threshold out of [0,1]");
   RAPTEE_REQUIRE(rounds >= 1, "need at least one round");
-  RAPTEE_REQUIRE(stability_window >= 1, "stability window must be >= 1");
   RAPTEE_REQUIRE(engine_threads <= 4096,
                  "engine_threads implausibly large: " << engine_threads);
   attack.validate();
@@ -164,8 +163,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   }
 
   const sgx::CycleModel cycle_model = sgx::CycleModel::paper_table1();
-  core::NodeFactory factory(config.seed, config.auth_mode,
-                            config.use_cycle_model ? &cycle_model : nullptr);
+  core::NodeFactory factory(config.seed, config.auth_mode, &cycle_model);
 
   brahms::BrahmsConfig brahms_config;
   brahms_config.params = config.brahms;
@@ -219,7 +217,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   auto is_byz = [&kinds](NodeId id) {
     return id.value < kinds.size() && kinds[id.value] == NodeKind::kByzantine;
   };
-  PollutionTracker pollution(is_byz, config.brahms.l1, 0.10, config.stability_window);
+  PollutionTracker pollution(is_byz, config.brahms.l1, 0.10, kStabilityWindow);
   DiscoveryTracker discovery(correct_ids);
   TrustedTelemetryTracker trusted_telemetry(trusted_ids);
   discovery.prime(engine);

@@ -63,6 +63,9 @@ struct ChurnSpec {
   void validate() const;
 };
 
+/// D4 stability estimator: per-node pollution smoothing window (rounds).
+inline constexpr std::size_t kStabilityWindow = 10;
+
 struct ExperimentConfig {
   std::size_t n = 600;               ///< base population (excludes injected nodes)
   double byzantine_fraction = 0.10;  ///< f
@@ -84,10 +87,6 @@ struct ExperimentConfig {
   bool run_identification = false;  ///< attach the §VI-A attack
   double identification_threshold = 0.10;
 
-  /// D4 stability estimator: per-node pollution smoothing window (rounds).
-  std::size_t stability_window = 10;
-
-  bool use_cycle_model = true;   ///< charge Table-I overheads to enclaves
   bool wire_roundtrip = false;   ///< encode/decode every leg
   bool encrypt_links = false;    ///< AES-CTR+HMAC every leg
   double message_loss = 0.0;
@@ -225,7 +224,8 @@ struct ComparisonResult {
 [[nodiscard]] ExperimentConfig comparison_baseline(const ExperimentConfig& raptee_config);
 
 /// Derived comparison percentages from two already-aggregated sides (the
-/// last step of scenario::Runner::run_comparison).
+/// last step of scenario::Runner::run_comparison, and the one copy of this
+/// math the comparison benches read).
 [[nodiscard]] ComparisonResult finalize_comparison(RepeatedResult raptee,
                                                    RepeatedResult baseline);
 

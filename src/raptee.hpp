@@ -18,7 +18,6 @@
 #include "core/node_factory.hpp"  // IWYU pragma: export
 #include "core/raptee_node.hpp"   // IWYU pragma: export
 #include "exec/exec.hpp"          // IWYU pragma: export
-#include "gossip/framework.hpp"   // IWYU pragma: export
 #include "gossip/view.hpp"        // IWYU pragma: export
 #include "scenario/scenario.hpp"  // IWYU pragma: export
 #include "sgx/attestation.hpp"    // IWYU pragma: export

@@ -14,7 +14,6 @@ const char* auth_mode_name(brahms::AuthMode mode) {
   switch (mode) {
     case brahms::AuthMode::kFull: return "full";
     case brahms::AuthMode::kFingerprint: return "fingerprint";
-    case brahms::AuthMode::kOracle: return "oracle";
   }
   return "unknown";
 }
@@ -136,8 +135,10 @@ std::string to_json(const metrics::ExperimentConfig& config) {
       .field("seed", config.seed)
       .field("run_identification", config.run_identification)
       .field("identification_threshold", config.identification_threshold)
-      .field("stability_window", config.stability_window)
-      .field("use_cycle_model", config.use_cycle_model)
+      // Fixed policies, still emitted so config documents keep their shape:
+      // the D4 smoothing window, and enclaves always charging Table-I cycles.
+      .field("stability_window", metrics::kStabilityWindow)
+      .field("use_cycle_model", true)
       .field("wire_roundtrip", config.wire_roundtrip)
       .field("encrypt_links", config.encrypt_links)
       .field("message_loss", config.message_loss)

@@ -87,14 +87,6 @@ ScenarioSpec& ScenarioSpec::threads(std::size_t n) {
   base_.engine_threads = n;
   return *this;
 }
-ScenarioSpec& ScenarioSpec::stability_window(std::size_t rounds) {
-  base_.stability_window = rounds;
-  return *this;
-}
-ScenarioSpec& ScenarioSpec::cycle_model(bool enabled) {
-  base_.use_cycle_model = enabled;
-  return *this;
-}
 ScenarioSpec& ScenarioSpec::wire_roundtrip(bool enabled) {
   base_.wire_roundtrip = enabled;
   return *this;

@@ -88,8 +88,6 @@ class ScenarioSpec {
   /// loss/tamper stream, two-endpoint mutation). Batch-level fan-out lives
   /// on Runner, not here.
   ScenarioSpec& threads(std::size_t n);
-  ScenarioSpec& stability_window(std::size_t rounds);
-  ScenarioSpec& cycle_model(bool enabled);
   ScenarioSpec& wire_roundtrip(bool enabled);
   ScenarioSpec& encrypt_links(bool enabled);
   ScenarioSpec& message_loss(double probability);

@@ -81,7 +81,8 @@ class Enclave {
   [[nodiscard]] crypto::AuthToken auth_mac_proof(const char* domain,
                                                  const crypto::AuthNonce& a,
                                                  const crypto::AuthNonce& b);
-  /// Group-key fingerprint (Oracle transport mode).
+  /// Group-key fingerprint: lets attestation tests check group membership
+  /// without exporting the key.
   [[nodiscard]] std::uint64_t group_fingerprint();
 
   /// Byzantine-eviction filter (§IV-C): keeps a uniformly chosen

@@ -37,6 +37,10 @@ constexpr CounterMetricEntry kCounterEntries[] = {
 };
 static_assert(std::size(kCounterEntries) == 13);
 
+// Encrypted link sessions idle for more than this many rounds are retired
+// (and re-derived on next use), bounding cipher-state memory.
+constexpr Round kLinkIdleRounds = 64;
+
 // Event kinds on the engine's scheduler: `a` indexes the per-round staging
 // array of the matching kind; a pull event's `b` carries the exchange's
 // virtual completion time.
@@ -668,7 +672,7 @@ void Engine::step() {
       for_listeners([&](ITrafficListener& l) { l.on_round_end(round_, *this); });
     }
   }
-  if (link_table_) link_table_->retire_idle(round_, config_.link_idle_rounds);
+  if (link_table_) link_table_->retire_idle(round_, kLinkIdleRounds);
   ++round_;
   publish_metrics();
 }

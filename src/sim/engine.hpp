@@ -55,9 +55,6 @@ struct EngineConfig {
   /// pre-cache baseline kept for the bench/scale_links ablation. Either
   /// way every observable metric is identical; only ciphertext differs.
   bool link_sessions = true;
-  /// Encrypted sessions idle for more than this many rounds are retired
-  /// (and re-derived on next use), bounding cipher-state memory.
-  Round link_idle_rounds = 64;
   /// Width of the sharded round phases — push generation and delivery,
   /// pull-target generation, begin_round and end_round (eviction included):
   /// 1 = a pool of one that runs every phase inline (the default),

@@ -1,4 +1,4 @@
-// KeyedAuthenticator across the three transport modes (design decision D5):
+// KeyedAuthenticator across the two transport modes (design decision D5):
 // identical trust decisions, mode-specific mechanics.
 #include "brahms/auth.hpp"
 
@@ -69,13 +69,11 @@ TEST_P(AuthModeTest, FreshChallengesEveryHandshake) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, AuthModeTest,
-                         ::testing::Values(AuthMode::kFull, AuthMode::kFingerprint,
-                                           AuthMode::kOracle),
+                         ::testing::Values(AuthMode::kFull, AuthMode::kFingerprint),
                          [](const auto& info) {
                            switch (info.param) {
                              case AuthMode::kFull: return "Full";
                              case AuthMode::kFingerprint: return "Fingerprint";
-                             case AuthMode::kOracle: return "Oracle";
                            }
                            return "?";
                          });
@@ -90,7 +88,7 @@ TEST(AuthModeEquivalence, AllModesProduceIdenticalDecisionMatrix) {
   for (std::size_t i = 0; i < keys.size(); ++i) {
     for (std::size_t j = 0; j < keys.size(); ++j) {
       std::vector<Decisions> per_mode;
-      for (AuthMode mode : {AuthMode::kFull, AuthMode::kFingerprint, AuthMode::kOracle}) {
+      for (AuthMode mode : {AuthMode::kFull, AuthMode::kFingerprint}) {
         KeyedAuthenticator a(mode, keys[i], crypto::Drbg(100 + i));
         KeyedAuthenticator b(mode, keys[j], crypto::Drbg(200 + j));
         per_mode.push_back(run(a, b));
@@ -127,14 +125,6 @@ TEST(AuthModeMechanics, FullModeTamperedResponseRejected) {
   response.proof_b[0] ^= 1;
   crypto::AuthConfirm confirm;
   EXPECT_FALSE(a.verify_response(challenge, response, &confirm));
-}
-
-TEST(AuthModeMechanics, OracleProofCarriesFingerprint) {
-  crypto::Drbg kg(8);
-  const auto key = kg.generate_key();
-  KeyedAuthenticator b(AuthMode::kOracle, key, crypto::Drbg(1));
-  const auto response = b.make_response(crypto::AuthChallenge{});
-  EXPECT_EQ(auth_detail::oracle_extract(response.proof_b), key.fingerprint());
 }
 
 }  // namespace

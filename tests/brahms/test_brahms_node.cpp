@@ -47,8 +47,8 @@ TEST(BrahmsNode, ValidatesParams) {
   BrahmsConfig bad = small_config();
   bad.params.alpha = 0.9;  // alpha+beta+gamma != 1
   crypto::Drbg kg(1);
-  auto auth = std::make_unique<KeyedAuthenticator>(AuthMode::kOracle, kg.generate_key(),
-                                                   kg.fork("x"));
+  auto auth = std::make_unique<KeyedAuthenticator>(AuthMode::kFingerprint,
+                                                   kg.generate_key(), kg.fork("x"));
   EXPECT_THROW(BrahmsNode(NodeId{0}, bad, std::move(auth), Rng(1)),
                std::invalid_argument);
 }
@@ -268,8 +268,8 @@ TEST(BrahmsNode, SamplerValidationEvictsDeadUnderChurn) {
   BrahmsConfig config = small_config(20);
   config.sampler_validation_period = 1;
   crypto::Drbg kg(1);
-  auto auth = std::make_unique<KeyedAuthenticator>(AuthMode::kOracle, kg.generate_key(),
-                                                   kg.fork("a"));
+  auto auth = std::make_unique<KeyedAuthenticator>(AuthMode::kFingerprint,
+                                                   kg.generate_key(), kg.fork("a"));
   // Aliveness probe: ids >= 10 are dead.
   BrahmsNode node(NodeId{0}, config, std::move(auth), Rng(3),
                   [](NodeId id) { return id.value < 10; });

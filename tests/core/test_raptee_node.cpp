@@ -53,7 +53,7 @@ struct MixedWorld {
 TEST(RapteeNode, RequiresProvisionedEnclave) {
   crypto::Drbg kg(1);
   auto auth = std::make_unique<brahms::KeyedAuthenticator>(
-      brahms::AuthMode::kOracle, kg.generate_key(), kg.fork("a"));
+      brahms::AuthMode::kFingerprint, kg.generate_key(), kg.fork("a"));
   auto unprovisioned =
       std::make_unique<sgx::Enclave>(sgx::raptee_enclave_identity(), 1);
   EXPECT_THROW(RapteeNode(NodeId{0}, small_raptee(EvictionSpec::none()),

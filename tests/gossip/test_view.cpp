@@ -46,25 +46,6 @@ TEST(PartialView, AgeAllIncrements) {
   EXPECT_EQ(v.entries()[1].age, 4u);
 }
 
-TEST(PartialView, OldestFindsMaxAge) {
-  PartialView v(4);
-  EXPECT_FALSE(v.oldest().has_value());
-  v.insert(NodeId{1}, 2);
-  v.insert(NodeId{2}, 7);
-  v.insert(NodeId{3}, 5);
-  EXPECT_EQ(v.oldest()->id, NodeId{2});
-}
-
-TEST(PartialView, InsertReplaceOldestEvictsMaxAge) {
-  PartialView v(2);
-  v.insert(NodeId{1}, 9);
-  v.insert(NodeId{2}, 1);
-  v.insert_replace_oldest(NodeId{3}, 0);
-  EXPECT_FALSE(v.contains(NodeId{1}));
-  EXPECT_TRUE(v.contains(NodeId{3}));
-  EXPECT_EQ(v.size(), 2u);
-}
-
 TEST(PartialView, RemoveById) {
   PartialView v(3);
   v.insert(NodeId{1});
@@ -85,67 +66,13 @@ TEST(PartialView, RemoveOldestH) {
   EXPECT_TRUE(v.empty());
 }
 
-TEST(PartialView, RemoveRandomAndTruncate) {
-  Rng rng(1);
-  PartialView v(10);
-  for (std::uint32_t i = 0; i < 10; ++i) v.insert(NodeId{i});
-  v.remove_random(4, rng);
-  EXPECT_EQ(v.size(), 6u);
-  v.remove_random(100, rng);
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(PartialView, RemoveIdsBatch) {
-  PartialView v(5);
-  for (std::uint32_t i = 0; i < 5; ++i) v.insert(NodeId{i});
-  v.remove_ids({NodeId{0}, NodeId{2}, NodeId{4}, NodeId{99}});
-  EXPECT_EQ(v.ids(), (std::vector<NodeId>{NodeId{1}, NodeId{3}}));
-}
-
-TEST(PartialView, ReplaceAllResetsAgesAndTruncates) {
-  PartialView v(3);
-  v.insert(NodeId{9}, 5);
-  v.replace_all({NodeId{1}, NodeId{2}, NodeId{2}, NodeId{3}, NodeId{4}});
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_FALSE(v.contains(NodeId{9}));
-  EXPECT_TRUE(v.contains(NodeId{1}));
-  for (const auto& e : v.entries()) EXPECT_EQ(e.age, 0u);
-}
-
 TEST(PartialView, RandomAndPickCoverage) {
   Rng rng(2);
   PartialView v(8);
-  EXPECT_FALSE(v.random(rng).has_value());
   for (std::uint32_t i = 0; i < 8; ++i) v.insert(NodeId{i});
   std::set<std::uint32_t> seen;
-  for (int trial = 0; trial < 400; ++trial) {
-    seen.insert(v.random(rng)->id.value);
-    seen.insert(v.pick_id(rng).value);
-  }
+  for (int trial = 0; trial < 400; ++trial) seen.insert(v.pick_id(rng).value);
   EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(PartialView, SampleIdsDistinct) {
-  Rng rng(3);
-  PartialView v(10);
-  for (std::uint32_t i = 0; i < 10; ++i) v.insert(NodeId{i});
-  const auto sample = v.sample_ids(rng, 4);
-  EXPECT_EQ(sample.size(), 4u);
-  std::set<std::uint32_t> uniq;
-  for (NodeId id : sample) uniq.insert(id.value);
-  EXPECT_EQ(uniq.size(), 4u);
-  EXPECT_EQ(v.sample_ids(rng, 100).size(), 10u);
-}
-
-TEST(PartialView, SelectToSendExcludesPartner) {
-  Rng rng(4);
-  PartialView v(6);
-  for (std::uint32_t i = 0; i < 6; ++i) v.insert(NodeId{i}, i);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto sent = v.select_to_send(rng, 3, NodeId{2});
-    EXPECT_EQ(sent.size(), 3u);
-    for (const auto& e : sent) EXPECT_NE(e.id, NodeId{2});
-  }
 }
 
 TEST(PartialView, FrameworkMergeDedupsAndExcludesSelf) {

@@ -65,7 +65,7 @@ TEST(EndToEnd, RapteeReducesSystemPollutionAtHighTrustedShare) {
 }
 
 TEST(EndToEnd, AuthModesProduceIdenticalProtocolOutcome) {
-  // D5: Full / Fingerprint / Oracle transports are behaviourally identical —
+  // D5: Full / Fingerprint transports are behaviourally identical —
   // same seeds must give identical pollution series and swap counts.
   const auto spec = base_spec()
                         .population(80)
@@ -76,13 +76,9 @@ TEST(EndToEnd, AuthModesProduceIdenticalProtocolOutcome) {
   const auto fingerprint =
       scenario::ScenarioSpec(spec).auth_mode(brahms::AuthMode::kFingerprint).run();
   const auto full = scenario::ScenarioSpec(spec).auth_mode(brahms::AuthMode::kFull).run();
-  const auto oracle =
-      scenario::ScenarioSpec(spec).auth_mode(brahms::AuthMode::kOracle).run();
 
   EXPECT_EQ(full.swaps_completed, fingerprint.swaps_completed);
-  EXPECT_EQ(oracle.swaps_completed, fingerprint.swaps_completed);
   EXPECT_EQ(full.pollution_series, fingerprint.pollution_series);
-  EXPECT_EQ(oracle.pollution_series, fingerprint.pollution_series);
 }
 
 TEST(EndToEnd, ChurnRecoveryWithSamplerValidation) {

@@ -134,10 +134,6 @@ TEST(ExperimentConfigValidation, RejectsDegenerateSchedule) {
   ExperimentConfig config = valid_config();
   config.rounds = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  config = valid_config();
-  config.stability_window = 0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
 TEST(ExperimentConfigValidation, RejectsBadFidelityKnobs) {

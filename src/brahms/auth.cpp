@@ -8,9 +8,9 @@ namespace raptee::brahms {
 
 namespace auth_detail {
 
-crypto::AuthToken mac_proof(const crypto::SymmetricKey& key, const char* domain,
+crypto::AuthToken mac_proof(const crypto::HmacKey& key, const char* domain,
                             const crypto::AuthNonce& a, const crypto::AuthNonce& b) {
-  crypto::HmacSha256 mac(key.bytes().data(), key.bytes().size());
+  crypto::HmacSha256 mac(key);
   mac.update(domain);
   mac.update(a.data(), a.size());
   mac.update(b.data(), b.size());
@@ -33,7 +33,10 @@ using auth_detail::tokens_equal;
 
 KeyedAuthenticator::KeyedAuthenticator(AuthMode mode, crypto::SymmetricKey key,
                                        crypto::Drbg drbg)
-    : mode_(mode), key_(key), drbg_(std::move(drbg)) {}
+    : mode_(mode),
+      key_(key),
+      mac_key_(key_.bytes().data(), key_.bytes().size()),
+      drbg_(std::move(drbg)) {}
 
 crypto::AuthChallenge KeyedAuthenticator::make_challenge() {
   crypto::AuthChallenge challenge;
@@ -50,7 +53,7 @@ crypto::AuthResponse KeyedAuthenticator::make_response(
       response.proof_b = crypto::make_proof(key_, challenge.r_a, response.r_b);
       break;
     case AuthMode::kFingerprint:
-      response.proof_b = mac_proof(key_, "resp", challenge.r_a, response.r_b);
+      response.proof_b = mac_proof(mac_key_, "resp", challenge.r_a, response.r_b);
       break;
   }
   return response;
@@ -68,8 +71,8 @@ bool KeyedAuthenticator::verify_response(const crypto::AuthChallenge& challenge,
       break;
     case AuthMode::kFingerprint:
       trusted = tokens_equal(response.proof_b,
-                             mac_proof(key_, "resp", challenge.r_a, response.r_b));
-      confirm.proof_a = mac_proof(key_, "init", response.r_b, challenge.r_a);
+                             mac_proof(mac_key_, "resp", challenge.r_a, response.r_b));
+      confirm.proof_a = mac_proof(mac_key_, "init", response.r_b, challenge.r_a);
       break;
   }
   if (confirm_out != nullptr) *confirm_out = confirm;
@@ -84,7 +87,7 @@ bool KeyedAuthenticator::verify_confirm(const crypto::AuthChallenge& challenge,
       return crypto::check_proof(key_, response.r_b, challenge.r_a, confirm.proof_a);
     case AuthMode::kFingerprint:
       return tokens_equal(confirm.proof_a,
-                          mac_proof(key_, "init", response.r_b, challenge.r_a));
+                          mac_proof(mac_key_, "init", response.r_b, challenge.r_a));
   }
   return false;
 }

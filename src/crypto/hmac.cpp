@@ -6,7 +6,7 @@
 
 namespace raptee::crypto {
 
-HmacSha256::HmacSha256(const std::uint8_t* key, std::size_t key_len) {
+HmacKey::HmacKey(const std::uint8_t* key, std::size_t key_len) {
   std::array<std::uint8_t, 64> block_key{};
   if (key_len > block_key.size()) {
     const Digest256 kd = sha256(key, key_len);
@@ -14,18 +14,24 @@ HmacSha256::HmacSha256(const std::uint8_t* key, std::size_t key_len) {
   } else {
     std::memcpy(block_key.data(), key, key_len);
   }
-  std::array<std::uint8_t, 64> ipad_key{};
-  for (std::size_t i = 0; i < 64; ++i) {
-    ipad_key[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
-    opad_key_[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
+  std::array<std::uint8_t, 64> pad{};
+  for (std::size_t i = 0; i < pad.size(); ++i) {
+    pad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x36);
   }
-  inner_.update(ipad_key.data(), ipad_key.size());
+  Sha256 inner;
+  inner.update(pad.data(), pad.size());
+  inner_ = inner.chaining_value();
+  for (std::size_t i = 0; i < pad.size(); ++i) {
+    pad[i] = static_cast<std::uint8_t>(block_key[i] ^ 0x5c);
+  }
+  Sha256 outer;
+  outer.update(pad.data(), pad.size());
+  outer_ = outer.chaining_value();
 }
 
 Digest256 HmacSha256::finish() {
   const Digest256 inner_digest = inner_.finish();
-  Sha256 outer;
-  outer.update(opad_key_.data(), opad_key_.size());
+  Sha256 outer(outer_, 1);
   outer.update(inner_digest.data(), inner_digest.size());
   return outer.finish();
 }

@@ -21,22 +21,30 @@ std::uint64_t SymmetricKey::fingerprint() const {
   return fp;
 }
 
-Drbg::Drbg(std::uint64_t seed, std::string_view personalization) {
+namespace {
+
+HmacKey drbg_seed_key(std::uint64_t seed, std::string_view personalization) {
   std::uint8_t seed_bytes[8];
   for (int i = 0; i < 8; ++i) seed_bytes[i] = static_cast<std::uint8_t>(seed >> (8 * i));
   HmacSha256 mac(seed_bytes, sizeof seed_bytes);
   mac.update(personalization);
-  const Digest256 d = mac.finish();
-  std::memcpy(state_key_.data(), d.data(), d.size());
+  const Digest256 key = mac.finish();
+  return HmacKey(key.data(), key.size());
 }
+
+}  // namespace
+
+Drbg::Drbg(std::uint64_t seed, std::string_view personalization)
+    : seed_key_(drbg_seed_key(seed, personalization)) {}
 
 void Drbg::fill(std::uint8_t* out, std::size_t len) {
   while (len > 0) {
     std::uint8_t ctr_bytes[8];
     for (int i = 0; i < 8; ++i) ctr_bytes[i] = static_cast<std::uint8_t>(counter_ >> (8 * i));
     ++counter_;
-    const Digest256 block =
-        hmac_sha256(state_key_.data(), state_key_.size(), ctr_bytes, sizeof ctr_bytes);
+    HmacSha256 mac(seed_key_);
+    mac.update(ctr_bytes, sizeof ctr_bytes);
+    const Digest256 block = mac.finish();
     const std::size_t take = std::min<std::size_t>(len, block.size());
     std::memcpy(out, block.data(), take);
     out += take;

@@ -6,7 +6,8 @@
 //
 // The DRBG is HMAC-SHA-256 in counter mode seeded from the simulation seed —
 // deterministic so that experiments reproduce, yet structurally the same as
-// a deployed CSPRNG.
+// a deployed CSPRNG. It keeps its state key as an HmacKey schedule, so each
+// 32-byte output block costs two SHA-256 compressions.
 #pragma once
 
 #include <array>
@@ -55,7 +56,8 @@ class SymmetricKey {
 };
 
 /// Deterministic HMAC-DRBG (simplified SP 800-90A shape): out_i =
-/// HMAC(seed_key, counter). Fork-able for independent streams.
+/// HMAC(seed_key, counter), seed_key = HMAC(seed, personalization).
+/// Fork-able for independent streams.
 class Drbg {
  public:
   explicit Drbg(std::uint64_t seed, std::string_view personalization = "raptee-drbg");
@@ -71,7 +73,7 @@ class Drbg {
   [[nodiscard]] Drbg fork(std::string_view label);
 
  private:
-  std::array<std::uint8_t, 32> state_key_{};
+  HmacKey seed_key_;  ///< schedule of seed_key
   std::uint64_t counter_ = 0;
 };
 

@@ -1,29 +1,67 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "common/assert.hpp"
+#include "crypto/sha256_kernel.hpp"
 
 namespace raptee::crypto {
 
 namespace {
-
-constexpr std::array<std::uint32_t, 64> kK = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
 }  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(Sha256::State& state, const std::uint8_t* data,
+                              std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kSha256K[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g; g = f; f = e;
+      e = d + temp1;
+      d = c; c = b; b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+Sha256Compress sha256_kernel() {
+  static const Sha256Compress kernel = [] {
+    const Sha256Compress shani = sha256_shani_kernel();
+    return shani != nullptr ? shani : &sha256_compress_portable;
+  }();
+  return kernel;
+}
+
+}  // namespace detail
 
 void Sha256::reset() {
   h_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -32,67 +70,55 @@ void Sha256::reset() {
   total_bits_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g; g = f; f = e;
-    e = d + temp1;
-    d = c; c = b; b = a;
-    a = temp1 + temp2;
-  }
-  h_[0] += a; h_[1] += b; h_[2] += c; h_[3] += d;
-  h_[4] += e; h_[5] += f; h_[6] += g; h_[7] += h;
-}
-
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
+  if (len == 0) return;
   total_bits_ += static_cast<std::uint64_t>(len) * 8;
-  while (len > 0) {
+  const detail::Sha256Compress compress = detail::sha256_kernel();
+  if (buffer_len_ > 0) {
     const std::size_t take = std::min(len, buffer_.size() - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < buffer_.size()) return;
+    compress(h_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  // Whole blocks compress straight from the caller's bytes.
+  const std::size_t blocks = len / buffer_.size();
+  if (blocks > 0) {
+    compress(h_, data, blocks);
+    data += blocks * buffer_.size();
+    len -= blocks * buffer_.size();
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), data, len);
+    buffer_len_ = len;
   }
 }
 
+const Sha256::State& Sha256::chaining_value() const {
+  RAPTEE_ASSERT(buffer_len_ == 0);
+  return h_;
+}
+
 Digest256 Sha256::finish() {
-  // Padding: 0x80, zeros, 64-bit big-endian bit length.
-  const std::uint64_t bits = total_bits_;
-  const std::uint8_t pad80 = 0x80;
-  update(&pad80, 1);
-  total_bits_ -= 8;  // padding does not count toward the message length
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(&zero, 1);
-    total_bits_ -= 8;
+  // Padding: 0x80, zeros, 64-bit big-endian bit length. The length takes
+  // the last 8 bytes of a block; when the 0x80 byte leaves no room for it,
+  // the zeros run to the end of this block and a second block follows.
+  const detail::Sha256Compress compress = detail::sha256_kernel();
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    compress(h_, buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-  update(len_be, 8);
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(total_bits_ >> (56 - 8 * i));
+  }
+  compress(h_, buffer_.data(), 1);
+  buffer_len_ = 0;
 
   Digest256 out{};
   for (int i = 0; i < 8; ++i) {
@@ -117,11 +143,11 @@ Digest256 sha256(std::string_view s) {
 
 Digest256 sha256(const std::vector<std::uint8_t>& v) { return sha256(v.data(), v.size()); }
 
-std::string to_hex(const Digest256& d) {
+std::string to_hex(std::span<const std::uint8_t> bytes) {
   static const char* hex = "0123456789abcdef";
   std::string out;
-  out.reserve(64);
-  for (auto byte : d) {
+  out.reserve(2 * bytes.size());
+  for (auto byte : bytes) {
     out.push_back(hex[byte >> 4]);
     out.push_back(hex[byte & 0xF]);
   }

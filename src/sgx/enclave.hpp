@@ -12,7 +12,10 @@
 //     C++ access control models the hardware isolation boundary);
 //   * exposes only the operations the trusted RAPTEE logic needs (auth
 //     proofs, pulled-ID filtering, swap-half selection), so the secret is
-//     used inside and never returned;
+//     used inside and never returned. The same holds for the group key's
+//     HMAC schedule (crypto::HmacKey), which the Fingerprint-mode proofs
+//     start from: it is key-equivalent, is built inside whenever the key
+//     is installed or unsealed, and has no accessor;
 //   * charges every entry ("ecall") to a CycleLedger via the Table-I
 //     CycleModel, reproducing the paper's emulated-SGX timing methodology;
 //   * offers sealed storage (AES-CTR + HMAC under a measurement-bound
@@ -32,6 +35,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/key.hpp"
 #include "crypto/mutual_auth.hpp"
 #include "crypto/sha256.hpp"
@@ -109,6 +113,8 @@ class Enclave {
   /// Attestation-channel-only entry point (models the secret provisioning
   /// over the remote-attestation secure channel).
   void install_group_key(const crypto::SymmetricKey& key);
+  /// Sets the group key and its HMAC schedule together.
+  void set_group_key(const crypto::SymmetricKey& key);
 
   [[nodiscard]] crypto::SymmetricKey sealing_key() const;
   void require_key(const char* op) const;
@@ -126,6 +132,7 @@ class Enclave {
   CycleLedger ledger_;
   crypto::SymmetricKey device_secret_;  // per-device sealing root
   std::optional<crypto::SymmetricKey> group_key_;
+  std::optional<crypto::HmacKey> group_mac_key_;  ///< group_key_'s schedule
 };
 
 }  // namespace raptee::sgx

@@ -86,6 +86,9 @@ std::uint64_t Reader::varint() {
 
 void Reader::raw(std::uint8_t* out, std::size_t len) {
   need(len);
+  // An empty bytes_field hands in an empty vector's data(), which may be
+  // null, and memcpy must not see a null pointer even for zero bytes.
+  if (len == 0) return;
   std::memcpy(out, data_ + pos_, len);
   pos_ += len;
 }

@@ -10,15 +10,17 @@ crypto::SymmetricKey enc_subkey(const crypto::SymmetricKey& secret, std::uint8_t
   return secret.derive(dir == 0 ? "raptee-link-enc-0" : "raptee-link-enc-1");
 }
 
-crypto::SymmetricKey mac_subkey(const crypto::SymmetricKey& secret, std::uint8_t dir) {
-  return secret.derive(dir == 0 ? "raptee-link-mac-0" : "raptee-link-mac-1");
+crypto::HmacKey mac_subkey(const crypto::SymmetricKey& secret, std::uint8_t dir) {
+  const crypto::SymmetricKey key =
+      secret.derive(dir == 0 ? "raptee-link-mac-0" : "raptee-link-mac-1");
+  return crypto::HmacKey(key.bytes().data(), key.bytes().size());
 }
 
 }  // namespace
 
 LinkCipher::LinkCipher(const crypto::SymmetricKey& secret, std::uint8_t direction)
     : aes_(crypto::Aes::aes256(enc_subkey(secret, direction).bytes())),
-      mac_key_(mac_subkey(secret, direction).to_vector()),
+      mac_key_(mac_subkey(secret, direction)),
       direction_(direction) {}
 
 crypto::Block LinkCipher::counter_block_for(std::uint64_t seq) const {

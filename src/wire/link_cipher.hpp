@@ -53,7 +53,7 @@ class LinkCipher {
   [[nodiscard]] crypto::Block counter_block_for(std::uint64_t seq) const;
 
   crypto::Aes aes_;
-  std::vector<std::uint8_t> mac_key_;
+  crypto::HmacKey mac_key_;
   std::uint8_t direction_;
   std::uint64_t send_seq_ = 0;
   std::uint64_t recv_seq_ = 0;

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.hpp"
+
 namespace raptee::crypto {
 namespace {
 
@@ -26,24 +28,14 @@ Block block_from_hex(const std::string& hex) {
   return b;
 }
 
-std::string hex_of(const std::uint8_t* p, std::size_t n) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(digits[p[i] >> 4]);
-    out.push_back(digits[p[i] & 0xF]);
-  }
-  return out;
-}
-
 TEST(Aes128, Fips197Appendix) {
   const auto key = from_hex("000102030405060708090a0b0c0d0e0f");
   const Aes aes(key.data(), Aes::KeySize::k128);
   Block b = block_from_hex("00112233445566778899aabbccddeeff");
   aes.encrypt_block(b);
-  EXPECT_EQ(hex_of(b.data(), 16), "69c4e0d86a7b0430d8cdb78070b4c55a");
+  EXPECT_EQ(to_hex(b), "69c4e0d86a7b0430d8cdb78070b4c55a");
   aes.decrypt_block(b);
-  EXPECT_EQ(hex_of(b.data(), 16), "00112233445566778899aabbccddeeff");
+  EXPECT_EQ(to_hex(b), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes256, Fips197Appendix) {
@@ -52,9 +44,9 @@ TEST(Aes256, Fips197Appendix) {
   const Aes aes(key.data(), Aes::KeySize::k256);
   Block b = block_from_hex("00112233445566778899aabbccddeeff");
   aes.encrypt_block(b);
-  EXPECT_EQ(hex_of(b.data(), 16), "8ea2b7ca516745bfeafc49904b496089");
+  EXPECT_EQ(to_hex(b), "8ea2b7ca516745bfeafc49904b496089");
   aes.decrypt_block(b);
-  EXPECT_EQ(hex_of(b.data(), 16), "00112233445566778899aabbccddeeff");
+  EXPECT_EQ(to_hex(b), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes128, Sp800_38aEcbVector) {
@@ -62,7 +54,7 @@ TEST(Aes128, Sp800_38aEcbVector) {
   const Aes aes(key.data(), Aes::KeySize::k128);
   Block b = block_from_hex("6bc1bee22e409f96e93d7e117393172a");
   aes.encrypt_block(b);
-  EXPECT_EQ(hex_of(b.data(), 16), "3ad77bb40d7a3660a89ecaf32466ef97");
+  EXPECT_EQ(to_hex(b), "3ad77bb40d7a3660a89ecaf32466ef97");
 }
 
 TEST(AesCtr128, Sp800_38aF51) {
@@ -76,7 +68,7 @@ TEST(AesCtr128, Sp800_38aF51) {
       "30c81c46a35ce411e5fbc1191a0a52ef"
       "f69f2445df4f9b17ad2b417be66c3710");
   const auto ciphertext = aes_ctr_transform(aes, counter, plaintext);
-  EXPECT_EQ(hex_of(ciphertext.data(), ciphertext.size()),
+  EXPECT_EQ(to_hex(ciphertext),
             "874d6191b620e3261bef6864990db6ce"
             "9806f66b7970fdff8617187bb9fffdff"
             "5ae4df3edbd5d35e5b4f09020db03eab"
@@ -92,7 +84,7 @@ TEST(AesCtr256, Sp800_38aF55) {
       "6bc1bee22e409f96e93d7e117393172a"
       "ae2d8a571e03ac9c9eb76fac45af8e51");
   const auto ciphertext = aes_ctr_transform(aes, counter, plaintext);
-  EXPECT_EQ(hex_of(ciphertext.data(), ciphertext.size()),
+  EXPECT_EQ(to_hex(ciphertext),
             "601ec313775789a5b7a7f504bbf3d228"
             "f443e3ca4d62b59aca84e990cacaf5c5");
 }

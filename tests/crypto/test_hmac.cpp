@@ -19,16 +19,6 @@ std::vector<std::uint8_t> from_hex(const std::string& hex) {
   return out;
 }
 
-std::string hex_of(const std::vector<std::uint8_t>& v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  for (auto b : v) {
-    out.push_back(digits[b >> 4]);
-    out.push_back(digits[b & 0xF]);
-  }
-  return out;
-}
-
 TEST(HmacSha256, Rfc4231Case1) {
   const auto key = std::vector<std::uint8_t>(20, 0x0b);
   const auto mac = hmac_sha256(key, "Hi There");
@@ -95,6 +85,68 @@ TEST(HmacSha256, IncrementalMatchesOneShot) {
   EXPECT_TRUE(digest_equal(inc.finish(), hmac_sha256(key, "hello world")));
 }
 
+std::vector<std::uint8_t> bytes_of(const std::string& s) { return {s.begin(), s.end()}; }
+
+struct Rfc4231Case {
+  std::vector<std::uint8_t> key;
+  std::vector<std::uint8_t> data;
+  std::string mac_hex;  ///< case 5 lists only the first 128 bits
+};
+
+std::vector<Rfc4231Case> rfc4231_cases() {
+  const std::vector<std::uint8_t> long_key(131, 0xaa);
+  return {
+      {std::vector<std::uint8_t>(20, 0x0b), bytes_of("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {bytes_of("Jefe"), bytes_of("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {std::vector<std::uint8_t>(20, 0xaa), std::vector<std::uint8_t>(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {from_hex("0102030405060708090a0b0c0d0e0f10111213141516171819"),
+       std::vector<std::uint8_t>(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {std::vector<std::uint8_t>(20, 0x0c), bytes_of("Test With Truncation"),
+       "a3b6167473100ee06e0c796c2955552b"},
+      {long_key, bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {long_key,
+       bytes_of("This is a test using a larger than block-size key and a larger than "
+                "block-size data. The key needs to be hashed before being used by the "
+                "HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+}
+
+TEST(HmacKey, ScheduleMatchesFreshKeyOnRfc4231Cases) {
+  const std::vector<Rfc4231Case> cases = rfc4231_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Rfc4231Case& c = cases[i];
+    const HmacKey schedule(c.key.data(), c.key.size());
+    HmacSha256 mac(schedule);
+    mac.update(c.data);
+    const Digest256 from_schedule = mac.finish();
+    const Digest256 fresh = hmac_sha256(c.key.data(), c.key.size(), c.data.data(), c.data.size());
+    EXPECT_TRUE(digest_equal(from_schedule, fresh)) << "RFC 4231 case " << i + 1;
+    EXPECT_EQ(to_hex(from_schedule).substr(0, c.mac_hex.size()), c.mac_hex)
+        << "RFC 4231 case " << i + 1;
+  }
+}
+
+TEST(HmacKey, ScheduleStaysEqualOverThousandReuses) {
+  // A long key, so the schedule also carries the hashed-key path.
+  const std::vector<std::uint8_t> key(100, 0x5a);
+  const HmacKey schedule(key.data(), key.size());
+  std::vector<std::uint8_t> message;
+  for (int use = 0; use < 1000; ++use) {
+    message.assign(static_cast<std::size_t>(use % 150), static_cast<std::uint8_t>(use));
+    HmacSha256 mac(schedule);
+    mac.update(message);
+    ASSERT_TRUE(digest_equal(mac.finish(), hmac_sha256(key.data(), key.size(), message.data(),
+                                                       message.size())))
+        << "use " << use << ", " << message.size() << "-byte message";
+  }
+}
+
 TEST(Hkdf, Rfc5869Case1) {
   const auto ikm = std::vector<std::uint8_t>(22, 0x0b);
   const auto salt = from_hex("000102030405060708090a0b0c");
@@ -102,7 +154,7 @@ TEST(Hkdf, Rfc5869Case1) {
   std::string info;
   for (auto b : from_hex(info_hex)) info.push_back(static_cast<char>(b));
   const auto okm = hkdf_sha256(salt, ikm, info, 42);
-  EXPECT_EQ(hex_of(okm),
+  EXPECT_EQ(to_hex(okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
             "34007208d5b887185865");
 }
@@ -110,7 +162,7 @@ TEST(Hkdf, Rfc5869Case1) {
 TEST(Hkdf, Rfc5869Case3EmptySaltEmptyInfo) {
   const auto ikm = std::vector<std::uint8_t>(22, 0x0b);
   const auto okm = hkdf_sha256({}, ikm, "", 42);
-  EXPECT_EQ(hex_of(okm),
+  EXPECT_EQ(to_hex(okm),
             "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
             "9d201395faa4b61a96c8");
 }

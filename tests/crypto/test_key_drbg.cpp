@@ -32,6 +32,14 @@ TEST(SymmetricKey, FingerprintMatchesKeyEquality) {
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
+TEST(Drbg, KnownAnswerSeed42) {
+  // Pins the DRBG byte stream: keys and nonces drawn from it reach no
+  // golden digest, so a drifted stream would otherwise pass every gate.
+  EXPECT_EQ(to_hex(Drbg(42).bytes(64)),
+            "a2043164f58f3f5a004b0e5a2a37b05a5316aa9fef3a11eb37108becbda1394a"
+            "e6a5ede67037bcc216224510b8875fefe36dfcecafa8a61b2cd2177904555c13");
+}
+
 TEST(Drbg, DeterministicForSameSeed) {
   Drbg a(42), b(42);
   EXPECT_EQ(a.bytes(64), b.bytes(64));

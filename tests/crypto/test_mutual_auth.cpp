@@ -1,8 +1,10 @@
 // The paper's §IV-A mutual-authentication protocol: positive path, all the
-// mismatch paths, and replay resistance.
+// mismatch paths, replay resistance, and the Fingerprint transport's bytes.
 #include "crypto/mutual_auth.hpp"
 
 #include <gtest/gtest.h>
+
+#include "brahms/auth.hpp"
 
 namespace raptee::crypto {
 namespace {
@@ -136,6 +138,22 @@ TEST(MutualAuth, ChallengesAreFreshPerInitiator) {
   AuthInitiator a1(k, rng);
   AuthInitiator a2(k, rng);
   EXPECT_NE(a1.challenge().r_a, a2.challenge().r_a);
+}
+
+TEST(FingerprintHandshake, KnownAnswerResponse) {
+  // Pins message 2 of the Fingerprint transport (brahms::KeyedAuthenticator):
+  // the DRBG's r_b and the keyed-MAC proof. Trust decisions read only key
+  // equality, so no simulated result would notice these bytes drift.
+  brahms::KeyedAuthenticator responder(brahms::AuthMode::kFingerprint,
+                                       Drbg(1).generate_key(), Drbg(2));
+  AuthChallenge challenge;
+  for (std::size_t i = 0; i < challenge.r_a.size(); ++i) {
+    challenge.r_a[i] = static_cast<std::uint8_t>(i);
+  }
+  const AuthResponse response = responder.make_response(challenge);
+  EXPECT_EQ(to_hex(response.r_b), "156cc23b854361c4f958ad884d58b969");
+  EXPECT_EQ(to_hex(response.proof_b),
+            "c5691401e1c400ec8989b745e6f8d8f264ae83d9436414f5110d0f85dd2dd18d");
 }
 
 }  // namespace

@@ -91,6 +91,22 @@ TEST(Sha256, HexEncodingShape) {
   for (char c : h) EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'));
 }
 
+TEST(Sha256, PaddingSweepKnownAnswer) {
+  // Every padding boundary of finish(): the digests of the messages of
+  // 0..199 bytes (byte i = i % 256), concatenated and hashed. Python's
+  // hashlib gives the same value.
+  std::vector<std::uint8_t> digests;
+  std::vector<std::uint8_t> message;
+  for (std::size_t n = 0; n < 200; ++n) {
+    message.resize(n);
+    for (std::size_t i = 0; i < n; ++i) message[i] = static_cast<std::uint8_t>(i % 256);
+    const Digest256 d = sha256(message);
+    digests.insert(digests.end(), d.begin(), d.end());
+  }
+  EXPECT_EQ(to_hex(sha256(digests)),
+            "ba7b0fcea7d10c06b855b43d2b4dce1e3e842fff6be0acefb0faf4f2dd05bb47");
+}
+
 class Sha256LengthSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(Sha256LengthSweep, IncrementalByteAtATimeMatchesOneShot) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace raptee::wire {
 namespace {
 
@@ -121,6 +123,17 @@ TEST(DuplexLink, EndToEnd) {
   opened = alice.rx.open(f);
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(*opened, pong);
+}
+
+TEST(LinkCipher, SealKnownAnswer) {
+  // Pins the sealed bytes (seq, AES-256-CTR body, HMAC tag): no simulated
+  // result reads link ciphertext, so nothing else would notice a drift.
+  LinkCipher tx(test_key(), 0);
+  const std::string plain = "raptee";
+  EXPECT_EQ(crypto::to_hex(tx.seal({plain.begin(), plain.end()})),
+            "0000000000000000"
+            "40c06992d987"
+            "3033907e84cf239a05be1a268b17897f6dfe83d491acc4f56d615d7dcbed2aed");
 }
 
 TEST(LinkCipher, EmptyPayloadRoundTrips) {

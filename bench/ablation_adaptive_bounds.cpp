@@ -45,8 +45,11 @@ int main() {
   const std::size_t stride = 1 + variants.size();
   for (std::size_t vi = 0; vi < variants.size(); ++vi) {
     const Bounds& b = variants[vi];
-    const std::string bounds = "[" + metrics::fmt(100 * b.lower, 0) + "," +
-                               metrics::fmt(100 * b.upper, 0) + "]";
+    std::string bounds = "[";
+    bounds += metrics::fmt(100 * b.lower, 0);
+    bounds += ',';
+    bounds += metrics::fmt(100 * b.upper, 0);
+    bounds += ']';
     for (std::size_t fi = 0; fi < fs.size(); ++fi) {
       const auto& baseline = cells[fi * stride];
       const auto& raptee = cells[fi * stride + 1 + vi];

@@ -1,6 +1,8 @@
 // Figure 13 — view-poisoned trusted-node injection: resilience improvement
 // vs f, one panel per honest-trusted share t, one curve per injected share.
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "bench_common.hpp"
 
@@ -45,8 +47,10 @@ int main() {
     std::cout << "--- panel: attack on a system with t=" << t << "% ---\n";
     std::vector<std::string> headers{"f%"};
     for (const int inj : injections) {
-      headers.push_back(inj == 0 ? ("t=" + std::to_string(t) + "%")
-                                 : ("+" + std::to_string(inj) + "%"));
+      std::string header = inj == 0 ? "t=" : "+";
+      header += std::to_string(inj == 0 ? t : inj);
+      header += '%';
+      headers.push_back(std::move(header));
     }
     metrics::TablePrinter table(headers);
 

@@ -1,5 +1,5 @@
 // Node-count scaling benchmark for the engine core: how far does one
-// process get on the structure-of-arrays node state + arena scratch path?
+// process get on the structure-of-arrays node state + reused round scratch?
 //
 // Two parts, both written into bench_out/scale_nodes.json (raptee.bench):
 //
@@ -91,7 +91,9 @@ void* alloc_tracked(std::size_t size, std::size_t align) noexcept {
   return user;
 }
 
-void free_tracked(void* ptr) noexcept {
+// Kept out of line: inlined into operator delete, GCC pairs the std::free
+// below with the matching operator new and warns -Wmismatched-new-delete.
+[[gnu::noinline]] void free_tracked(void* ptr) noexcept {
   if (ptr == nullptr) return;
   auto* user = static_cast<std::byte*>(ptr);
   // raptee-lint: allow(cast-allowlist) counting allocator reads back the size header it wrote in alloc_tracked
@@ -232,7 +234,7 @@ int main() {
   const auto knobs = scenario::Knobs::from_env();
   bench::print_header("scale_nodes", knobs);
   std::cout << "engine-core scaling: width identity gate at n=" << knobs.n
-            << ", then honest-population sweep (SoA state + arena scratch)\n\n";
+            << ", then honest-population sweep (SoA state + reused round scratch)\n\n";
 
   const std::size_t hw = exec::hardware_threads();
   const std::size_t resolved_threads = knobs.threads == 0 ? hw : knobs.threads;

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "brahms/auth.hpp"

@@ -1,87 +1,81 @@
-// Authenticator abstraction used by every node for the challenge–response
-// that precedes pull requests (paper §IV-A).
+// The challenge–response every node runs before each pull (paper §IV-A).
 //
-// KeyedAuthenticator implements the two behaviourally-equivalent
-// transports of design decision D5:
-//   kFull        — the paper's exact 3-message protocol (AES-256-CTR +
-//                  SHA-256 proofs); used by tests and examples.
-//   kFingerprint — a single keyed MAC per direction proving knowledge of
-//                  the same key; same trust decisions. Default for
-//                  simulation sweeps. Its MACs start from the key's cached
-//                  HMAC schedule, so one whole handshake (challenge,
-//                  response, both checks) costs about 1.5 µs against about
-//                  8 µs for kFull (4-vCPU x86-64 KVM guest with SHA
-//                  extensions, GCC 12, RelWithDebInfo; perfbench's
-//                  brahms.auth_handshake_us reads 1.56 µs).
+// Authenticator runs the whole handshake: it draws the nonces from its
+// DRBG, orders them for each leg and always sends a confirm, trusted or
+// not. A subclass says only where the key lives, through two private
+// calls, prove and check:
+//   KeyedAuthenticator            — the node holds the key (a per-node
+//                                   random key for an untrusted node);
+//   core::EnclaveAuthenticator    — an sgx::Enclave holds the attested
+//                                   group key and every proof is an ecall.
+// So trusted and untrusted nodes run the same lines and send the same
+// traffic: the camouflage the §VI-A identification attack tries to break.
+// The proof transport (kFull or kFingerprint, design decision D5) is the
+// AuthMode; crypto::ProofKey implements both.
 //
-// A gtest (test_auth_modes) asserts the two modes produce identical trust
-// decisions over identical populations.
+// A gtest (test_auth_modes) asserts both modes produce identical trust
+// decisions for either kind of key holder.
 #pragma once
 
-#include <memory>
-
-#include "crypto/hmac.hpp"
 #include "crypto/key.hpp"
 #include "crypto/mutual_auth.hpp"
 
 namespace raptee::brahms {
 
-enum class AuthMode : std::uint8_t { kFull, kFingerprint };
+using AuthMode = crypto::AuthMode;
 
-class IAuthenticator {
+class Authenticator {
  public:
-  virtual ~IAuthenticator() = default;
+  Authenticator(AuthMode mode, crypto::Drbg drbg);
+  virtual ~Authenticator() = default;
+  Authenticator(const Authenticator&) = delete;
+  Authenticator& operator=(const Authenticator&) = delete;
 
   /// Initiator: auth message 1.
-  [[nodiscard]] virtual crypto::AuthChallenge make_challenge() = 0;
+  [[nodiscard]] crypto::AuthChallenge make_challenge();
   /// Responder: auth message 2.
-  [[nodiscard]] virtual crypto::AuthResponse make_response(
-      const crypto::AuthChallenge& challenge) = 0;
+  [[nodiscard]] crypto::AuthResponse make_response(const crypto::AuthChallenge& challenge);
   /// Initiator: verifies message 2 against the challenge it sent, fills the
   /// confirm (message 3), and returns whether the responder proved knowledge
-  /// of this node's key.
-  [[nodiscard]] virtual bool verify_response(const crypto::AuthChallenge& challenge,
-                                             const crypto::AuthResponse& response,
-                                             crypto::AuthConfirm* confirm_out) = 0;
-  /// Responder: verifies message 3 against the (challenge, response) pair.
-  [[nodiscard]] virtual bool verify_confirm(const crypto::AuthChallenge& challenge,
-                                            const crypto::AuthResponse& response,
-                                            const crypto::AuthConfirm& confirm) = 0;
-};
-
-/// Authenticator bound to a symmetric key (per-node random key for untrusted
-/// nodes; the attested group key for trusted nodes — in that case the key
-/// lives inside the enclave and core::EnclaveAuthenticator is used instead).
-class KeyedAuthenticator final : public IAuthenticator {
- public:
-  KeyedAuthenticator(AuthMode mode, crypto::SymmetricKey key, crypto::Drbg drbg);
-
-  [[nodiscard]] crypto::AuthChallenge make_challenge() override;
-  [[nodiscard]] crypto::AuthResponse make_response(
-      const crypto::AuthChallenge& challenge) override;
+  /// of this node's key. The confirm is a well-formed proof under this
+  /// node's key either way, so a failed handshake looks like a good one.
   [[nodiscard]] bool verify_response(const crypto::AuthChallenge& challenge,
                                      const crypto::AuthResponse& response,
-                                     crypto::AuthConfirm* confirm_out) override;
+                                     crypto::AuthConfirm* confirm_out);
+  /// Responder: verifies message 3 against the (challenge, response) pair.
   [[nodiscard]] bool verify_confirm(const crypto::AuthChallenge& challenge,
                                     const crypto::AuthResponse& response,
-                                    const crypto::AuthConfirm& confirm) override;
+                                    const crypto::AuthConfirm& confirm);
 
   [[nodiscard]] AuthMode mode() const { return mode_; }
 
  private:
+  /// This node's proof over (first, second) for `leg`.
+  [[nodiscard]] virtual crypto::AuthToken prove(crypto::AuthLeg leg,
+                                                const crypto::AuthNonce& first,
+                                                const crypto::AuthNonce& second) = 0;
+  /// Whether `token` is the proof this node's key makes over (first, second).
+  [[nodiscard]] virtual bool check(crypto::AuthLeg leg, const crypto::AuthNonce& first,
+                                   const crypto::AuthNonce& second,
+                                   const crypto::AuthToken& token) = 0;
+
   AuthMode mode_;
-  crypto::SymmetricKey key_;  ///< kFull's AES and SHA-256 proofs
-  crypto::HmacKey mac_key_;   ///< key_'s schedule, for kFingerprint's MACs
   crypto::Drbg drbg_;
 };
 
-/// Helpers shared with the enclave-backed authenticator (core/):
-namespace auth_detail {
-/// Fingerprint-mode proof: HMAC(key, domain || a || b) truncated to 32 bytes.
-[[nodiscard]] crypto::AuthToken mac_proof(const crypto::HmacKey& key, const char* domain,
-                                          const crypto::AuthNonce& a,
-                                          const crypto::AuthNonce& b);
-[[nodiscard]] bool tokens_equal(const crypto::AuthToken& a, const crypto::AuthToken& b);
-}  // namespace auth_detail
+/// Authenticator whose node holds its key.
+class KeyedAuthenticator final : public Authenticator {
+ public:
+  KeyedAuthenticator(AuthMode mode, crypto::SymmetricKey key, crypto::Drbg drbg);
+
+ private:
+  [[nodiscard]] crypto::AuthToken prove(crypto::AuthLeg leg, const crypto::AuthNonce& first,
+                                        const crypto::AuthNonce& second) override;
+  [[nodiscard]] bool check(crypto::AuthLeg leg, const crypto::AuthNonce& first,
+                           const crypto::AuthNonce& second,
+                           const crypto::AuthToken& token) override;
+
+  crypto::ProofKey key_;
+};
 
 }  // namespace raptee::brahms

@@ -26,7 +26,7 @@ std::vector<NodeId> dedup_excluding(const std::vector<NodeId>& ids, NodeId self)
 }  // namespace
 
 BrahmsNode::BrahmsNode(NodeId self, BrahmsConfig config,
-                       std::unique_ptr<IAuthenticator> auth, Rng rng,
+                       std::unique_ptr<Authenticator> auth, Rng rng,
                        std::function<bool(NodeId)> alive_probe)
     : self_(self),
       config_(config),

@@ -59,7 +59,7 @@ struct RoundTelemetry {
 
 class BrahmsNode : public sim::INode {
  public:
-  BrahmsNode(NodeId self, BrahmsConfig config, std::unique_ptr<IAuthenticator> auth,
+  BrahmsNode(NodeId self, BrahmsConfig config, std::unique_ptr<Authenticator> auth,
              Rng rng, std::function<bool(NodeId)> alive_probe = {});
 
   // --- sim::INode ---
@@ -138,8 +138,7 @@ class BrahmsNode : public sim::INode {
   /// Accessors for subclasses.
   [[nodiscard]] gossip::PartialView& mutable_view() { return view_; }
   [[nodiscard]] Rng& rng() { return rng_; }
-  [[nodiscard]] IAuthenticator& authenticator() { return *auth_; }
-  [[nodiscard]] const std::vector<PullRecord>& pull_records() const { return pulled_; }
+  [[nodiscard]] Authenticator& authenticator() { return *auth_; }
   [[nodiscard]] RoundTelemetry& mutable_telemetry() { return telemetry_; }
 
  private:
@@ -147,7 +146,7 @@ class BrahmsNode : public sim::INode {
 
   NodeId self_;
   BrahmsConfig config_;
-  std::unique_ptr<IAuthenticator> auth_;
+  std::unique_ptr<Authenticator> auth_;
   Rng rng_;
   std::function<bool(NodeId)> alive_probe_;
 

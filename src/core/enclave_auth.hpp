@@ -1,7 +1,8 @@
-// EnclaveAuthenticator: the trusted node's side of the mutual-auth
-// protocol. Identical wire behaviour to brahms::KeyedAuthenticator, except
-// every group-key operation is an ecall — the key material never exists
-// outside the sgx::Enclave.
+// EnclaveAuthenticator: the trusted node's key holder for the mutual-auth
+// handshake. brahms::Authenticator runs the handshake itself, the same
+// lines an untrusted node runs; this subclass only forwards each proof and
+// each check to the sgx::Enclave as one ecall, so the group key never
+// exists outside the enclave.
 #pragma once
 
 #include "brahms/auth.hpp"
@@ -9,25 +10,19 @@
 
 namespace raptee::core {
 
-class EnclaveAuthenticator final : public brahms::IAuthenticator {
+class EnclaveAuthenticator final : public brahms::Authenticator {
  public:
   /// The enclave must already be provisioned (attested) — asserted.
   EnclaveAuthenticator(brahms::AuthMode mode, sgx::Enclave& enclave, crypto::Drbg drbg);
 
-  [[nodiscard]] crypto::AuthChallenge make_challenge() override;
-  [[nodiscard]] crypto::AuthResponse make_response(
-      const crypto::AuthChallenge& challenge) override;
-  [[nodiscard]] bool verify_response(const crypto::AuthChallenge& challenge,
-                                     const crypto::AuthResponse& response,
-                                     crypto::AuthConfirm* confirm_out) override;
-  [[nodiscard]] bool verify_confirm(const crypto::AuthChallenge& challenge,
-                                    const crypto::AuthResponse& response,
-                                    const crypto::AuthConfirm& confirm) override;
-
  private:
-  brahms::AuthMode mode_;
+  [[nodiscard]] crypto::AuthToken prove(crypto::AuthLeg leg, const crypto::AuthNonce& first,
+                                        const crypto::AuthNonce& second) override;
+  [[nodiscard]] bool check(crypto::AuthLeg leg, const crypto::AuthNonce& first,
+                           const crypto::AuthNonce& second,
+                           const crypto::AuthToken& token) override;
+
   sgx::Enclave& enclave_;
-  crypto::Drbg drbg_;
 };
 
 }  // namespace raptee::core

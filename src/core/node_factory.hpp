@@ -1,8 +1,10 @@
 // NodeFactory — assembles protocol participants with correctly wired
-// key material:
-//   * honest untrusted nodes: fresh random secret key (KeyedAuthenticator);
-//   * trusted nodes: a genuine enclave, attested and provisioned by the
-//     shared AttestationService, with an EnclaveAuthenticator on top.
+// key material. Every node runs the same brahms::Authenticator handshake;
+// only where its key lives differs:
+//   * honest untrusted nodes: a fresh random secret key the node holds
+//     (KeyedAuthenticator);
+//   * trusted nodes: the group key inside a genuine enclave, attested and
+//     provisioned by the shared AttestationService (EnclaveAuthenticator).
 //
 // The factory owns the attestation service and the master key-generation
 // DRBG, so a whole experiment population shares one consistent trust root.

@@ -7,7 +7,7 @@
 namespace raptee::core {
 
 RapteeNode::RapteeNode(NodeId self, RapteeConfig config,
-                       std::unique_ptr<brahms::IAuthenticator> auth,
+                       std::unique_ptr<brahms::Authenticator> auth,
                        std::unique_ptr<sgx::Enclave> enclave, Rng rng,
                        std::function<bool(NodeId)> alive_probe)
     : BrahmsNode(self, config.brahms, std::move(auth), rng, std::move(alive_probe)),

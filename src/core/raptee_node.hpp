@@ -3,8 +3,10 @@
 // Extends BrahmsNode (every node runs the modified Brahms) with the three
 // trusted-node behaviours of §IV:
 //
-//   * Mutual authentication through the enclave: the group secret is held
-//     by the sgx::Enclave; all proofs are ecalls (EnclaveAuthenticator).
+//   * Mutual authentication through the enclave: the node runs the same
+//     brahms::Authenticator handshake as every other node, but the group
+//     secret is held by the sgx::Enclave and each proof or check is one
+//     ecall (EnclaveAuthenticator).
 //
 //   * Trusted communication: when a pull exchange mutually authenticates,
 //     the initiator offers half of its view plus a self link (Jelasity
@@ -51,7 +53,7 @@ class RapteeNode : public brahms::BrahmsNode {
   /// be an EnclaveAuthenticator over the same enclave (node_factory wires
   /// this up).
   RapteeNode(NodeId self, RapteeConfig config,
-             std::unique_ptr<brahms::IAuthenticator> auth,
+             std::unique_ptr<brahms::Authenticator> auth,
              std::unique_ptr<sgx::Enclave> enclave, Rng rng,
              std::function<bool(NodeId)> alive_probe = {});
 

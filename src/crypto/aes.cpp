@@ -8,7 +8,7 @@ namespace raptee::crypto {
 
 namespace {
 
-// S-box and inverse S-box from FIPS 197.
+// S-box from FIPS 197.
 constexpr std::array<std::uint8_t, 256> kSbox = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
     0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
@@ -33,25 +33,8 @@ constexpr std::array<std::uint8_t, 256> kSbox = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
-constexpr std::array<std::uint8_t, 256> make_inv_sbox() {
-  std::array<std::uint8_t, 256> inv{};
-  for (int i = 0; i < 256; ++i) inv[kSbox[i]] = static_cast<std::uint8_t>(i);
-  return inv;
-}
-constexpr std::array<std::uint8_t, 256> kInvSbox = make_inv_sbox();
-
 constexpr std::uint8_t xtime(std::uint8_t x) {
   return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
-}
-
-constexpr std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
-  std::uint8_t p = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (b & 1) p ^= a;
-    a = xtime(a);
-    b >>= 1;
-  }
-  return p;
 }
 
 constexpr std::uint32_t sub_word(std::uint32_t w) {
@@ -107,22 +90,11 @@ void sub_bytes(Block& s) {
   for (auto& b : s) b = kSbox[b];
 }
 
-void inv_sub_bytes(Block& s) {
-  for (auto& b : s) b = kInvSbox[b];
-}
-
 // State layout: s[4*c + r] is row r, column c (column-major as in FIPS 197).
 void shift_rows(Block& s) {
   Block t = s;
   for (int r = 1; r < 4; ++r) {
     for (int c = 0; c < 4; ++c) s[4 * c + r] = t[4 * ((c + r) % 4) + r];
-  }
-}
-
-void inv_shift_rows(Block& s) {
-  Block t = s;
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) s[4 * ((c + r) % 4) + r] = t[4 * c + r];
   }
 }
 
@@ -134,17 +106,6 @@ void mix_columns(Block& s) {
     col[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
     col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
     col[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-  }
-}
-
-void inv_mix_columns(Block& s) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = &s[4 * c];
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9);
-    col[1] = gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13);
-    col[2] = gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11);
-    col[3] = gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14);
   }
 }
 
@@ -161,19 +122,6 @@ void Aes::encrypt_block(Block& block) const {
   sub_bytes(block);
   shift_rows(block);
   add_round_key(block, &round_keys_[4 * rounds_]);
-}
-
-void Aes::decrypt_block(Block& block) const {
-  add_round_key(block, &round_keys_[4 * rounds_]);
-  for (int round = rounds_ - 1; round >= 1; --round) {
-    inv_shift_rows(block);
-    inv_sub_bytes(block);
-    add_round_key(block, &round_keys_[4 * round]);
-    inv_mix_columns(block);
-  }
-  inv_shift_rows(block);
-  inv_sub_bytes(block);
-  add_round_key(block, &round_keys_[0]);
 }
 
 AesCtr::AesCtr(const Aes& aes, const Block& initial_counter)

@@ -23,17 +23,13 @@ class Aes {
   enum class KeySize { k128, k256 };
 
   Aes(const std::uint8_t* key, KeySize size);
-  static Aes aes128(const std::array<std::uint8_t, 16>& key) {
-    return Aes(key.data(), KeySize::k128);
-  }
   static Aes aes256(const std::array<std::uint8_t, 32>& key) {
     return Aes(key.data(), KeySize::k256);
   }
 
-  /// Encrypts one 16-byte block in place.
+  /// Encrypts one 16-byte block in place. CTR mode only ever encrypts, so
+  /// there is no block decryption.
   void encrypt_block(Block& block) const;
-  /// Decrypts one 16-byte block in place.
-  void decrypt_block(Block& block) const;
 
   [[nodiscard]] int rounds() const { return rounds_; }
 

@@ -2,6 +2,9 @@
 
 #include <cstring>
 
+#include "crypto/aes.hpp"
+#include "crypto/sha256.hpp"
+
 namespace raptee::crypto {
 
 namespace {
@@ -20,24 +23,35 @@ Block proof_counter_block(const AuthNonce& first, const AuthNonce& second) {
   return make_counter_block(nonce);
 }
 
-Digest256 challenge_hash(const AuthNonce& first, const AuthNonce& second) {
-  Sha256 ctx;
-  ctx.update(first.data(), first.size());
-  ctx.update(second.data(), second.size());
-  return ctx.finish();
+/// kFingerprint's proof: HMAC(key, domain || first || second) truncated to
+/// the token size; the domain names the leg.
+AuthToken mac_proof(const HmacKey& key, AuthLeg leg, const AuthNonce& first,
+                    const AuthNonce& second) {
+  HmacSha256 mac(key);
+  mac.update(leg == AuthLeg::kResponse ? "resp" : "init");
+  mac.update(first.data(), first.size());
+  mac.update(second.data(), second.size());
+  const Digest256 d = mac.finish();
+  AuthToken token{};
+  std::memcpy(token.data(), d.data(), token.size());
+  return token;
 }
 
-AuthNonce random_nonce(Drbg& rng) {
-  AuthNonce n{};
-  rng.fill(n.data(), n.size());
-  return n;
+/// Constant-time token comparison.
+bool tokens_equal(const AuthToken& a, const AuthToken& b) {
+  std::uint8_t diff = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
+  return diff == 0;
 }
 
 }  // namespace
 
 AuthToken make_proof(const SymmetricKey& key, const AuthNonce& first,
                      const AuthNonce& second) {
-  const Digest256 h = challenge_hash(first, second);
+  Sha256 ctx;
+  ctx.update(first.data(), first.size());
+  ctx.update(second.data(), second.size());
+  const Digest256 h = ctx.finish();
   AuthToken token{};
   std::memcpy(token.data(), h.data(), h.size());
   const Aes aes = Aes::aes256(key.bytes());
@@ -48,40 +62,31 @@ AuthToken make_proof(const SymmetricKey& key, const AuthNonce& first,
 
 bool check_proof(const SymmetricKey& key, const AuthNonce& first, const AuthNonce& second,
                  const AuthToken& token) {
-  AuthToken plain = token;
-  const Aes aes = Aes::aes256(key.bytes());
-  AesCtr ctr(aes, proof_counter_block(first, second));
-  ctr.process(plain.data(), plain.size());
-  const Digest256 expected = challenge_hash(first, second);
-  std::uint8_t diff = 0;
-  for (std::size_t i = 0; i < plain.size(); ++i) diff |= plain[i] ^ expected[i];
-  return diff == 0;
+  // CTR encryption is an XOR with the keystream, so a token decrypts to
+  // H(first · second) exactly when it equals that hash's encryption.
+  return tokens_equal(token, make_proof(key, first, second));
 }
 
-AuthInitiator::AuthInitiator(const SymmetricKey& own_key, Drbg& rng)
-    : key_(own_key), r_a_(random_nonce(rng)) {}
+ProofKey::ProofKey(const SymmetricKey& key)
+    : key_(key), mac_key_(key.bytes().data(), key.bytes().size()) {}
 
-bool AuthInitiator::consume_response(const AuthResponse& response,
-                                     AuthConfirm& out_confirm) {
-  peer_trusted_ = check_proof(key_, r_a_, response.r_b, response.proof_b);
-  // Always emit a well-formed confirm so traffic is indistinguishable.
-  out_confirm.proof_a = make_proof(key_, response.r_b, r_a_);
-  return peer_trusted_;
+AuthToken ProofKey::prove(AuthMode mode, AuthLeg leg, const AuthNonce& first,
+                          const AuthNonce& second) const {
+  switch (mode) {
+    case AuthMode::kFull: return make_proof(key_, first, second);
+    case AuthMode::kFingerprint: return mac_proof(mac_key_, leg, first, second);
+  }
+  return {};
 }
 
-AuthResponder::AuthResponder(const SymmetricKey& own_key, Drbg& rng)
-    : key_(own_key), r_b_(random_nonce(rng)) {}
-
-AuthResponse AuthResponder::respond(const AuthChallenge& challenge) {
-  r_a_ = challenge.r_a;
-  AuthResponse response;
-  response.r_b = r_b_;
-  response.proof_b = make_proof(key_, r_a_, r_b_);
-  return response;
-}
-
-void AuthResponder::consume_confirm(const AuthConfirm& confirm) {
-  peer_trusted_ = check_proof(key_, r_b_, r_a_, confirm.proof_a);
+bool ProofKey::check(AuthMode mode, AuthLeg leg, const AuthNonce& first,
+                     const AuthNonce& second, const AuthToken& token) const {
+  switch (mode) {
+    case AuthMode::kFull: return check_proof(key_, first, second, token);
+    case AuthMode::kFingerprint:
+      return tokens_equal(token, mac_proof(mac_key_, leg, first, second));
+  }
+  return false;
 }
 
 }  // namespace raptee::crypto

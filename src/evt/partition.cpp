@@ -74,9 +74,13 @@ std::string PartitionSchedule::describe() const {
   if (windows.empty()) return "none";
   std::string out;
   for (const PartitionWindow& w : windows) {
-    if (!out.empty()) out += "+";
-    out += "[" + std::to_string(w.from) + "," + std::to_string(w.until) + ")x" +
-           std::to_string(w.isolated.size());
+    if (!out.empty()) out += '+';
+    out += '[';
+    out += std::to_string(w.from);
+    out += ',';
+    out += std::to_string(w.until);
+    out += ")x";
+    out += std::to_string(w.isolated.size());
   }
   return out;
 }

@@ -19,12 +19,6 @@ std::size_t PartialView::copy_ids(NodeId* out, std::size_t cap) const {
   return n;
 }
 
-void PartialView::ids_into(std::vector<NodeId>& out) const {
-  out.clear();
-  if (out.capacity() < entries_.size()) out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.id);
-}
-
 bool PartialView::contains(NodeId id) const {
   return std::any_of(entries_.begin(), entries_.end(),
                      [id](const ViewEntry& e) { return e.id == id; });

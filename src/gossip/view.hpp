@@ -36,11 +36,10 @@ class PartialView {
   [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
   [[nodiscard]] const std::vector<ViewEntry>& entries() const { return entries_; }
   [[nodiscard]] std::vector<NodeId> ids() const;
-  /// Allocation-free forms of ids() for hot paths: copy at most `cap` ids
-  /// into `out`, returning the count written — the shape Engine::
-  /// refresh_views consumes — or clear-and-fill a scratch vector.
+  /// Allocation-free form of ids() for hot paths: copies at most `cap` ids
+  /// into `out` and returns the count written — the shape Engine::
+  /// refresh_views consumes.
   std::size_t copy_ids(NodeId* out, std::size_t cap) const;
-  void ids_into(std::vector<NodeId>& out) const;
   [[nodiscard]] bool contains(NodeId id) const;
 
   /// Increments every entry's age (once per round).

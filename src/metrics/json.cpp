@@ -45,7 +45,12 @@ std::string json_number(double value) {
 
 namespace {
 
-std::string quoted(std::string_view text) { return "\"" + json_escape(text) + "\""; }
+std::string quoted(std::string_view text) {
+  std::string out(1, '"');
+  out += json_escape(text);
+  out += '"';
+  return out;
+}
 
 }  // namespace
 

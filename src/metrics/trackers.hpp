@@ -66,10 +66,6 @@ class PollutionTracker final : public sim::ITrafficListener {
   /// Steady-state pollution: mean of the last `window` rounds (fraction).
   [[nodiscard]] double steady_state_pollution(std::size_t window = 10) const;
 
-  /// Pollution of each non-Byzantine node at the last scanned round
-  /// (fractions, engine order).
-  [[nodiscard]] const std::vector<double>& last_per_node() const { return last_per_node_; }
-
  private:
   std::function<bool(NodeId)> is_byzantine_id_;
   double floor_;

@@ -213,7 +213,6 @@ void EventLoop::poll_once(int timeout_ms) {
 }
 
 void EventLoop::run() {
-  loop_thread_ = std::this_thread::get_id();
   while (true) {
     {
       const std::lock_guard<std::mutex> lock(post_mu_);

@@ -22,7 +22,6 @@
 #include <functional>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -53,7 +52,6 @@ class EventLoop {
   /// Replaces the interest set of a registered fd.
   void set_interest(int fd, std::uint32_t interest);
   void remove_fd(int fd);
-  [[nodiscard]] std::size_t fd_count() const { return fds_.size(); }
 
   /// One-shot timer on the loop thread; returns an id for cancel_timer.
   TimerId run_after(std::chrono::milliseconds delay, std::function<void()> fn);
@@ -63,14 +61,10 @@ class EventLoop {
   /// blocked run()).
   void post(std::function<void()> fn);
 
-  /// Dispatches events until stop(). Records the caller as the loop thread.
+  /// Dispatches events until stop(); the caller becomes the loop thread.
   void run();
   /// Makes run() return after the current dispatch pass (any thread).
   void stop();
-
-  [[nodiscard]] bool on_loop_thread() const {
-    return std::this_thread::get_id() == loop_thread_;
-  }
 
   /// Opt-in profiling: per-callback wall time of io dispatches and timer
   /// firings, recorded into the given histograms (either may be null =
@@ -114,7 +108,6 @@ class EventLoop {
 
   Fd wake_read_;
   Fd wake_write_;
-  std::thread::id loop_thread_;
   obs::Histogram* profile_dispatch_ = nullptr;
   obs::Histogram* profile_timer_ = nullptr;
 

@@ -65,11 +65,11 @@ void cli_usage(const char* program, const char* synopsis,
     const std::size_t len = std::strlen(option.name);
     if (len > width) width = len;
   }
-  // raptee-lint: allow(no-iostream-in-lib) CLI contract: usage text goes to stderr verbatim, never through a leveled logger
+  // raptee-lint: allow(no-iostream-in-lib) CLI contract: usage text goes to stderr verbatim
   std::cerr << "error: " << error << "\n"
             << "usage: " << program << ' ' << synopsis << "\n";
   for (const CliOption& option : options) {
-    // raptee-lint: allow(no-iostream-in-lib) CLI contract: usage text goes to stderr verbatim, never through a leveled logger
+    // raptee-lint: allow(no-iostream-in-lib) CLI contract: usage text goes to stderr verbatim
     std::cerr << "  " << option.name
               << std::string(width - std::strlen(option.name) + 2, ' ')
               << option.help << "\n";

@@ -317,7 +317,7 @@ std::string grid_document(const GridResult& sweep, std::size_t reps) {
 
 bool write(const std::string& path, std::string_view json) {
   if (!metrics::write_text_file(path, json)) {
-    // raptee-lint: allow(no-iostream-in-lib) bench front-door contract: the warning must reach the operator even with logging off
+    // raptee-lint: allow(no-iostream-in-lib) bench front-door contract: the warning must reach the operator
     std::cerr << "warning: could not write " << path << '\n';
     return false;
   }

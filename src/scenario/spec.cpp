@@ -13,10 +13,6 @@ ScenarioSpec& ScenarioSpec::view_size(std::size_t l1) {
   base_.brahms.l2 = l1;
   return *this;
 }
-ScenarioSpec& ScenarioSpec::brahms_params(const brahms::Params& params) {
-  base_.brahms = params;
-  return *this;
-}
 ScenarioSpec& ScenarioSpec::rounds(Round rounds) {
   base_.rounds = rounds;
   return *this;

@@ -38,7 +38,6 @@ class ScenarioSpec {
   // --- population & schedule ---
   ScenarioSpec& population(std::size_t n);
   ScenarioSpec& view_size(std::size_t l1);  ///< sets l1 and l2 together
-  ScenarioSpec& brahms_params(const brahms::Params& params);
   ScenarioSpec& rounds(Round rounds);
   ScenarioSpec& seed(std::uint64_t seed);
 

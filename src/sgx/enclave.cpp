@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstring>
 
-#include "brahms/auth.hpp"
 #include "common/assert.hpp"
+#include "crypto/hmac.hpp"
 #include "wire/link_cipher.hpp"
 
 namespace raptee::sgx {
@@ -44,30 +44,25 @@ std::array<std::uint8_t, 32> Enclave::make_report_data() {
   return rd;
 }
 
-crypto::AuthToken Enclave::auth_make_proof(const crypto::AuthNonce& a,
-                                           const crypto::AuthNonce& b) {
-  require_key("auth_make_proof");
+crypto::AuthToken Enclave::auth_prove(crypto::AuthMode mode, crypto::AuthLeg leg,
+                                      const crypto::AuthNonce& a,
+                                      const crypto::AuthNonce& b) {
+  require_key("auth_prove");
   charge(FunctionClass::kPullRequest);
-  return crypto::make_proof(*group_key_, a, b);
+  return group_key_->prove(mode, leg, a, b);
 }
 
-bool Enclave::auth_check_proof(const crypto::AuthNonce& a, const crypto::AuthNonce& b,
-                               const crypto::AuthToken& token) {
-  require_key("auth_check_proof");
+bool Enclave::auth_check(crypto::AuthMode mode, crypto::AuthLeg leg,
+                         const crypto::AuthNonce& a, const crypto::AuthNonce& b,
+                         const crypto::AuthToken& token) {
+  require_key("auth_check");
   charge(FunctionClass::kPullRequest);
-  return crypto::check_proof(*group_key_, a, b, token);
-}
-
-crypto::AuthToken Enclave::auth_mac_proof(const char* domain, const crypto::AuthNonce& a,
-                                          const crypto::AuthNonce& b) {
-  require_key("auth_mac_proof");
-  charge(FunctionClass::kPullRequest);
-  return brahms::auth_detail::mac_proof(*group_mac_key_, domain, a, b);
+  return group_key_->check(mode, leg, a, b, token);
 }
 
 std::uint64_t Enclave::group_fingerprint() {
   require_key("group_fingerprint");
-  return group_key_->fingerprint();
+  return group_key_->key().fingerprint();
 }
 
 std::vector<NodeId> Enclave::filter_pulled(const std::vector<NodeId>& ids,
@@ -91,12 +86,7 @@ std::vector<NodeId> Enclave::select_swap_half(const std::vector<NodeId>& view_id
 
 void Enclave::install_group_key(const crypto::SymmetricKey& key) {
   charge(FunctionClass::kAttestation);
-  set_group_key(key);
-}
-
-void Enclave::set_group_key(const crypto::SymmetricKey& key) {
-  group_key_ = key;
-  group_mac_key_.emplace(key.bytes().data(), key.bytes().size());
+  group_key_.emplace(key);
 }
 
 crypto::SymmetricKey Enclave::sealing_key() const {
@@ -115,7 +105,7 @@ std::optional<std::vector<std::uint8_t>> Enclave::seal_group_key() {
   if (!group_key_) return std::nullopt;
   charge(FunctionClass::kOther);
   wire::LinkCipher sealer(sealing_key(), /*direction=*/0);
-  return sealer.seal(group_key_->to_vector());
+  return sealer.seal(group_key_->key().to_vector());
 }
 
 bool Enclave::unseal_group_key(const std::vector<std::uint8_t>& blob) {
@@ -125,7 +115,7 @@ bool Enclave::unseal_group_key(const std::vector<std::uint8_t>& blob) {
   if (!plain || plain->size() != crypto::SymmetricKey::kBytes) return false;
   std::array<std::uint8_t, crypto::SymmetricKey::kBytes> bytes{};
   std::memcpy(bytes.data(), plain->data(), bytes.size());
-  set_group_key(crypto::SymmetricKey(bytes));
+  group_key_.emplace(crypto::SymmetricKey(bytes));
   return true;
 }
 

@@ -11,11 +11,11 @@
 //     attestation flow (AttestationService is the sole befriended writer —
 //     C++ access control models the hardware isolation boundary);
 //   * exposes only the operations the trusted RAPTEE logic needs (auth
-//     proofs, pulled-ID filtering, swap-half selection), so the secret is
-//     used inside and never returned. The same holds for the group key's
-//     HMAC schedule (crypto::HmacKey), which the Fingerprint-mode proofs
-//     start from: it is key-equivalent, is built inside whenever the key
-//     is installed or unsealed, and has no accessor;
+//     proofs and checks, pulled-ID filtering, swap-half selection), so the
+//     secret is used inside and never returned. The group key is kept as a
+//     crypto::ProofKey — the key plus its HMAC schedule, both
+//     key-equivalent — built inside whenever the key is installed or
+//     unsealed, and the enclave has no accessor for it;
 //   * charges every entry ("ecall") to a CycleLedger via the Table-I
 //     CycleModel, reproducing the paper's emulated-SGX timing methodology;
 //   * offers sealed storage (AES-CTR + HMAC under a measurement-bound
@@ -35,7 +35,6 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/key.hpp"
 #include "crypto/mutual_auth.hpp"
 #include "crypto/sha256.hpp"
@@ -75,16 +74,15 @@ class Enclave {
 
   // --- trusted operations (all charge the ledger; all require the key) ---
 
-  /// `[H(a·b)]_Kg` — the group-keyed proof of the mutual-auth protocol.
-  [[nodiscard]] crypto::AuthToken auth_make_proof(const crypto::AuthNonce& a,
-                                                  const crypto::AuthNonce& b);
-  [[nodiscard]] bool auth_check_proof(const crypto::AuthNonce& a,
-                                      const crypto::AuthNonce& b,
-                                      const crypto::AuthToken& token);
-  /// Keyed-MAC proof for the Fingerprint transport mode.
-  [[nodiscard]] crypto::AuthToken auth_mac_proof(const char* domain,
-                                                 const crypto::AuthNonce& a,
-                                                 const crypto::AuthNonce& b);
+  /// The group key's mutual-auth proof over (a, b) for `leg`
+  /// (crypto::ProofKey::prove).
+  [[nodiscard]] crypto::AuthToken auth_prove(crypto::AuthMode mode, crypto::AuthLeg leg,
+                                             const crypto::AuthNonce& a,
+                                             const crypto::AuthNonce& b);
+  /// Whether `token` is the group key's proof over (a, b) for `leg`.
+  [[nodiscard]] bool auth_check(crypto::AuthMode mode, crypto::AuthLeg leg,
+                                const crypto::AuthNonce& a, const crypto::AuthNonce& b,
+                                const crypto::AuthToken& token);
   /// Group-key fingerprint: lets attestation tests check group membership
   /// without exporting the key.
   [[nodiscard]] std::uint64_t group_fingerprint();
@@ -113,8 +111,6 @@ class Enclave {
   /// Attestation-channel-only entry point (models the secret provisioning
   /// over the remote-attestation secure channel).
   void install_group_key(const crypto::SymmetricKey& key);
-  /// Sets the group key and its HMAC schedule together.
-  void set_group_key(const crypto::SymmetricKey& key);
 
   [[nodiscard]] crypto::SymmetricKey sealing_key() const;
   void require_key(const char* op) const;
@@ -131,8 +127,7 @@ class Enclave {
   crypto::Drbg drbg_;
   CycleLedger ledger_;
   crypto::SymmetricKey device_secret_;  // per-device sealing root
-  std::optional<crypto::SymmetricKey> group_key_;
-  std::optional<crypto::HmacKey> group_mac_key_;  ///< group_key_'s schedule
+  std::optional<crypto::ProofKey> group_key_;
 };
 
 }  // namespace raptee::sgx

@@ -282,7 +282,7 @@ void Engine::run_end_rounds() {
       [&](std::size_t k) { nodes_[alive_scratch_[k].value]->end_round(round_); });
 }
 
-void Engine::plan_pushes(ArenaVector<Delivery>& deliveries) {
+void Engine::plan_pushes() {
   // Each alive node owns an output slot and a splittable loss stream, so
   // the merged list is independent of how the partition maps to workers.
   alive_ids(alive_scratch_);
@@ -311,16 +311,17 @@ void Engine::plan_pushes(ArenaVector<Delivery>& deliveries) {
   for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
     total += shard_slots_[k].deliveries.size();
   }
-  deliveries.reserve(total);
+  deliveries_.clear();
+  deliveries_.reserve(total);
   for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
     const ShardSlot& slot = shard_slots_[k];
     counters_.pushes_sent += slot.sent;
     counters_.legs_dropped += slot.dropped;
-    for (const Delivery& d : slot.deliveries) deliveries.push_back(d);
+    deliveries_.insert(deliveries_.end(), slot.deliveries.begin(), slot.deliveries.end());
   }
 }
 
-void Engine::plan_pulls(ArenaVector<PendingPull>& pulls) {
+void Engine::plan_pulls() {
   // Honest targets come from the node's private rng over its own view;
   // Byzantine targets come from the shared Coordinator and stay on this
   // thread. The pairs merge in node-index order, then one shuffle on the
@@ -331,23 +332,22 @@ void Engine::plan_pulls(ArenaVector<PendingPull>& pulls) {
   shard_over_alive([&](std::size_t k) {
     nodes_[alive_scratch_[k].value]->pull_targets(shard_slots_[k].targets);
   });
+  pulls_.clear();
   for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
     for (NodeId target : shard_slots_[k].targets) {
-      pulls.push_back({alive_scratch_[k], target});
+      pulls_.push_back({alive_scratch_[k], target});
     }
   }
-  rng_.shuffle(pulls);
+  rng_.shuffle(pulls_);
 }
 
 void Engine::deliver_pushes() {
   // Plan every alive node's pushes, then deliver them in a shuffled order
-  // so no node systematically observes pushes first. The delivery list is
-  // per-round scratch: staged in the arena, gone at the next step()'s reset.
-  ArenaVector<Delivery> deliveries(arena_);
+  // so no node systematically observes pushes first.
   {
     const obs::ScopedTimer t(phase_hist_[kPhasePushGen], &last_phase_us_[kPhasePushGen]);
-    plan_pushes(deliveries);
-    rng_.shuffle(deliveries);
+    plan_pushes();
+    rng_.shuffle(deliveries_);
   }
   const obs::ScopedTimer deliver_timer(phase_hist_[kPhasePushDeliver],
                                        &last_phase_us_[kPhasePushDeliver]);
@@ -360,23 +360,23 @@ void Engine::deliver_pushes() {
   // Coordinator, so they go first, on this thread. Listener callbacks
   // replay after application, serially, in the global shuffled order
   // (their arguments carry no engine state).
-  for (const Delivery& d : deliveries) {
+  for (const Delivery& d : deliveries_) {
     if (kinds_[d.to.value] == NodeKind::kByzantine) nodes_[d.to.value]->on_push(d.payload);
   }
   pool().parallel_for(
       pool().size(),
-      [this, &deliveries](std::size_t shard) {
+      [this](std::size_t shard) {
         const auto shards = static_cast<std::uint32_t>(pool_->size());
-        for (const Delivery& d : deliveries) {
+        for (const Delivery& d : deliveries_) {
           if (d.to.value % shards == shard && kinds_[d.to.value] != NodeKind::kByzantine) {
             nodes_[d.to.value]->on_push(d.payload);
           }
         }
       },
       /*grain=*/1);
-  counters_.pushes_delivered += deliveries.size();
+  counters_.pushes_delivered += deliveries_.size();
   if (!listeners_.empty()) {
-    for (const Delivery& d : deliveries) {
+    for (const Delivery& d : deliveries_) {
       for_listeners([&](ITrafficListener& l) {
         l.on_push_delivered(round_, d.from, d.payload.sender, d.to);
       });
@@ -503,9 +503,8 @@ void Engine::run_pull_exchanges() {
   // The exchanges run serially: each five-leg exchange draws loss/tamper
   // decisions from the shared engine stream and mutates both endpoints, so
   // sharding legs would break the bit-identity contract.
-  ArenaVector<PendingPull> pulls(arena_);
-  plan_pulls(pulls);
-  for (const PendingPull& p : pulls) {
+  plan_pulls();
+  for (const PendingPull& p : pulls_) {
     ++counters_.pulls_started;
     INode& initiator = *nodes_[p.initiator.value];
     if (!is_alive(p.target) || p.target == p.initiator) {
@@ -544,14 +543,13 @@ void Engine::step_event() {
   };
 
   // --- pushes: the round-mode plan, delivered through the event heap.
-  ArenaVector<Delivery> deliveries(arena_);
   {
     const obs::ScopedTimer t(phase_hist_[kPhasePushGen],
                              &last_phase_us_[kPhasePushGen]);
-    plan_pushes(deliveries);
+    plan_pushes();
   }
-  for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    const Delivery& d = deliveries[i];
+  for (std::size_t i = 0; i < deliveries_.size(); ++i) {
+    const Delivery& d = deliveries_[i];
     if (ev.partition.severed(region_of(d.from), region_of(d.to), round_)) {
       ++counters_.partition_drops;
       ++counters_.legs_dropped;
@@ -565,10 +563,9 @@ void Engine::step_event() {
   // --- pulls: the round-mode plan, each exchange started as an event at
   // the request's arrival; the remaining legs' delays are pre-sampled so
   // each pull event carries its exchange's virtual completion time in `b`.
-  ArenaVector<PendingPull> pulls(arena_);
-  plan_pulls(pulls);
-  for (std::size_t i = 0; i < pulls.size(); ++i) {
-    const PendingPull& p = pulls[i];
+  plan_pulls();
+  for (std::size_t i = 0; i < pulls_.size(); ++i) {
+    const PendingPull& p = pulls_[i];
     if (!p.target.valid() || p.target.value >= nodes_.size()) {
       evt_sched_.schedule(round_start, kEvtPull, i, round_start);
       continue;
@@ -604,7 +601,7 @@ void Engine::step_event() {
       const evt::Event e = evt_sched_.pop();
       if (evt_events_hist_) evt_events_hist_->record(e.at_us - round_start);
       if (e.kind == kEvtPush) {
-        const Delivery& d = deliveries[e.a];
+        const Delivery& d = deliveries_[e.a];
         if (e.at_us > deadline) {
           ++counters_.legs_late;
           ++counters_.legs_dropped;
@@ -617,7 +614,7 @@ void Engine::step_event() {
         });
         continue;
       }
-      const PendingPull& p = pulls[e.a];
+      const PendingPull& p = pulls_[e.a];
       ++counters_.pulls_started;
       INode& initiator = *nodes_[p.initiator.value];
       const auto timeout = [&] {
@@ -648,7 +645,6 @@ void Engine::step_event() {
 }
 
 void Engine::step() {
-  arena_.reset();  // reclaim last round's scratch wholesale
   {
     const obs::ScopedTimer t(phase_hist_[kPhaseBeginRound],
                              &last_phase_us_[kPhaseBeginRound]);

@@ -29,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "crypto/key.hpp"
@@ -209,23 +208,20 @@ class Engine {
   [[nodiscard]] std::size_t link_active_sessions() const;
 
  private:
-  /// One generated push awaiting delivery — trivially copyable, staged in
-  /// per-round arena scratch.
+  /// One generated push awaiting delivery, staged in deliveries_.
   struct Delivery {
     NodeId to;
     NodeId from;
     wire::PushMessage payload;
   };
-  /// One planned pull exchange, staged in per-round arena scratch.
+  /// One planned pull exchange, staged in pulls_.
   struct PendingPull {
     NodeId initiator;
     NodeId target;
   };
   /// Per-node output slot of a sharded phase: private delivery/target lists
   /// plus counter shares, merged in node-index order once every shard
-  /// finished. Slots persist across rounds so their capacity amortizes the
-  /// same way the arena's chunks do (the arena itself is single-owner and
-  /// stays on the coordinating thread).
+  /// finished. Slots persist across rounds so their capacity amortizes.
   struct ShardSlot {
     std::vector<Delivery> deliveries;
     std::vector<NodeId> targets;
@@ -259,11 +255,12 @@ class Engine {
   void run_begin_rounds();
   void run_end_rounds();
   /// Push planning, shared by both step modes: every alive node's push
-  /// targets, its loss draws and the node-index merge into `deliveries`.
-  void plan_pushes(ArenaVector<Delivery>& deliveries);
+  /// targets, its loss draws and the node-index merge into deliveries_.
+  void plan_pushes();
   /// Pull planning, shared by both step modes: every alive node's pull
-  /// targets merged in node-index order, then shuffled on the engine stream.
-  void plan_pulls(ArenaVector<PendingPull>& pulls);
+  /// targets merged in node-index order into pulls_, then shuffled on the
+  /// engine stream.
+  void plan_pulls();
   /// Round mode: shuffles the planned pushes and applies them, sharded by
   /// target.
   void deliver_pushes();
@@ -295,7 +292,10 @@ class Engine {
   bool listeners_dirty_ = false;    // a removal was deferred mid-dispatch
   Counters counters_;
 
-  Arena arena_;                              // per-round scratch, reset each step
+  // Per-round scratch, cleared by each round's planning; like the shard
+  // slots and alive_scratch_, their capacity persists across rounds.
+  std::vector<Delivery> deliveries_;
+  std::vector<PendingPull> pulls_;
   std::vector<ShardSlot> shard_slots_;
   std::vector<NodeId> alive_scratch_;        // reused by the round phases
   std::unique_ptr<exec::ThreadPool> pool_;   // lazily built on first use

@@ -59,14 +59,4 @@ class LinkCipher {
   std::uint64_t recv_seq_ = 0;
 };
 
-/// Convenience: a duplex pair of ciphers for one link endpoint.
-struct DuplexLink {
-  LinkCipher tx;
-  LinkCipher rx;
-
-  /// `initiator` selects which direction subkey this endpoint transmits on.
-  DuplexLink(const crypto::SymmetricKey& secret, bool initiator)
-      : tx(secret, initiator ? 0 : 1), rx(secret, initiator ? 1 : 0) {}
-};
-
 }  // namespace raptee::wire

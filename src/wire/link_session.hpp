@@ -4,7 +4,7 @@
 // deployment: two nodes run one key agreement, then amortize the derived
 // cipher state over every exchange they perform. The simulator used to
 // model the opposite — a fresh label allocation, HKDF derivation and two
-// DuplexLink constructions for every exchange of every round — which made
+// duplex cipher pairs for every exchange of every round — which made
 // the encrypted exchange phase the hottest allocation site in the engine.
 //
 // LinkTable caches exactly one LinkSession per unordered node pair:

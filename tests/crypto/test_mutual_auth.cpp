@@ -1,5 +1,7 @@
-// The paper's §IV-A mutual-authentication protocol: positive path, all the
-// mismatch paths, replay resistance, and the Fingerprint transport's bytes.
+// The paper's §IV-A proofs: kFull's proof binds both nonces in order and
+// the key, and known answers pin both transports' bytes. The handshake
+// itself, over both modes and both key holders, is tested in
+// tests/brahms/test_auth_modes.cpp.
 #include "crypto/mutual_auth.hpp"
 
 #include <gtest/gtest.h>
@@ -8,101 +10,6 @@
 
 namespace raptee::crypto {
 namespace {
-
-struct HandshakeResult {
-  bool initiator_trusts = false;
-  bool responder_trusts = false;
-};
-
-HandshakeResult run_handshake(const SymmetricKey& ka, const SymmetricKey& kb,
-                              std::uint64_t seed) {
-  Drbg rng_a(seed, "a"), rng_b(seed, "b");
-  AuthInitiator a(ka, rng_a);
-  AuthResponder b(kb, rng_b);
-
-  const AuthChallenge m1 = a.challenge();
-  const AuthResponse m2 = b.respond(m1);
-  AuthConfirm m3;
-  HandshakeResult result;
-  result.initiator_trusts = a.consume_response(m2, m3);
-  b.consume_confirm(m3);
-  result.responder_trusts = b.peer_trusted();
-  return result;
-}
-
-TEST(MutualAuth, SameKeyAuthenticatesBothDirections) {
-  Drbg kg(1);
-  const SymmetricKey group = kg.generate_key();
-  const auto r = run_handshake(group, group, 7);
-  EXPECT_TRUE(r.initiator_trusts);
-  EXPECT_TRUE(r.responder_trusts);
-}
-
-TEST(MutualAuth, DifferentKeysFailBothDirections) {
-  Drbg kg(2);
-  const auto r = run_handshake(kg.generate_key(), kg.generate_key(), 7);
-  EXPECT_FALSE(r.initiator_trusts);
-  EXPECT_FALSE(r.responder_trusts);
-}
-
-TEST(MutualAuth, FailedAuthStillProducesWellFormedConfirm) {
-  // Camouflage: an untrusted initiator still sends message 3 so traffic is
-  // indistinguishable.
-  Drbg kg(3);
-  Drbg rng_a(5, "a"), rng_b(5, "b");
-  AuthInitiator a(kg.generate_key(), rng_a);
-  AuthResponder b(kg.generate_key(), rng_b);
-  const auto m2 = b.respond(a.challenge());
-  AuthConfirm m3{};
-  EXPECT_FALSE(a.consume_response(m2, m3));
-  // Token must not be all zeros (it is a genuine ciphertext under A's key).
-  bool nonzero = false;
-  for (auto byte : m3.proof_a) nonzero |= (byte != 0);
-  EXPECT_TRUE(nonzero);
-}
-
-TEST(MutualAuth, TamperedProofRejected) {
-  Drbg kg(4);
-  const SymmetricKey group = kg.generate_key();
-  Drbg rng_a(6, "a"), rng_b(6, "b");
-  AuthInitiator a(group, rng_a);
-  AuthResponder b(group, rng_b);
-  auto m2 = b.respond(a.challenge());
-  m2.proof_b[0] ^= 0x01;
-  AuthConfirm m3;
-  EXPECT_FALSE(a.consume_response(m2, m3));
-}
-
-TEST(MutualAuth, TamperedConfirmRejected) {
-  Drbg kg(5);
-  const SymmetricKey group = kg.generate_key();
-  Drbg rng_a(8, "a"), rng_b(8, "b");
-  AuthInitiator a(group, rng_a);
-  AuthResponder b(group, rng_b);
-  const auto m2 = b.respond(a.challenge());
-  AuthConfirm m3;
-  EXPECT_TRUE(a.consume_response(m2, m3));
-  m3.proof_a[5] ^= 0xFF;
-  b.consume_confirm(m3);
-  EXPECT_FALSE(b.peer_trusted());
-}
-
-TEST(MutualAuth, ProofNotReplayableAcrossHandshakes) {
-  // A proof captured from one handshake fails under fresh challenges.
-  Drbg kg(6);
-  const SymmetricKey group = kg.generate_key();
-
-  Drbg rng1(10, "x"), rng2(11, "y");
-  AuthInitiator a1(group, rng1);
-  AuthResponder b1(group, rng2);
-  const auto captured = b1.respond(a1.challenge());
-
-  Drbg rng3(12, "z"), rng4(13, "w");
-  AuthInitiator a2(group, rng3);
-  AuthConfirm m3;
-  // Replay the captured (rB, proof) against a *new* challenge.
-  EXPECT_FALSE(a2.consume_response(captured, m3));
-}
 
 TEST(MutualAuth, ProofBindsBothNoncesInOrder) {
   Drbg kg(7);
@@ -131,13 +38,47 @@ TEST(MutualAuth, ProofDiffersPerKeyAndNonces) {
   EXPECT_NE(make_proof(k1, ra, rb), make_proof(k1, ra, rb2));
 }
 
-TEST(MutualAuth, ChallengesAreFreshPerInitiator) {
-  Drbg kg(9);
-  const SymmetricKey k = kg.generate_key();
-  Drbg rng(20, "fresh");
-  AuthInitiator a1(k, rng);
-  AuthInitiator a2(k, rng);
-  EXPECT_NE(a1.challenge().r_a, a2.challenge().r_a);
+TEST(ProofKey, LegsSeparateByDomainOrByNonceOrder) {
+  // kFingerprint names the leg in the MAC; kFull relies on the caller
+  // swapping the nonces between message 2 and message 3.
+  const ProofKey key(Drbg(9).generate_key());
+  AuthNonce ra{}, rb{};
+  ra[0] = 1;
+  rb[0] = 2;
+  const auto fp = [&](AuthLeg leg) { return key.prove(AuthMode::kFingerprint, leg, ra, rb); };
+  EXPECT_NE(fp(AuthLeg::kResponse), fp(AuthLeg::kConfirm));
+  EXPECT_FALSE(key.check(AuthMode::kFingerprint, AuthLeg::kConfirm, ra, rb,
+                         fp(AuthLeg::kResponse)));
+  EXPECT_EQ(key.prove(AuthMode::kFull, AuthLeg::kResponse, ra, rb), make_proof(key.key(), ra, rb));
+  EXPECT_EQ(key.prove(AuthMode::kFull, AuthLeg::kConfirm, ra, rb), make_proof(key.key(), ra, rb));
+  for (AuthMode mode : {AuthMode::kFull, AuthMode::kFingerprint}) {
+    for (AuthLeg leg : {AuthLeg::kResponse, AuthLeg::kConfirm}) {
+      EXPECT_TRUE(key.check(mode, leg, ra, rb, key.prove(mode, leg, ra, rb)));
+      EXPECT_FALSE(key.check(mode, leg, rb, ra, key.prove(mode, leg, ra, rb)));
+    }
+  }
+}
+
+/// The known-answer handshake: key Drbg(1).generate_key(), responder DRBG
+/// Drbg(2), initiator DRBG Drbg(3), r_a = 00 01 ... 0f.
+struct KnownAnswer {
+  AuthResponse response;
+  AuthConfirm confirm;
+};
+
+KnownAnswer known_answer(AuthMode mode) {
+  const SymmetricKey key = Drbg(1).generate_key();
+  brahms::KeyedAuthenticator responder(mode, key, Drbg(2));
+  brahms::KeyedAuthenticator initiator(mode, key, Drbg(3));
+  AuthChallenge challenge;
+  for (std::size_t i = 0; i < challenge.r_a.size(); ++i) {
+    challenge.r_a[i] = static_cast<std::uint8_t>(i);
+  }
+  KnownAnswer out;
+  out.response = responder.make_response(challenge);
+  EXPECT_TRUE(initiator.verify_response(challenge, out.response, &out.confirm));
+  EXPECT_TRUE(responder.verify_confirm(challenge, out.response, out.confirm));
+  return out;
 }
 
 TEST(FingerprintHandshake, KnownAnswerResponse) {
@@ -154,6 +95,22 @@ TEST(FingerprintHandshake, KnownAnswerResponse) {
   EXPECT_EQ(to_hex(response.r_b), "156cc23b854361c4f958ad884d58b969");
   EXPECT_EQ(to_hex(response.proof_b),
             "c5691401e1c400ec8989b745e6f8d8f264ae83d9436414f5110d0f85dd2dd18d");
+}
+
+TEST(FingerprintHandshake, KnownAnswerConfirm) {
+  // Message 3 under the "init" MAC domain.
+  EXPECT_EQ(to_hex(known_answer(AuthMode::kFingerprint).confirm.proof_a),
+            "2aff20fe8e9aa604eac580a08464f939e0229c3161e8e92850da3672b96adb72");
+}
+
+TEST(FullHandshake, KnownAnswer) {
+  // kFull draws the same r_b; its proofs are the AES-CTR-encrypted hashes.
+  const KnownAnswer full = known_answer(AuthMode::kFull);
+  EXPECT_EQ(to_hex(full.response.r_b), "156cc23b854361c4f958ad884d58b969");
+  EXPECT_EQ(to_hex(full.response.proof_b),
+            "99ca63b688b95a3e2639874300618e381f89f33c3a1f3b6d5ba85f44ea385027");
+  EXPECT_EQ(to_hex(full.confirm.proof_a),
+            "ddbe29a27bc85f8a80becf18938c3d2b1532bd3d5655932ae9b31069730e3385");
 }
 
 }  // namespace

@@ -114,10 +114,9 @@ TEST(LintRules, CastAllowlistFires) {
 TEST(LintRules, CastAllowlistCleanAndAuditedFiles) {
   const std::string good = load_fixture("cast_good.fixture");
   EXPECT_TRUE(run("src/gossip/fixture.cpp", good).empty());
-  // The audited syscall/arena files may cast freely, no annotation needed.
+  // The audited syscall file may cast freely, no annotation needed.
   const std::string bad = load_fixture("cast_bad.fixture");
   EXPECT_EQ(count_rule(run("src/net/socket.cpp", bad), "cast-allowlist"), 0u);
-  EXPECT_EQ(count_rule(run("src/common/arena.hpp", bad), "cast-allowlist"), 0u);
 }
 
 TEST(LintRules, IostreamFires) {

@@ -26,6 +26,13 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
+/// `prefix` followed by `i` in decimal, e.g. "m7".
+std::string numbered(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 std::string string_of(const std::vector<std::uint8_t>& v) {
   return {v.begin(), v.end()};
 }
@@ -133,11 +140,11 @@ TEST(Bus, QueueBeforeConnectDeliversInOrder) {
   a.bus->add_route(NodeId{2}, b.port);
   // All sends before any connection exists: they queue, dial, flush FIFO.
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(a.bus->send(NodeId{2}, bytes_of("m" + std::to_string(i))));
+    ASSERT_TRUE(a.bus->send(NodeId{2}, bytes_of(numbered("m", i))));
   }
   ASSERT_TRUE(b.sink.wait_messages(20));
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(b.sink.messages[i].second, "m" + std::to_string(i));
+    EXPECT_EQ(b.sink.messages[i].second, numbered("m", i));
   }
   a.bus->stop();
   b.bus->stop();
@@ -208,8 +215,8 @@ TEST(Bus, SimultaneousDialDedupsToOneConnection) {
   ASSERT_TRUE(b.sink.wait_ups(1));
   // Whatever the race did, traffic flows and exactly one link survives.
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(a.bus->send(NodeId{2}, bytes_of("a" + std::to_string(i))));
-    ASSERT_TRUE(b.bus->send(NodeId{1}, bytes_of("b" + std::to_string(i))));
+    ASSERT_TRUE(a.bus->send(NodeId{2}, bytes_of(numbered("a", i))));
+    ASSERT_TRUE(b.bus->send(NodeId{1}, bytes_of(numbered("b", i))));
   }
   ASSERT_TRUE(a.sink.wait_messages(10));
   ASSERT_TRUE(b.sink.wait_messages(10));

@@ -10,6 +10,9 @@
 namespace raptee::sgx {
 namespace {
 
+constexpr crypto::AuthMode kFull = crypto::AuthMode::kFull;
+constexpr crypto::AuthLeg kResponse = crypto::AuthLeg::kResponse;
+
 /// A provisioned enclave backed by a throwaway attestation service.
 struct Provisioned {
   AttestationService service{777};
@@ -36,8 +39,8 @@ TEST(Enclave, OperationsRequireProvisioning) {
   Enclave e(raptee_enclave_identity(), 1);
   EXPECT_FALSE(e.has_group_key());
   crypto::AuthNonce n{};
-  EXPECT_THROW((void)e.auth_make_proof(n, n), AssertionError);
-  EXPECT_THROW((void)e.auth_check_proof(n, n, {}), AssertionError);
+  EXPECT_THROW((void)e.auth_prove(kFull, kResponse, n, n), AssertionError);
+  EXPECT_THROW((void)e.auth_check(kFull, kResponse, n, n, {}), AssertionError);
   EXPECT_THROW((void)e.group_fingerprint(), AssertionError);
   EXPECT_THROW((void)e.filter_pulled({}, 0.5), AssertionError);
   EXPECT_THROW((void)e.select_swap_half({}), AssertionError);
@@ -55,9 +58,11 @@ TEST(Enclave, ProvisionedProofsVerifyAcrossEnclaves) {
   crypto::AuthNonce a{}, b{};
   a.fill(1);
   b.fill(2);
-  const auto proof = e1.auth_make_proof(a, b);
-  EXPECT_TRUE(e2.auth_check_proof(a, b, proof));
-  EXPECT_FALSE(e2.auth_check_proof(b, a, proof));
+  for (crypto::AuthMode mode : {kFull, crypto::AuthMode::kFingerprint}) {
+    const auto proof = e1.auth_prove(mode, kResponse, a, b);
+    EXPECT_TRUE(e2.auth_check(mode, kResponse, a, b, proof));
+    EXPECT_FALSE(e2.auth_check(mode, kResponse, b, a, proof));
+  }
   EXPECT_EQ(e1.group_fingerprint(), e2.group_fingerprint());
 }
 
@@ -146,7 +151,7 @@ TEST(Enclave, CycleLedgerChargesPerFunctionClass) {
   Provisioned p(/*seed=*/3, &model);
   crypto::AuthNonce n{};
   const auto before = p.enclave.ledger().cycles(FunctionClass::kPullRequest);
-  (void)p.enclave.auth_make_proof(n, n);
+  (void)p.enclave.auth_prove(kFull, kResponse, n, n);
   EXPECT_GT(p.enclave.ledger().cycles(FunctionClass::kPullRequest), before);
   EXPECT_GE(p.enclave.ledger().calls(FunctionClass::kPullRequest), 1u);
 
@@ -158,7 +163,7 @@ TEST(Enclave, CycleLedgerChargesPerFunctionClass) {
 TEST(Enclave, NullModelChargesNothing) {
   Provisioned p(/*seed=*/4, nullptr);
   crypto::AuthNonce n{};
-  (void)p.enclave.auth_make_proof(n, n);
+  (void)p.enclave.auth_prove(kFull, kResponse, n, n);
   EXPECT_EQ(p.enclave.ledger().total_cycles(), 0u);
 }
 

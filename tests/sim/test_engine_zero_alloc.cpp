@@ -1,6 +1,6 @@
 // Zero-allocation steady state of Engine::step (the "default scenario"
-// gate): once the arena chunks, phase scratch vectors, the event heap and
-// the SoA view slab have warmed their capacity, a full round — begin_round,
+// gate): once the round staging and phase scratch vectors, the event heap
+// and the SoA view slab have warmed their capacity, a full round — begin_round,
 // push fan-out, pull exchanges, end_round, listener dispatch — performs no
 // heap allocation at all, in round mode and in event mode. Verified by
 // counting every global operator new in this binary across a measured
@@ -162,8 +162,8 @@ Engine make_engine(EngineConfig config = {}) {  // threads == 1 by default
 TEST(EngineZeroAlloc, StepIsAllocationFreeInSteadyState) {
   Engine engine = make_engine();
 
-  // Warm-up: grows the arena, the alive/target scratches and the message
-  // codec buffers to their steady-state capacity.
+  // Warm-up: grows the round staging, the alive/target scratches and the
+  // message codec buffers to their steady-state capacity.
   for (int i = 0; i < 3; ++i) engine.step();
 
   const std::uint64_t before = g_allocations.load();

@@ -107,24 +107,6 @@ TEST(LinkCipher, DirectionsAreIndependentKeystreams) {
   EXPECT_FALSE(rx0.open(f1).has_value());
 }
 
-TEST(DuplexLink, EndToEnd) {
-  const auto key = test_key(9);
-  DuplexLink alice(key, /*initiator=*/true);
-  DuplexLink bob(key, /*initiator=*/false);
-
-  const std::vector<std::uint8_t> ping{'p', 'i', 'n', 'g'};
-  const std::vector<std::uint8_t> pong{'p', 'o', 'n', 'g'};
-  auto f = alice.tx.seal(ping);
-  auto opened = bob.rx.open(f);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, ping);
-
-  f = bob.tx.seal(pong);
-  opened = alice.rx.open(f);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, pong);
-}
-
 TEST(LinkCipher, SealKnownAnswer) {
   // Pins the sealed bytes (seq, AES-256-CTR body, HMAC tag): no simulated
   // result reads link ciphertext, so nothing else would notice a drift.

@@ -112,7 +112,7 @@ TEST(Message, TrailingGarbageRejected) {
 
 TEST(Message, TruncatedPayloadRejected) {
   auto bytes = encode(Message{PullReply{NodeId{1}, {}, {NodeId{2}, NodeId{3}}}});
-  bytes.resize(bytes.size() - 3);
+  bytes.erase(bytes.end() - 3, bytes.end());
   EXPECT_THROW((void)decode(bytes), WireError);
 }
 

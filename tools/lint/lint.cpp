@@ -32,10 +32,11 @@ constexpr std::array<RuleInfo, 8> kRules{{
      "every atomic load/store/exchange/fetch_*/++/--/= names its std::memory_order "
      "(src, bench, examples, tools)"},
     {"cast-allowlist",
-     "reinterpret_cast/const_cast only in the audited syscall/arena files "
-     "(src/net/socket.cpp, src/common/arena.hpp) or under an allow annotation"},
+     "reinterpret_cast/const_cast only in the audited syscall file "
+     "(src/net/socket.cpp) or under an allow annotation"},
     {"no-iostream-in-lib",
-     "library code (src/) writes through common/log, not std::cout/cerr/printf"},
+     "library code (src/) never writes std::cout/cerr/printf; it returns text "
+     "and the calling binary prints it"},
     {"header-hygiene",
      "headers open with #pragma once (before any code) and never say 'using namespace'"},
     {"suppression-hygiene",
@@ -50,14 +51,12 @@ constexpr std::array<std::string_view, 6> kDeterministicDirs{
     "src/metrics/", "src/wire/",      "src/evt/"};
 
 /// Files audited for raw casts: the syscall shim (kernel ABI requires the
-/// sockaddr puns) and the arena (a bump allocator is a cast by definition).
-constexpr std::array<std::string_view, 2> kCastAudited{"src/net/socket.cpp",
-                                                       "src/common/arena.hpp"};
+/// sockaddr puns).
+constexpr std::array<std::string_view, 1> kCastAudited{"src/net/socket.cpp"};
 
-/// The logging/assert sinks themselves — the code every other src/ file is
-/// told to route output through.
-constexpr std::array<std::string_view, 3> kIostreamExempt{
-    "src/common/log.cpp", "src/common/log.hpp", "src/common/assert.cpp"};
+/// The assert sink, which formats the failure text every other src/ file
+/// raises instead of printing.
+constexpr std::array<std::string_view, 1> kIostreamExempt{"src/common/assert.cpp"};
 
 struct FileClass {
   bool header = false;
@@ -369,7 +368,7 @@ void rule_cast_allowlist(const std::vector<Token>& toks, const FileClass& fc,
     if (tok.text == "reinterpret_cast" || tok.text == "const_cast") {
       out.push_back({tok.line, "cast-allowlist",
                      tok.text +
-                         " outside the audited syscall/arena files; move the "
+                         " outside the audited syscall file; move the "
                          "cast there or annotate the audited reason"});
     }
   }
@@ -388,16 +387,16 @@ void rule_no_iostream_in_lib(const std::vector<Token>& toks, const FileClass& fc
       if (t == s && i > 0 && toks[i - 1].text == "::") {
         out.push_back({toks[i].line, "no-iostream-in-lib",
                        "std::" + t +
-                           " in library code; log through common/log "
-                           "(RAPTEE_LOG_*) so sinks/levels stay controllable"});
+                           " in library code; return the text and let the "
+                           "calling binary print it"});
       }
     }
     for (const std::string_view p : kPrints) {
       if (t == p && i + 1 < toks.size() && toks[i + 1].text == "(" &&
           (i == 0 || (toks[i - 1].text != "." && toks[i - 1].text != "->"))) {
         out.push_back({toks[i].line, "no-iostream-in-lib",
-                       t + "() in library code; log through common/log "
-                           "(RAPTEE_LOG_*) so sinks/levels stay controllable"});
+                       t + "() in library code; return the text and let the "
+                           "calling binary print it"});
       }
     }
   }

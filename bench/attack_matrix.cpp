@@ -1,4 +1,4 @@
-// Attack matrix: the full adversary catalog (every registered strategy,
+// Attack matrix: the full adversary catalog (every catalog strategy,
 // plus a trusted-victim eclipse variant) against the defence axis (no
 // eviction / fixed 60 % / adaptive), on one RAPTEE population — the
 // coverage BASALT-style evaluations demand and the single balanced attack

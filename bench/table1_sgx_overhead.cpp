@@ -107,7 +107,7 @@ void fn_trusted_comms() {
   std::vector<gossip::ViewEntry> incoming;
   incoming.reserve(half.size());
   for (NodeId id : half) incoming.push_back({NodeId{id.value + 500}, 0});
-  scratch.framework_merge(incoming, NodeId{9999}, 0, half.size(), half, f.rng);
+  scratch.framework_merge(incoming, NodeId{9999}, half, f.rng);
   keep_alive(scratch.size());
 }
 

@@ -4,8 +4,8 @@
 //      print precision/recall/F1 under a chosen eviction policy;
 //   2. view-poisoned trusted-node injection: watch the poisoned devices'
 //      self-healing (trusted-view pollution round by round);
-//   3. adversary catalog: run every registered attack strategy
-//      (adversary::StrategyRegistry) against the same population and
+//   3. adversary catalog: run every attack strategy
+//      (adversary::strategy_catalog()) against the same population and
 //      compare pollution, victim isolation and suppressed liveness.
 //
 //   ./build/examples/attack_lab [N] [f%] [t%] [ER% | adaptive]
@@ -101,21 +101,21 @@ int main(int argc, char** argv) {
             << "%  trusted(incl. poisoned)="
             << metrics::fmt(100 * attacked.steady_pollution_trusted) << "%\n\n";
 
-  // --- 3. the adversary catalog: every registered strategy, same system ---
-  std::cout << "[3] Adversary catalog (ScenarioSpec::attack, strategy registry)\n";
+  // --- 3. the adversary catalog: every strategy, same system ---
+  std::cout << "[3] Adversary catalog (ScenarioSpec::attack, strategy catalog)\n";
   metrics::TablePrinter catalog_table(
       {"strategy", "pollution %", "victim %", "isolated rd", "suppressed", "summary"});
-  for (const auto& entry : adversary::StrategyRegistry::instance().entries()) {
+  for (const adversary::StrategyEntry& entry : adversary::strategy_catalog()) {
     const auto result =
-        scenario::ScenarioSpec(spec.config()).attack(entry.name).run();
+        scenario::ScenarioSpec(spec.config()).attack(entry.preset()).run();
     const bool victims = result.attack.victims > 0;
     catalog_table.add_row(
-        {entry.name, metrics::fmt(100.0 * result.steady_pollution),
+        {std::string(entry.name), metrics::fmt(100.0 * result.steady_pollution),
          victims ? metrics::fmt(100.0 * result.attack.steady_victim_pollution) : "-",
          result.attack.rounds_to_isolation
              ? std::to_string(*result.attack.rounds_to_isolation)
              : "-",
-         std::to_string(result.attack.legs_suppressed), entry.summary});
+         std::to_string(result.attack.legs_suppressed), std::string(entry.summary)});
   }
   std::cout << catalog_table.render() << '\n'
             << "victim columns apply to targeted strategies (eclipse); suppressed\n"

@@ -39,7 +39,7 @@ class DeadEntryScanner final : public scenario::IScenarioObserver {
       const NodeId id{i};
       if (!engine.is_alive(id)) continue;
       ++alive;
-      for (NodeId peer : engine.node(id).current_view()) {
+      for (NodeId peer : engine.view_of(id)) {
         ++view_total;
         if (!engine.is_alive(peer)) ++view_dead;
       }

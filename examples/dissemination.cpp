@@ -55,7 +55,8 @@ class OverlaySnapshotter final : public scenario::IScenarioObserver {
     overlay.views.resize(engine.size());
     for (std::uint32_t i = 0; i < engine.size(); ++i) {
       if (overlay.kinds[i] != NodeKind::kByzantine) {
-        overlay.views[i] = engine.node(NodeId{i}).current_view();
+        const auto view = engine.view_of(NodeId{i});
+        overlay.views[i].assign(view.begin(), view.end());
       }
     }
   }

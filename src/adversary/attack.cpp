@@ -56,22 +56,15 @@ AttackSpec AttackSpec::partition_eclipse(Round window_from, Round window_until,
 }
 
 AttackSpec AttackSpec::named(const std::string& name) {
-  if (name == "balanced") return balanced();
-  if (name == "eclipse") return eclipse();
-  if (name == "oscillating") return oscillating();
-  if (name == "omission") return omission();
-  if (name == "bogus_swap") return bogus_swap();
-  if (name == "delay_eclipse") return delay_eclipse();
-  if (name == "partition_eclipse") return partition_eclipse();
-  AttackSpec spec;
-  spec.strategy = name;  // custom registered strategy with default knobs
-  return spec;
+  const StrategyEntry* entry = find_strategy(name);
+  RAPTEE_REQUIRE(entry != nullptr, "unknown attack strategy '" << name << "'");
+  return entry->preset();
 }
 
 void AttackSpec::validate() const {
   RAPTEE_REQUIRE(!strategy.empty(), "attack strategy name must not be empty");
-  RAPTEE_REQUIRE(StrategyRegistry::instance().contains(strategy),
-                 "attack strategy '" << strategy << "' is not registered");
+  RAPTEE_REQUIRE(find_strategy(strategy) != nullptr,
+                 "attack strategy '" << strategy << "' is not in the catalog");
   RAPTEE_REQUIRE(std::isfinite(victim_fraction) && victim_fraction >= 0.0 &&
                      victim_fraction <= 1.0,
                  "victim fraction out of [0,1]: " << victim_fraction);

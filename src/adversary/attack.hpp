@@ -1,15 +1,15 @@
 // AttackSpec: the declarative, validated description of the adversary —
-// a registered strategy name plus per-strategy parameters, playing the same
+// a catalog strategy name plus per-strategy parameters, playing the same
 // role for the attack axis that core::EvictionSpec plays for the defence
 // axis. The spec is pure data: resolution to behaviour happens through the
-// adversary::StrategyRegistry (strategy.hpp) when an experiment builds its
-// Coordinator.
+// strategy catalog (strategy.hpp, make_strategy) when an experiment builds
+// its Coordinator.
 //
-// Built-in strategies (see strategy.cpp for the behaviours):
+// The catalog (see strategy.cpp for the behaviours):
 //   balanced     — the Brahms-optimal balanced attack the paper assumes
 //                  (push budget spread evenly, poisoned pull answers,
 //                  camouflaged pulls). The default; observable results are
-//                  bit-identical to the pre-registry hardcoded adversary.
+//                  bit-identical to the pre-strategy hardcoded adversary.
 //   eclipse      — the targeted attack BASALT evaluates against: the whole
 //                  push budget focuses on a victim subset (capped per
 //                  victim to stay under Brahms' flood detection) and pulls
@@ -41,7 +41,7 @@
 namespace raptee::adversary {
 
 struct AttackSpec {
-  /// Registered strategy name (StrategyRegistry); "balanced" is the
+  /// Catalog strategy name (strategy_catalog()); "balanced" is the
   /// paper's default adversary.
   std::string strategy = "balanced";
 
@@ -102,11 +102,12 @@ struct AttackSpec {
   [[nodiscard]] static AttackSpec partition_eclipse(Round window_from = 0,
                                                     Round window_until = 0,
                                                     double victim_fraction = 0.05);
-  /// Defaults for a strategy name — the built-ins above, or an otherwise
-  /// default spec carrying `name` (custom registered strategies).
+  /// The catalog preset for a strategy name (one of the constructors
+  /// above, default arguments); throws std::invalid_argument for a name
+  /// not in the catalog.
   [[nodiscard]] static AttackSpec named(const std::string& name);
 
-  /// Parameter ranges plus registry membership of `strategy`.
+  /// Parameter ranges plus catalog membership of `strategy`.
   void validate() const;
 };
 

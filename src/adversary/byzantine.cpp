@@ -53,23 +53,7 @@ std::span<const NodeId> Coordinator::push_slice(NodeId member) const {
   return {schedule_.data() + from, to - from};
 }
 
-std::vector<NodeId> Coordinator::push_allocation(NodeId member) const {
-  const auto slice = push_slice(member);
-  return {slice.begin(), slice.end()};
-}
-
-void Coordinator::push_allocation(NodeId member, std::vector<NodeId>& out) const {
-  const auto slice = push_slice(member);
-  out.assign(slice.begin(), slice.end());
-}
-
-std::vector<NodeId> Coordinator::pull_targets(NodeId member) {
-  std::vector<NodeId> out;
-  pull_targets(member, out);
-  return out;
-}
-
-void Coordinator::pull_targets(NodeId /*member*/, std::vector<NodeId>& out) {
+void Coordinator::pull_targets(std::vector<NodeId>& out) {
   out.clear();
   strategy_->plan_pulls(*this, out);
 }
@@ -86,7 +70,7 @@ bool Coordinator::attach_bogus_swap() const {
   return strategy_->attach_bogus_swap(prepared_round_.value_or(0), *this);
 }
 
-void Coordinator::faulty_view_into(std::size_t k, std::vector<NodeId>& out) {
+void Coordinator::faulty_view(std::size_t k, std::vector<NodeId>& out) {
   out.clear();
   if (k <= members_.size()) {
     rng_.sample_indices_into(members_.size(), k, index_scratch_);
@@ -100,12 +84,6 @@ void Coordinator::faulty_view_into(std::size_t k, std::vector<NodeId>& out) {
     out.push_back(members_[static_cast<std::size_t>(rng_.below(members_.size()))]);
   }
   rng_.shuffle(out);
-}
-
-std::vector<NodeId> Coordinator::faulty_view(std::size_t k) {
-  std::vector<NodeId> out;
-  faulty_view_into(k, out);
-  return out;
 }
 
 NodeId Coordinator::faulty_id() {
@@ -131,12 +109,9 @@ void ByzantineNode::bootstrap(const std::vector<NodeId>& /*initial_peers*/) {
 
 void ByzantineNode::begin_round(Round r) { coordinator_->begin_round(r); }
 
-std::vector<NodeId> ByzantineNode::push_targets() {
-  return coordinator_->push_allocation(self_);
-}
-
 void ByzantineNode::push_targets(std::vector<NodeId>& out) {
-  coordinator_->push_allocation(self_, out);
+  const auto slice = coordinator_->push_slice(self_);
+  out.assign(slice.begin(), slice.end());
 }
 
 wire::PushMessage ByzantineNode::make_push() {
@@ -147,12 +122,8 @@ wire::PushMessage ByzantineNode::make_push() {
 
 void ByzantineNode::on_push(const wire::PushMessage& /*push*/) {}
 
-std::vector<NodeId> ByzantineNode::pull_targets() {
-  return coordinator_->pull_targets(self_);
-}
-
 void ByzantineNode::pull_targets(std::vector<NodeId>& out) {
-  coordinator_->pull_targets(self_, out);
+  coordinator_->pull_targets(out);
 }
 
 wire::PullRequest ByzantineNode::open_pull(NodeId /*target*/) {
@@ -183,8 +154,9 @@ wire::AuthConfirm ByzantineNode::process_pull_reply(const wire::PullReply& /*rep
   confirm.sender = self_;
   drbg_.fill(confirm.confirm.proof_a.data(), confirm.confirm.proof_a.size());
   if (coordinator_->attach_bogus_swap()) {
-    confirm.swap_offer = coordinator_->faulty_view(
-        std::max<std::size_t>(1, coordinator_->config().advertised_view_size / 2));
+    coordinator_->faulty_view(
+        std::max<std::size_t>(1, coordinator_->config().advertised_view_size / 2),
+        confirm.swap_offer.emplace());
   }
   return confirm;
 }
@@ -197,11 +169,5 @@ std::optional<wire::SwapReply> ByzantineNode::process_confirm(
 void ByzantineNode::process_swap_reply(const wire::SwapReply& /*reply*/) {}
 
 void ByzantineNode::end_round(Round /*r*/) {}
-
-std::vector<NodeId> ByzantineNode::current_view() const {
-  // What the node would advertise if asked; Byzantine views are excluded
-  // from every honest-side metric.
-  return coordinator_->members();
-}
 
 }  // namespace raptee::adversary

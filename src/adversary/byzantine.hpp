@@ -22,6 +22,11 @@
 // AttackConfig::targeted_victims focuses the push budget on a victim
 // subset (the eclipse attempt Brahms' history sampling defends against);
 // the eclipse strategy populates it from AttackSpec::victim_fraction.
+//
+// Each Coordinator call has one form: push_slice() is a member's span of
+// the round's schedule, and pull_targets(), answer_view() and faulty_view()
+// fill caller-owned vectors. ByzantineNode relays them through the
+// one-form sim::INode calls and keeps no view of its own.
 #pragma once
 
 #include <functional>
@@ -67,22 +72,15 @@ class Coordinator {
   /// round: every member calls it, the first call does the work.
   void begin_round(Round r);
 
-  /// The push targets assigned to `member` this round.
-  [[nodiscard]] std::vector<NodeId> push_allocation(NodeId member) const;
-  /// Allocation-free view of the same slice (valid until the next
-  /// begin_round); the hot-path form used by ByzantineNode.
+  /// The push targets assigned to `member` this round: its slice of the
+  /// flat schedule, valid until the next begin_round.
   [[nodiscard]] std::span<const NodeId> push_slice(NodeId member) const;
-  /// Scratch-filling variant: clears and fills `out` (capacity persists
-  /// across rounds), mirroring the wire-path zero-allocation conventions.
-  void push_allocation(NodeId member, std::vector<NodeId>& out) const;
 
-  /// Pull targets for `member` this round (strategy policy; balanced:
-  /// uniform over victims).
-  [[nodiscard]] std::vector<NodeId> pull_targets(NodeId member);
-  /// Scratch-filling form (same draws): clears and fills `out`. Draws on
-  /// the shared coordinator rng — callers serialize (the engine runs
-  /// Byzantine nodes on the coordinating thread in every sharded phase).
-  void pull_targets(NodeId member, std::vector<NodeId>& out);
+  /// Replaces the contents of `out` with one member's pull targets this
+  /// round (strategy policy; balanced: uniform over victims). Draws on the
+  /// shared coordinator rng — callers serialize (the engine runs Byzantine
+  /// nodes on the coordinating thread in every sharded phase).
+  void pull_targets(std::vector<NodeId>& out);
 
   /// Whether members answer pull requests at all this round (the omission
   /// strategy refuses; the engine counts suppressed legs).
@@ -93,10 +91,9 @@ class Coordinator {
   /// Whether confirms carry a forged swap offer this round.
   [[nodiscard]] bool attach_bogus_swap() const;
 
-  /// A poisoned view: `k` Byzantine IDs (distinct while possible).
-  [[nodiscard]] std::vector<NodeId> faulty_view(std::size_t k);
-  /// Scratch-filling form of faulty_view (same draws).
-  void faulty_view_into(std::size_t k, std::vector<NodeId>& out);
+  /// Replaces the contents of `out` with a poisoned view: `k` Byzantine
+  /// IDs (distinct while possible).
+  void faulty_view(std::size_t k, std::vector<NodeId>& out);
   [[nodiscard]] NodeId faulty_id();
 
   [[nodiscard]] bool is_member(NodeId id) const;
@@ -138,7 +135,7 @@ class Coordinator {
   std::vector<NodeId> schedule_;
   std::vector<NodeId> pool_scratch_;
   std::vector<NodeId> background_scratch_;
-  std::vector<std::size_t> index_scratch_;  // faulty_view_into sampling
+  std::vector<std::size_t> index_scratch_;  // faulty_view sampling
   std::optional<Round> prepared_round_;
   bool active_ = true;
   std::uint64_t rounds_active_ = 0;
@@ -154,11 +151,9 @@ class ByzantineNode final : public sim::INode {
   [[nodiscard]] NodeId id() const override { return self_; }
   void bootstrap(const std::vector<NodeId>& initial_peers) override;
   void begin_round(Round r) override;
-  [[nodiscard]] std::vector<NodeId> push_targets() override;
   void push_targets(std::vector<NodeId>& out) override;
   [[nodiscard]] wire::PushMessage make_push() override;
   void on_push(const wire::PushMessage& push) override;
-  [[nodiscard]] std::vector<NodeId> pull_targets() override;
   void pull_targets(std::vector<NodeId>& out) override;
   [[nodiscard]] wire::PullRequest open_pull(NodeId target) override;
   [[nodiscard]] bool answers_pull(NodeId requester) override;
@@ -168,10 +163,9 @@ class ByzantineNode final : public sim::INode {
       const wire::AuthConfirm& confirm) override;
   void process_swap_reply(const wire::SwapReply& reply) override;
   void end_round(Round r) override;
-  [[nodiscard]] std::vector<NodeId> current_view() const override;
-  /// Byzantine nodes opt out of the engine's SoA view slab: their "view"
-  /// is the whole member list (synthetic, unbounded by l1) and is excluded
-  /// from every honest-side metric.
+  /// Byzantine nodes opt out of the engine's SoA view slab: they keep no
+  /// view (the Coordinator answers pulls) and are excluded from every
+  /// honest-side metric.
   [[nodiscard]] std::size_t view_capacity() const override { return 0; }
   std::size_t copy_view(NodeId*, std::size_t) const override { return 0; }
 

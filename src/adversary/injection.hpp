@@ -23,7 +23,9 @@ namespace raptee::adversary {
 /// quarantines it in a Byzantine-only network: `view_size` faulty IDs.
 [[nodiscard]] inline std::vector<NodeId> poisoned_bootstrap(Coordinator& coordinator,
                                                             std::size_t view_size) {
-  return coordinator.faulty_view(view_size);
+  std::vector<NodeId> view;
+  coordinator.faulty_view(view_size, view);
+  return view;
 }
 
 }  // namespace raptee::adversary

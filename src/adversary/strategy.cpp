@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <sstream>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "adversary/byzantine.hpp"
@@ -29,7 +28,7 @@ void IStrategy::plan_pulls(Coordinator& coord, std::vector<NodeId>& out) {
 
 void IStrategy::answer_view(Round /*r*/, Coordinator& coord, std::size_t k,
                             std::vector<NodeId>& out) {
-  coord.faulty_view_into(k, out);
+  coord.faulty_view(k, out);
 }
 
 bool IStrategy::attach_bogus_swap(Round /*r*/, const Coordinator& coord) const {
@@ -193,7 +192,7 @@ class PartitionEclipseStrategy final : public EclipseStrategy {
   void answer_view(Round r, Coordinator& coord, std::size_t k,
                    std::vector<NodeId>& out) override {
     if (active(r)) {
-      coord.faulty_view_into(k, out);
+      coord.faulty_view(k, out);
       return;
     }
     // Outside the window: advertise correct IDs, exactly like a dormant
@@ -201,7 +200,7 @@ class PartitionEclipseStrategy final : public EclipseStrategy {
     out.clear();
     const std::vector<NodeId>& victims = coord.victims();
     if (victims.empty()) {
-      coord.faulty_view_into(k, out);
+      coord.faulty_view(k, out);
       return;
     }
     out.reserve(k);
@@ -241,7 +240,7 @@ class OscillatingStrategy final : public BalancedStrategy {
   void answer_view(Round r, Coordinator& coord, std::size_t k,
                    std::vector<NodeId>& out) override {
     if (active(r)) {
-      coord.faulty_view_into(k, out);
+      coord.faulty_view(k, out);
       return;
     }
     // Off duty: advertise correct IDs — indistinguishable from an honest
@@ -249,7 +248,7 @@ class OscillatingStrategy final : public BalancedStrategy {
     out.clear();
     const std::vector<NodeId>& victims = coord.victims();
     if (victims.empty()) {
-      coord.faulty_view_into(k, out);
+      coord.faulty_view(k, out);
       return;
     }
     out.reserve(k);
@@ -270,6 +269,8 @@ class OscillatingStrategy final : public BalancedStrategy {
 /// engine counts every refusal in Counters::legs_suppressed.
 class OmissionStrategy final : public IStrategy {
  public:
+  explicit OmissionStrategy(const AttackSpec& /*spec*/) {}
+
   [[nodiscard]] std::string_view name() const override { return "omission"; }
 
   void plan_pushes(Round /*r*/, Coordinator& /*coord*/,
@@ -297,99 +298,61 @@ class BogusSwapStrategy final : public BalancedStrategy {
   }
 };
 
+// ----------------------------------------------------------------- catalog
+
+template <typename Strategy>
+std::unique_ptr<IStrategy> build(const AttackSpec& spec) {
+  return std::make_unique<Strategy>(spec);
+}
+
+constexpr StrategyEntry kCatalog[] = {
+    {"balanced", "Brahms-optimal balanced attack (paper §III-B); the default",
+     [] { return AttackSpec::balanced(); }, build<BalancedStrategy>},
+    {"bogus_swap", "balanced + forged swap offer on every confirm",
+     [] { return AttackSpec::bogus_swap(); }, build<BogusSwapStrategy>},
+    {"delay_eclipse", "eclipse + delayed honest→victim links (event-driven time)",
+     [] { return AttackSpec::delay_eclipse(); }, build<DelayEclipseStrategy>},
+    {"eclipse", "focused push budget + harvesting pulls on a victim subset",
+     [] { return AttackSpec::eclipse(); }, build<EclipseStrategy>},
+    {"omission", "answers no pulls, sends nothing (liveness attacker)",
+     [] { return AttackSpec::omission(); }, build<OmissionStrategy>},
+    {"oscillating", "on/off duty cycle evading window-smoothed statistics",
+     [] { return AttackSpec::oscillating(); }, build<OscillatingStrategy>},
+    {"partition_eclipse", "eclipse focused into a partition round window",
+     [] { return AttackSpec::partition_eclipse(); }, build<PartitionEclipseStrategy>},
+};
+static_assert(std::is_sorted(std::begin(kCatalog), std::end(kCatalog),
+                             [](const StrategyEntry& a, const StrategyEntry& b) {
+                               return a.name < b.name;
+                             }),
+              "the strategy catalog must stay sorted by name");
+
+std::string catalog_names() {
+  std::string names;
+  for (const StrategyEntry& entry : kCatalog) {
+    if (!names.empty()) names += ", ";
+    names += entry.name;
+  }
+  return names;
+}
+
 }  // namespace
 
-// ---------------------------------------------------------------- registry
+std::span<const StrategyEntry> strategy_catalog() { return kCatalog; }
 
-struct StrategyRegistry::Impl {
-  mutable std::mutex mutex;
-  std::map<std::string, std::pair<std::string, Factory>> entries;
-};
-
-StrategyRegistry::StrategyRegistry() : impl_(std::make_shared<Impl>()) {
-  add("balanced", "Brahms-optimal balanced attack (paper §III-B); the default",
-      [](const AttackSpec& spec) { return std::make_unique<BalancedStrategy>(spec); });
-  add("eclipse", "focused push budget + harvesting pulls on a victim subset",
-      [](const AttackSpec& spec) { return std::make_unique<EclipseStrategy>(spec); });
-  add("oscillating", "on/off duty cycle evading window-smoothed statistics",
-      [](const AttackSpec& spec) { return std::make_unique<OscillatingStrategy>(spec); });
-  add("omission", "answers no pulls, sends nothing (liveness attacker)",
-      [](const AttackSpec&) { return std::make_unique<OmissionStrategy>(); });
-  add("bogus_swap", "balanced + forged swap offer on every confirm",
-      [](const AttackSpec& spec) { return std::make_unique<BogusSwapStrategy>(spec); });
-  add("delay_eclipse",
-      "eclipse + delayed honest→victim links (event-driven time)",
-      [](const AttackSpec& spec) {
-        return std::make_unique<DelayEclipseStrategy>(spec);
-      });
-  add("partition_eclipse", "eclipse focused into a partition round window",
-      [](const AttackSpec& spec) {
-        return std::make_unique<PartitionEclipseStrategy>(spec);
-      });
-}
-
-StrategyRegistry& StrategyRegistry::instance() {
-  static StrategyRegistry registry;
-  return registry;
-}
-
-void StrategyRegistry::add(std::string name, std::string summary, Factory factory) {
-  RAPTEE_REQUIRE(!name.empty(), "strategy name must not be empty");
-  RAPTEE_REQUIRE(factory != nullptr, "strategy '" << name << "' needs a factory");
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  const bool inserted =
-      impl_->entries.emplace(std::move(name), std::make_pair(std::move(summary),
-                                                             std::move(factory)))
-          .second;
-  RAPTEE_REQUIRE(inserted, "attack strategy registered twice");
-}
-
-bool StrategyRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->entries.count(name) != 0;
-}
-
-std::unique_ptr<IStrategy> StrategyRegistry::make(const AttackSpec& spec) const {
-  Factory factory;
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    const auto it = impl_->entries.find(spec.strategy);
-    if (it == impl_->entries.end()) {
-      std::ostringstream known;
-      for (const auto& [name, entry] : impl_->entries) {
-        if (known.tellp() > 0) known << ", ";
-        known << name;
-      }
-      RAPTEE_REQUIRE(false, "unknown attack strategy '" << spec.strategy
-                                                        << "' (registered: "
-                                                        << known.str() << ")");
-    }
-    factory = it->second.second;
+const StrategyEntry* find_strategy(std::string_view name) {
+  for (const StrategyEntry& entry : kCatalog) {
+    if (entry.name == name) return &entry;
   }
-  std::unique_ptr<IStrategy> strategy = factory(spec);
-  RAPTEE_REQUIRE(strategy != nullptr,
-                 "factory for '" << spec.strategy << "' returned null");
-  return strategy;
-}
-
-std::vector<StrategyRegistry::Entry> StrategyRegistry::entries() const {
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<Entry> out;
-  out.reserve(impl_->entries.size());
-  for (const auto& [name, entry] : impl_->entries) out.push_back({name, entry.first});
-  return out;  // std::map iteration is already name-sorted
-}
-
-std::vector<std::string> StrategyRegistry::names() const {
-  std::vector<Entry> all = entries();
-  std::vector<std::string> out;
-  out.reserve(all.size());
-  for (Entry& entry : all) out.push_back(std::move(entry.name));
-  return out;
+  return nullptr;
 }
 
 std::unique_ptr<IStrategy> make_strategy(const AttackSpec& spec) {
-  return StrategyRegistry::instance().make(spec);
+  const StrategyEntry* entry = find_strategy(spec.strategy);
+  RAPTEE_REQUIRE(entry != nullptr, "unknown attack strategy '"
+                                       << spec.strategy << "' (catalog: "
+                                       << catalog_names() << ")");
+  return entry->make(spec);
 }
 
 }  // namespace raptee::adversary

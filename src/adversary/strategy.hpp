@@ -11,15 +11,14 @@
 //   * swap policy              (attach_bogus_swap)
 //   * per-round activation     (active: duty cycles / adaptive dormancy)
 //
-// Strategies are constructed from an AttackSpec by the StrategyRegistry, so
-// experiments select an adversary by name through the public scenario API
-// (ScenarioSpec::attack). The built-in catalog is registered on first
-// registry access; tests and downstream code may add their own.
+// The strategies form a fixed catalog (strategy_catalog(), one row per
+// IStrategy class in strategy.cpp), so experiments select an adversary by
+// name through the public scenario API (ScenarioSpec::attack). Adding a
+// strategy means adding one IStrategy class and one catalog row.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -32,7 +31,7 @@ class Coordinator;
 
 /// Behavioural policy driving a Coordinator. Hooks receive the Coordinator
 /// for shared state (members(), victims(), targeted(), config(), rng(),
-/// faulty_view_into()); all randomness must flow through coord.rng() so a
+/// faulty_view()); all randomness must flow through coord.rng() so a
 /// (seed, spec) pair reproduces the attack bit-for-bit.
 class IStrategy {
  public:
@@ -93,41 +92,23 @@ class IStrategy {
   }
 };
 
-/// Name → factory registry resolving AttackSpecs into strategies. Process
-/// global; the built-in catalog (balanced, eclipse, oscillating, omission,
-/// bogus_swap) is registered on first access. Thread-safe.
-class StrategyRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<IStrategy>(const AttackSpec&)>;
-
-  [[nodiscard]] static StrategyRegistry& instance();
-
-  /// Registers a strategy; throws std::invalid_argument on a duplicate or
-  /// empty name.
-  void add(std::string name, std::string summary, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  /// Builds the strategy for `spec.strategy`; throws std::invalid_argument
-  /// for an unknown name (listing the registered ones).
-  [[nodiscard]] std::unique_ptr<IStrategy> make(const AttackSpec& spec) const;
-
-  struct Entry {
-    std::string name;
-    std::string summary;
-  };
-  /// All registered strategies, sorted by name.
-  [[nodiscard]] std::vector<Entry> entries() const;
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  StrategyRegistry();
-
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
+/// One row of the strategy catalog.
+struct StrategyEntry {
+  std::string_view name;
+  std::string_view summary;
+  /// The strategy's default spec (what AttackSpec::named returns).
+  AttackSpec (*preset)();
+  /// Builds the strategy for a spec naming it.
+  std::unique_ptr<IStrategy> (*make)(const AttackSpec& spec);
 };
 
-/// Convenience: StrategyRegistry::instance().make(spec).
+/// Every strategy (balanced, bogus_swap, delay_eclipse, eclipse, omission,
+/// oscillating, partition_eclipse), sorted by name.
+[[nodiscard]] std::span<const StrategyEntry> strategy_catalog();
+/// The catalog row named `name`, or nullptr.
+[[nodiscard]] const StrategyEntry* find_strategy(std::string_view name);
+/// Builds the strategy for `spec.strategy`; throws std::invalid_argument
+/// for a name not in the catalog (listing the catalog).
 [[nodiscard]] std::unique_ptr<IStrategy> make_strategy(const AttackSpec& spec);
 
 }  // namespace raptee::adversary

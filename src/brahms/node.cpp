@@ -60,12 +60,6 @@ void BrahmsNode::begin_round(Round /*r*/) {
   view_.age_all();
 }
 
-std::vector<NodeId> BrahmsNode::push_targets() {
-  std::vector<NodeId> targets;
-  push_targets(targets);
-  return targets;
-}
-
 void BrahmsNode::push_targets(std::vector<NodeId>& out) {
   out.clear();
   if (view_.empty()) return;
@@ -79,12 +73,6 @@ wire::PushMessage BrahmsNode::make_push() { return wire::PushMessage{self_}; }
 void BrahmsNode::on_push(const wire::PushMessage& push) {
   ++raw_push_count_;
   if (push.sender.valid() && push.sender != self_) pushed_.push_back(push.sender);
-}
-
-std::vector<NodeId> BrahmsNode::pull_targets() {
-  std::vector<NodeId> targets;
-  pull_targets(targets);
-  return targets;
 }
 
 void BrahmsNode::pull_targets(std::vector<NodeId>& out) {

@@ -66,11 +66,9 @@ class BrahmsNode : public sim::INode {
   [[nodiscard]] NodeId id() const override { return self_; }
   void bootstrap(const std::vector<NodeId>& initial_peers) override;
   void begin_round(Round r) override;
-  [[nodiscard]] std::vector<NodeId> push_targets() override;
   void push_targets(std::vector<NodeId>& out) override;
   [[nodiscard]] wire::PushMessage make_push() override;
   void on_push(const wire::PushMessage& push) override;
-  [[nodiscard]] std::vector<NodeId> pull_targets() override;
   void pull_targets(std::vector<NodeId>& out) override;
   [[nodiscard]] wire::PullRequest open_pull(NodeId target) override;
   [[nodiscard]] wire::PullReply answer_pull(const wire::PullRequest& request) override;
@@ -80,7 +78,6 @@ class BrahmsNode : public sim::INode {
   void process_swap_reply(const wire::SwapReply& reply) override;
   void on_pull_timeout(NodeId target) override;
   void end_round(Round r) override;
-  [[nodiscard]] std::vector<NodeId> current_view() const override { return view_.ids(); }
   /// The dynamic view has fixed capacity l1 — a constant slab-slot bound.
   [[nodiscard]] std::size_t view_capacity() const override { return view_.capacity(); }
   std::size_t copy_view(NodeId* out, std::size_t cap) const override {

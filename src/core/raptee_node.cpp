@@ -6,6 +6,13 @@
 
 namespace raptee::core {
 
+namespace {
+
+// Trusted peers a node remembers for its overlay pulls (TrustedStore).
+constexpr std::size_t kTrustedStoreCapacity = 64;
+
+}  // namespace
+
 RapteeNode::RapteeNode(NodeId self, RapteeConfig config,
                        std::unique_ptr<brahms::Authenticator> auth,
                        std::unique_ptr<sgx::Enclave> enclave, Rng rng,
@@ -13,7 +20,7 @@ RapteeNode::RapteeNode(NodeId self, RapteeConfig config,
     : BrahmsNode(self, config.brahms, std::move(auth), rng, std::move(alive_probe)),
       config_(config),
       enclave_(std::move(enclave)),
-      trusted_store_(config.trusted_store_capacity) {
+      trusted_store_(kTrustedStoreCapacity) {
   RAPTEE_REQUIRE(enclave_ != nullptr, "RapteeNode requires an enclave");
   RAPTEE_REQUIRE(enclave_->has_group_key(),
                  "RapteeNode requires an attested (provisioned) enclave");
@@ -73,8 +80,7 @@ void RapteeNode::apply_swap(const std::vector<NodeId>& sent,
   for (NodeId id_in : received) {
     if (id_in.valid()) incoming.push_back({id_in, 0});
   }
-  mutable_view().framework_merge(incoming, id(), /*h=*/0, /*s=*/sent.size(), sent,
-                                 rng());
+  mutable_view().framework_merge(incoming, id(), sent, rng());
   // §IV-B second measure: swap-received IDs also join the pulled-ID list.
   swap_received_.insert(swap_received_.end(), received.begin(), received.end());
 }

@@ -44,7 +44,6 @@ struct RapteeConfig {
   brahms::BrahmsConfig brahms;
   EvictionSpec eviction = EvictionSpec::adaptive();
   bool trusted_overlay = false;          ///< D1 extension
-  std::size_t trusted_store_capacity = 64;
 };
 
 class RapteeNode : public brahms::BrahmsNode {
@@ -58,10 +57,6 @@ class RapteeNode : public brahms::BrahmsNode {
              std::function<bool(NodeId)> alive_probe = {});
 
   void begin_round(Round r) override;
-  /// Scratch form only: the allocating INode::pull_targets() reaches this
-  /// through BrahmsNode's delegating base implementation (un-hidden here,
-  /// since declaring the one-argument override would otherwise shadow it).
-  using brahms::BrahmsNode::pull_targets;
   void pull_targets(std::vector<NodeId>& out) override;
 
   [[nodiscard]] const sgx::Enclave& enclave() const { return *enclave_; }

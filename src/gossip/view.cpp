@@ -53,17 +53,6 @@ NodeId PartialView::pick_id(Rng& rng) const {
   return entries_[static_cast<std::size_t>(rng.below(entries_.size()))].id;
 }
 
-void PartialView::remove_oldest(std::size_t h) {
-  h = std::min(h, entries_.size());
-  for (std::size_t i = 0; i < h; ++i) {
-    auto victim = std::max_element(entries_.begin(), entries_.end(),
-                                   [](const ViewEntry& a, const ViewEntry& b) {
-                                     return a.age < b.age;
-                                   });
-    entries_.erase(victim);
-  }
-}
-
 void PartialView::truncate_random(Rng& rng) {
   while (entries_.size() > capacity_) {
     entries_.erase(entries_.begin() +
@@ -72,7 +61,6 @@ void PartialView::truncate_random(Rng& rng) {
 }
 
 void PartialView::framework_merge(const std::vector<ViewEntry>& received, NodeId self,
-                                  std::size_t h, std::size_t s,
                                   const std::vector<NodeId>& sent, Rng& rng) {
   // Append (dedup on id keeping the freshest copy, never include self).
   for (const ViewEntry& e : received) {
@@ -87,13 +75,10 @@ void PartialView::framework_merge(const std::vector<ViewEntry>& received, NodeId
     }
     if (!merged) entries_.push_back(e);
   }
-  // Shrink back to capacity: H oldest first, then swapped-out entries, then
-  // random — the canonical framework order (heal, swap, random).
+  // Shrink back to capacity: swapped-out entries first, then random — the
+  // framework order with no heal step.
   if (entries_.size() > capacity_) {
-    remove_oldest(std::min(h, entries_.size() - capacity_));
-  }
-  if (entries_.size() > capacity_) {
-    std::size_t to_drop = std::min(s, entries_.size() - capacity_);
+    std::size_t to_drop = entries_.size() - capacity_;
     for (NodeId id : sent) {
       if (to_drop == 0) break;
       if (remove(id)) --to_drop;

@@ -1,7 +1,9 @@
 // Age-tagged partial view — the core data structure of gossip-based peer
 // sampling (Jelasity et al., TOCS 2007). Entries are unique node
 // descriptors carrying an age (rounds since the descriptor was created).
-// Used by Brahms' dynamic view V and by RAPTEE's trusted exchanges.
+// Used by Brahms' dynamic view V and by RAPTEE's trusted exchanges, whose
+// swaps merge through framework_merge. ids() is the one allocating read;
+// copy_ids() fills the engine's view slab.
 #pragma once
 
 #include <cstdint>
@@ -58,20 +60,16 @@ class PartialView {
   /// selection); view must be non-empty.
   [[nodiscard]] NodeId pick_id(Rng& rng) const;
 
-  /// Removes the H oldest entries (the "heal" rule of framework_merge);
-  /// removes at most min(H, size) entries.
-  void remove_oldest(std::size_t h);
   /// Truncates to capacity by removing random entries.
   void truncate_random(Rng& rng);
 
-  /// Merge policy of Jelasity et al.'s exchanges, used by RAPTEE's trusted
-  /// swaps: append `received` skipping ids already present or equal to
-  /// `self`, then shrink back to capacity with the (H, S) rules: first drop
-  /// min(H, surplus) oldest, then min(S, surplus) of the entries we just
-  /// sent (`sent`), then random.
+  /// Merge policy of Jelasity et al.'s exchanges in RAPTEE's swap setting
+  /// (heal H = 0, swap S = |sent|): append `received` skipping ids equal to
+  /// `self` and keeping the fresher age of ids already present, then shrink
+  /// back to capacity by dropping first the entries we just sent (`sent`),
+  /// then random ones.
   void framework_merge(const std::vector<ViewEntry>& received, NodeId self,
-                       std::size_t h, std::size_t s, const std::vector<NodeId>& sent,
-                       Rng& rng);
+                       const std::vector<NodeId>& sent, Rng& rng);
 
  private:
   std::size_t capacity_ = 0;

@@ -73,8 +73,8 @@ struct ExperimentConfig {
   double poisoned_extra_fraction = 0.0;  ///< injected poisoned-trusted, as fraction of n
 
   brahms::Params brahms{};                      ///< l1/l2/α/β/γ
-  /// The adversary: a registered strategy + parameters. The default
-  /// (`balanced`) reproduces the pre-registry hardcoded attack bit for bit.
+  /// The adversary: a catalog strategy + parameters. The default
+  /// (`balanced`) reproduces the pre-strategy hardcoded attack bit for bit.
   adversary::AttackSpec attack{};
   core::EvictionSpec eviction = core::EvictionSpec::none();
   ChurnSpec churn = ChurnSpec::none();

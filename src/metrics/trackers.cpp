@@ -19,7 +19,6 @@ PollutionTracker::PollutionTracker(std::function<bool(NodeId)> is_byzantine_id,
 }
 
 void PollutionTracker::on_round_end(Round round, sim::Engine& engine) {
-  last_per_node_.clear();
   if (history_.size() < engine.size()) history_.resize(engine.size());
 
   double snapshot_sum = 0.0;
@@ -30,9 +29,8 @@ void PollutionTracker::on_round_end(Round round, sim::Engine& engine) {
   smoothed.clear();
   bool all_warm = true;
 
-  // Same visit order as alive_ids(is_correct) — ascending id over the
-  // alive correct population — but reading the engine's view slab instead
-  // of allocating a current_view() copy per node.
+  // Ascending id over the alive correct population: the summation order is
+  // part of the bit-identical metric stream.
   for (std::uint32_t i = 0; i < engine.size(); ++i) {
     const NodeId id{i};
     if (!engine.is_alive(id) || !is_correct(engine.kind(id))) continue;
@@ -44,7 +42,6 @@ void PollutionTracker::on_round_end(Round round, sim::Engine& engine) {
     const double share = view.empty()
                              ? 0.0
                              : static_cast<double>(byz) / static_cast<double>(view.size());
-    last_per_node_.push_back(share);
     snapshot_sum += share;
     if (is_trusted(engine.kind(id))) {
       trusted_sum += share;
@@ -69,12 +66,13 @@ void PollutionTracker::on_round_end(Round round, sim::Engine& engine) {
     smoothed_sum += smoothed.back();
   }
 
-  if (last_per_node_.empty()) {
+  const std::size_t observed = honest_count + trusted_count;
+  if (observed == 0) {
     series_.push_back(0.0);
     max_dev_.push_back(0.0);
     return;
   }
-  const double count = static_cast<double>(last_per_node_.size());
+  const double count = static_cast<double>(observed);
   series_.push_back(snapshot_sum / count);
   honest_series_.push_back(honest_count ? honest_sum / static_cast<double>(honest_count)
                                         : 0.0);

@@ -75,7 +75,6 @@ class PollutionTracker final : public sim::ITrafficListener {
   std::vector<double> honest_series_;
   std::vector<double> trusted_series_;
   std::vector<double> max_dev_;
-  std::vector<double> last_per_node_;
   /// Rolling history per node id: history_[id] holds up to `window_` recent
   /// pollution snapshots (ring buffer) and their running sum.
   struct NodeHistory {

@@ -160,6 +160,7 @@ void LoopbackCluster::run_exchange(Endpoint& ep, NodeId target) {
 }
 
 void LoopbackCluster::run_rounds(std::uint64_t count) {
+  std::vector<NodeId> targets;  // each node's push, then pull, targets
   for (std::uint64_t r = 0; r < count; ++r, ++round_) {
     for (auto& owned : endpoints_) {
       const std::lock_guard<std::mutex> lock(owned->node_mu);
@@ -168,11 +169,10 @@ void LoopbackCluster::run_rounds(std::uint64_t count) {
     // Phase 2: push fan-out (fire and forget).
     for (auto& owned : endpoints_) {
       Endpoint& ep = *owned;
-      std::vector<NodeId> targets;
       wire::PushMessage push{};
       {
         const std::lock_guard<std::mutex> lock(ep.node_mu);
-        targets = ep.node->push_targets();
+        ep.node->push_targets(targets);
         push = ep.node->make_push();
       }
       const std::vector<std::uint8_t> bytes = wire::encode(wire::Message{push});
@@ -184,10 +184,9 @@ void LoopbackCluster::run_rounds(std::uint64_t count) {
     // Phase 3: pull exchanges, each a real five-leg socket round trip.
     for (auto& owned : endpoints_) {
       Endpoint& ep = *owned;
-      std::vector<NodeId> targets;
       {
         const std::lock_guard<std::mutex> lock(ep.node_mu);
-        targets = ep.node->pull_targets();
+        ep.node->pull_targets(targets);
       }
       for (const NodeId t : targets) {
         if (t == ep.id) continue;
@@ -204,7 +203,7 @@ void LoopbackCluster::run_rounds(std::uint64_t count) {
 std::vector<NodeId> LoopbackCluster::view_of(std::size_t i) const {
   const Endpoint& ep = *endpoints_.at(i);
   const std::lock_guard<std::mutex> lock(ep.node_mu);
-  return ep.node->current_view();
+  return ep.node->view().ids();
 }
 
 BusStats LoopbackCluster::bus_stats(std::size_t i) const {

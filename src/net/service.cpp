@@ -135,7 +135,7 @@ void ServiceDaemon::refresh_snapshot() {
   auto& node = dynamic_cast<brahms::BrahmsNode&>(engine_->node(NodeId{0}));
   std::vector<NodeId> fresh = node.sample_list();
   std::erase_if(fresh, [](NodeId id) { return id.value == 0; });
-  if (fresh.empty()) fresh = node.current_view();
+  if (fresh.empty()) fresh = node.view().ids();
   const std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(fresh);
   snapshot_round_ = engine_->now();

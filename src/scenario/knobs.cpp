@@ -130,9 +130,8 @@ Knobs Knobs::from_env() {
     knobs.partition = partition;
   }
   if (const char* attack = std::getenv("RAPTEE_BENCH_ATTACK")) {
-    RAPTEE_REQUIRE(adversary::StrategyRegistry::instance().contains(attack),
-                   "RAPTEE_BENCH_ATTACK names an unregistered strategy: '" << attack
-                                                                           << "'");
+    RAPTEE_REQUIRE(adversary::find_strategy(attack) != nullptr,
+                   "RAPTEE_BENCH_ATTACK names no catalog strategy: '" << attack << "'");
     knobs.attack = attack;
   }
   return knobs;

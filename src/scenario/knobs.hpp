@@ -9,7 +9,9 @@
 // Parsing is strict: a knob must be a plain unsigned decimal in range —
 // signs, trailing garbage (`RAPTEE_BENCH_SEED=12abc`), overlong or
 // out-of-range values raise std::invalid_argument instead of silently
-// falling back.
+// falling back. Named knobs resolve through their catalogs the same way:
+// RAPTEE_BENCH_ATTACK through adversary::strategy_catalog(), the latency
+// and partition knobs through the evt presets.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +64,8 @@ struct Knobs {
   /// RAPTEE_BENCH_TAMPER_PCT accepts 0..100.
   std::size_t tamper_pct = 25;
   /// Adversary strategy applied by base_spec(); RAPTEE_BENCH_ATTACK accepts
-  /// any name registered with adversary::StrategyRegistry (default
-  /// parameters via AttackSpec::named).
+  /// any name in adversary::strategy_catalog() (default parameters via
+  /// AttackSpec::named).
   std::string attack = "balanced";
   /// Service-bench (bench/service_load) knobs. RAPTEE_BENCH_PORT accepts
   /// 0..65535 (0 = ephemeral), RAPTEE_BENCH_CONNECTIONS 1..4096,

@@ -103,10 +103,6 @@ ScenarioSpec& ScenarioSpec::link_sessions(bool enabled) {
   base_.link_sessions = enabled;
   return *this;
 }
-ScenarioSpec& ScenarioSpec::event(const evt::EventConfig& config) {
-  base_.event = config;
-  return *this;
-}
 ScenarioSpec& ScenarioSpec::event_mode(bool enabled) {
   base_.event.enabled = enabled;
   return *this;
@@ -132,10 +128,6 @@ ScenarioSpec& ScenarioSpec::partition(const evt::PartitionSchedule& schedule) {
 }
 ScenarioSpec& ScenarioSpec::partition(const std::string& name) {
   return partition(evt::PartitionSchedule::named(name, base_.rounds));
-}
-ScenarioSpec& ScenarioSpec::regions(std::uint32_t regions) {
-  base_.event.topology.regions = regions;
-  return *this;
 }
 ScenarioSpec& ScenarioSpec::round_interval_ms(std::uint64_t ms) {
   base_.event.round_interval_us = ms * 1000;

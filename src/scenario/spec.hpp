@@ -20,6 +20,10 @@
 // fraction directly, like ExperimentConfig::trusted_fraction. The last one
 // called wins. ExperimentConfig stays as the validated POD underneath —
 // `config()` materializes it; Runner (runner.hpp) executes specs.
+//
+// The adversary is a catalog strategy (attack). Event-driven time
+// composes from event_mode, latency, partition and round_interval_ms; the
+// topology's region count follows from the latency model and the partition.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +49,11 @@ class ScenarioSpec {
   /// Byzantine fraction f of the base population.
   ScenarioSpec& adversary(double fraction);
   ScenarioSpec& adversary_pct(int percent) { return adversary(percent / 100.0); }
-  /// Selects the adversary's behaviour: any strategy registered with
-  /// adversary::StrategyRegistry plus its parameters. The default
+  /// Selects the adversary's behaviour: any strategy in
+  /// adversary::strategy_catalog() plus its parameters. The default
   /// (AttackSpec::balanced()) is bit-identical to not calling attack().
   ScenarioSpec& attack(const adversary::AttackSpec& spec);
-  /// Registered strategy name with its default parameters
+  /// Catalog strategy name with its default parameters
   /// (adversary::AttackSpec::named).
   ScenarioSpec& attack(const std::string& strategy_name);
   /// Injected view-poisoned trusted nodes, as a fraction of the base
@@ -99,24 +103,22 @@ class ScenarioSpec {
   ScenarioSpec& link_sessions(bool enabled);
 
   // --- event-driven time (src/evt) ---
-  /// Adopts a full event config (escape hatch; the setters below compose).
-  ScenarioSpec& event(const evt::EventConfig& config);
   /// Switches the engine onto the event scheduler (virtual clock, per-link
   /// latency, partitions). Off = round mode, the bit-exact baseline.
   ScenarioSpec& event_mode(bool enabled = true);
-  /// Per-link latency model; implies event_mode(true).
+  /// Per-link latency model; implies event_mode(true). A region-matrix
+  /// model also sets the topology's region count to its own.
   ScenarioSpec& latency(const evt::LatencySpec& spec);
   /// Named latency model from evt::LatencySpec::named ("zero", "lan", "wan",
   /// "tail", "geo3"); implies event_mode(true).
   ScenarioSpec& latency(const std::string& name);
-  /// Timed region partition; implies event_mode(true).
+  /// Timed region partition; implies event_mode(true) and at least two
+  /// regions.
   ScenarioSpec& partition(const evt::PartitionSchedule& schedule);
   /// Named partition schedule from evt::PartitionSchedule::named ("none",
   /// "mid-third", "late-half"), resolved against rounds(); implies
   /// event_mode(true).
   ScenarioSpec& partition(const std::string& name);
-  /// Region count of the event topology (node → node % regions).
-  ScenarioSpec& regions(std::uint32_t regions);
   /// Virtual round deadline; messages past it are counted late and dropped.
   ScenarioSpec& round_interval_ms(std::uint64_t ms);
 

@@ -119,26 +119,17 @@ void Engine::set_alive(NodeId id, bool alive) {
   if (link_table_) link_table_->invalidate(id);
 }
 
-std::vector<NodeId> Engine::alive_ids(const std::function<bool(NodeKind)>& pred) const {
-  std::vector<NodeId> out;
-  out.reserve(size());
-  alive_ids(out, pred);
-  return out;
-}
-
-void Engine::alive_ids(std::vector<NodeId>& out,
-                       const std::function<bool(NodeKind)>& pred) const {
+void Engine::alive_ids(std::vector<NodeId>& out) const {
   out.clear();
   if (out.capacity() < nodes_.size()) out.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!alive_[i]) continue;
-    if (pred && !pred(kinds_[i])) continue;
-    out.push_back(NodeId{static_cast<std::uint32_t>(i)});
+    if (alive_[i]) out.push_back(NodeId{static_cast<std::uint32_t>(i)});
   }
 }
 
 void Engine::bootstrap_uniform(std::size_t view_size) {
-  const std::vector<NodeId> everyone = alive_ids();
+  std::vector<NodeId> everyone;
+  alive_ids(everyone);
   // Empty/singleton population: there is nobody (or only oneself) to draw
   // from. Hand out empty views instead of letting `everyone.size() - 1`
   // underflow to SIZE_MAX below.
@@ -357,9 +348,7 @@ void Engine::deliver_pushes() {
   // mailbox sees the exact subsequence the global shuffled order dictates.
   // on_push only mutates the receiving node, so per-target order is the
   // only order that is observable. Byzantine targets share the adversary
-  // Coordinator, so they go first, on this thread. Listener callbacks
-  // replay after application, serially, in the global shuffled order
-  // (their arguments carry no engine state).
+  // Coordinator, so they go first, on this thread.
   for (const Delivery& d : deliveries_) {
     if (kinds_[d.to.value] == NodeKind::kByzantine) nodes_[d.to.value]->on_push(d.payload);
   }
@@ -375,13 +364,6 @@ void Engine::deliver_pushes() {
       },
       /*grain=*/1);
   counters_.pushes_delivered += deliveries_.size();
-  if (!listeners_.empty()) {
-    for (const Delivery& d : deliveries_) {
-      for_listeners([&](ITrafficListener& l) {
-        l.on_push_delivered(round_, d.from, d.payload.sender, d.to);
-      });
-    }
-  }
 }
 
 bool Engine::run_exchange(INode& initiator, INode& responder) {
@@ -480,22 +462,15 @@ bool Engine::run_exchange(INode& initiator, INode& responder) {
     return true;  // pull itself completed
 
   // Leg 4: swap reply, only for a mutually-trusted exchange.
-  const wire::AuthConfirm confirm = std::get<wire::AuthConfirm>(std::move(leg));
-  std::optional<wire::SwapReply> swap = responder.process_confirm(confirm);
+  std::optional<wire::SwapReply> swap =
+      responder.process_confirm(std::get<wire::AuthConfirm>(leg));
   if (!swap) return true;
 
   // Leg 5: close the trusted exchange.
   leg = std::move(*swap);
   if (!transfer(leg, wire::MsgType::kSwapReply, /*forward=*/false)) return true;
-  const wire::SwapReply swap_reply = std::get<wire::SwapReply>(std::move(leg));
-  initiator.process_swap_reply(swap_reply);
+  initiator.process_swap_reply(std::get<wire::SwapReply>(leg));
   ++counters_.swaps_completed;
-  for_listeners([&](ITrafficListener& l) {
-    l.on_swap_completed(round_, init_id, resp_id,
-                        confirm.swap_offer ? *confirm.swap_offer
-                                           : std::vector<NodeId>{},
-                        swap_reply.swap_half);
-  });
   return true;
 }
 
@@ -609,9 +584,6 @@ void Engine::step_event() {
         }
         nodes_[d.to.value]->on_push(d.payload);
         ++counters_.pushes_delivered;
-        for_listeners([&](ITrafficListener& l) {
-          l.on_push_delivered(round_, d.from, d.payload.sender, d.to);
-        });
         continue;
       }
       const PendingPull& p = pulls_[e.a];
@@ -663,7 +635,7 @@ void Engine::step() {
     run_end_rounds();
     if (!listeners_.empty()) {
       // Publish every node's post-round view into the SoA slab so listeners
-      // read views via view_of() spans instead of allocating current_view().
+      // read views via view_of() spans.
       refresh_views();
       for_listeners([&](ITrafficListener& l) { l.on_round_end(round_, *this); });
     }

@@ -91,13 +91,9 @@ class Engine {
   /// answers exchanges; pushes to it vanish.
   void set_alive(NodeId id, bool alive);
 
-  /// IDs of alive nodes satisfying `pred` (defaults to all alive).
-  [[nodiscard]] std::vector<NodeId> alive_ids(
-      const std::function<bool(NodeKind)>& pred = {}) const;
-  /// Allocation-free variant for hot loops: clears and fills a caller-owned
-  /// scratch vector (its capacity amortizes across rounds).
-  void alive_ids(std::vector<NodeId>& out,
-                 const std::function<bool(NodeKind)>& pred = {}) const;
+  /// Replaces the contents of `out` with the IDs of alive nodes, ascending
+  /// (`out` is caller scratch; its capacity amortizes across rounds).
+  void alive_ids(std::vector<NodeId>& out) const;
 
   /// Gives every alive node a uniform random bootstrap view of size
   /// `view_size` drawn from the other alive nodes.
@@ -116,14 +112,14 @@ class Engine {
   /// Rebuilds the structure-of-arrays view slab read by view_of(): one
   /// dense NodeId range per node, sized by INode::view_capacity(). step()
   /// refreshes the slab after end_round whenever listeners are registered;
-  /// external readers (tracker priming before round 0) call it explicitly.
+  /// other readers (tracker priming before round 0, a test between runs)
+  /// call it explicitly.
   void refresh_views();
-  /// The node's current view as a span over the SoA view slab — the
-  /// allocation-free replacement for INode::current_view() on metric
-  /// paths. Valid until the next refresh_views(). Empty for dead nodes and
-  /// for nodes that opted out of the slab (view_capacity() == 0; the
-  /// adversary does — Byzantine views are excluded from every honest-side
-  /// metric anyway).
+  /// The node's view as of the last refresh_views(), as a span over the SoA
+  /// view slab: the way anything outside a node reads a view. Valid until
+  /// the next refresh_views(). Empty for dead nodes and for nodes that
+  /// opted out of the slab (view_capacity() == 0; the adversary does —
+  /// Byzantine views are excluded from every honest-side metric anyway).
   [[nodiscard]] std::span<const NodeId> view_of(NodeId id) const;
 
   /// Executes one full round.
@@ -187,7 +183,7 @@ class Engine {
   enum Phase : std::size_t {
     kPhaseBeginRound = 0,
     kPhasePushGen,      ///< push-target generation (incl. the global shuffle)
-    kPhasePushDeliver,  ///< mailbox application + listener replay
+    kPhasePushDeliver,  ///< mailbox application
     kPhasePulls,        ///< pull-target generation + the five-leg exchanges
     kPhaseEndRound,     ///< eviction, view renewal, listener round-end
     kPhaseCount

@@ -1,14 +1,17 @@
 // INode: the behavioural contract between the round engine and a protocol
 // implementation (honest Brahms/RAPTEE node, trusted node, Byzantine node).
+// Each call has one form: the target calls fill engine-owned scratch, and
+// no default body here calls another INode method.
 //
 // The engine drives one synchronous gossip round as:
 //
 //   1. begin_round()                 on every alive node
-//   2. push fan-out                  push_targets() + make_push(), delivered
-//                                    to on_push() mailboxes
-//   3. pull exchanges                for each target of pull_targets(), the
-//                                    five-leg exchange below, legs optionally
-//                                    serialized + encrypted (EngineConfig)
+//   2. push fan-out                  push_targets(out) + make_push(),
+//                                    delivered to on_push() mailboxes
+//   3. pull exchanges                for each target of pull_targets(out),
+//                                    the five-leg exchange below, legs
+//                                    optionally serialized + encrypted
+//                                    (EngineConfig)
 //   4. end_round()                   view/sampler updates
 //
 // Pull exchange legs (initiator I, responder R):
@@ -21,6 +24,10 @@
 //
 // Implementations must tolerate any leg being dropped (message loss /
 // crashed peer): the engine then calls on_pull_timeout() on the initiator.
+//
+// The engine reads a node's view only through view_capacity() and
+// copy_view(), which fill its view slab; code holding an INode reads the
+// view through Engine::view_of.
 #pragma once
 
 #include <cstddef>
@@ -45,27 +52,20 @@ class INode {
   /// Phase 1: start of round r. Buffers from the previous round are gone.
   virtual void begin_round(Round r) = 0;
 
-  /// Phase 2a: recipients of this round's push messages (duplicates allowed;
-  /// Brahms samples targets with replacement).
-  [[nodiscard]] virtual std::vector<NodeId> push_targets() = 0;
-  /// Scratch-filling variant used by the engine's hot loop: clears and
-  /// fills `out`, whose capacity persists across rounds. Default delegates
-  /// to the allocating form; nodes with precomputed schedules (the
-  /// adversary Coordinator's slices) override to avoid the per-node vector.
-  virtual void push_targets(std::vector<NodeId>& out) { out = push_targets(); }
+  /// Phase 2a: replaces the contents of `out` with the recipients of this
+  /// round's push messages (duplicates allowed; Brahms samples targets with
+  /// replacement). `out` is engine scratch whose capacity persists across
+  /// rounds.
+  virtual void push_targets(std::vector<NodeId>& out) = 0;
   /// Phase 2b: the push payload (a node advertises an ID; honest nodes
   /// advertise their own, Byzantine nodes advertise any faulty ID).
   [[nodiscard]] virtual wire::PushMessage make_push() = 0;
   /// Phase 2c: push delivery.
   virtual void on_push(const wire::PushMessage& push) = 0;
 
-  /// Phase 3: pull exchange, in the leg order documented above.
-  [[nodiscard]] virtual std::vector<NodeId> pull_targets() = 0;
-  /// Scratch-filling variant used by the engine's sharded pull-target
-  /// phase: clears and fills `out` (same contents and — for nodes whose
-  /// targets are random — the same per-node draws as the allocating form).
-  /// Default delegates to the allocating form.
-  virtual void pull_targets(std::vector<NodeId>& out) { out = pull_targets(); }
+  /// Phase 3: replaces the contents of `out` with this round's pull
+  /// targets; each then runs the exchange in the leg order documented above.
+  virtual void pull_targets(std::vector<NodeId>& out) = 0;
   /// Whether this node will answer a pull request from `requester` this
   /// round. Honest nodes always answer; an omission adversary refuses —
   /// the engine counts the suppressed leg and the initiator times out.
@@ -85,29 +85,16 @@ class INode {
   /// Phase 4: end of round; protocol state updates happen here.
   virtual void end_round(Round r) = 0;
 
-  /// Current dynamic view content (the peer-sampling service's product;
-  /// every RPS implementation exposes this to its client application).
-  [[nodiscard]] virtual std::vector<NodeId> current_view() const = 0;
-
-  /// Upper bound on current_view().size() for this node, stable within a
-  /// round. The engine sizes each node's slot in its structure-of-arrays
-  /// view slab (Engine::view_of) from this. Nodes with a fixed-capacity
-  /// view (PartialView l1) override with that constant; the default
-  /// materializes the view to measure it. Return 0 to opt out of the slab
-  /// (the adversary does: Byzantine "views" are synthetic and excluded
-  /// from every honest-side metric anyway).
-  [[nodiscard]] virtual std::size_t view_capacity() const {
-    return current_view().size();
-  }
+  /// Upper bound on this node's view size, stable within a round. The
+  /// engine sizes the node's slot in its structure-of-arrays view slab
+  /// (Engine::view_of) from this. Return 0 to opt out of the slab (the
+  /// adversary does: Byzantine "views" are synthetic and excluded from
+  /// every honest-side metric anyway).
+  [[nodiscard]] virtual std::size_t view_capacity() const = 0;
   /// Copies the current view into `out` (capacity `cap`, as promised by
-  /// view_capacity()) and returns the number of entries written —
-  /// allocation-free in overrides. Default delegates to current_view().
-  virtual std::size_t copy_view(NodeId* out, std::size_t cap) const {
-    const std::vector<NodeId> view = current_view();
-    const std::size_t n = view.size() < cap ? view.size() : cap;
-    for (std::size_t i = 0; i < n; ++i) out[i] = view[i];
-    return n;
-  }
+  /// view_capacity()) and returns the number of entries written. Must not
+  /// allocate.
+  virtual std::size_t copy_view(NodeId* out, std::size_t cap) const = 0;
 };
 
 }  // namespace raptee::sim

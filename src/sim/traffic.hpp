@@ -1,7 +1,8 @@
 // Traffic listeners observe engine-level events without coupling metrics or
-// attack code to node internals. The discovery tracker counts IDs crossing
-// links; the identification attack watches pull replies received by
-// Byzantine nodes; the pollution tracker scans views at round end.
+// attack code to node internals. The identification attack watches the pull
+// replies Byzantine nodes receive; the metric trackers (pollution,
+// discovery, victim, trusted telemetry) read the engine at round end, views
+// through Engine::view_of.
 #pragma once
 
 #include <vector>
@@ -16,18 +17,12 @@ class ITrafficListener {
  public:
   virtual ~ITrafficListener() = default;
 
-  virtual void on_push_delivered(Round round, NodeId from, NodeId advertised, NodeId to) {
-    (void)round; (void)from; (void)advertised; (void)to;
-  }
+  /// A pull reply from `from` reached its initiator `to`, carrying `view`.
   virtual void on_pull_reply_delivered(Round round, NodeId from, NodeId to,
                                        const std::vector<NodeId>& view) {
     (void)round; (void)from; (void)to; (void)view;
   }
-  virtual void on_swap_completed(Round round, NodeId initiator, NodeId responder,
-                                 const std::vector<NodeId>& offered,
-                                 const std::vector<NodeId>& returned) {
-    (void)round; (void)initiator; (void)responder; (void)offered; (void)returned;
-  }
+  /// End of round `round`; the engine's view slab is fresh.
   virtual void on_round_end(Round round, Engine& engine) { (void)round; (void)engine; }
 };
 

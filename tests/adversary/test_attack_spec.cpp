@@ -1,12 +1,11 @@
-// AttackSpec validation, the named-constructor catalog, and the strategy
-// registry: membership, unknown-name diagnostics, and end-to-end use of a
-// custom registered strategy through the public scenario API.
+// AttackSpec validation, the named-constructor presets, and the strategy
+// catalog: its rows, unknown-name diagnostics, and end-to-end use of a
+// catalog strategy through the public scenario API.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
+#include <string>
 
-#include "adversary/byzantine.hpp"
 #include "adversary/strategy.hpp"
 #include "scenario/scenario.hpp"
 
@@ -60,22 +59,22 @@ TEST(AttackSpec, ValidationRejectsBadParameters) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
-TEST(StrategyRegistry, BuiltinsAreRegisteredAndSorted) {
-  auto& registry = StrategyRegistry::instance();
-  for (const char* name :
-       {"balanced", "eclipse", "oscillating", "omission", "bogus_swap"}) {
-    EXPECT_TRUE(registry.contains(name)) << name;
+TEST(StrategyCatalog, SevenSortedRowsEachNamedByItsPreset) {
+  const auto catalog = strategy_catalog();
+  ASSERT_EQ(catalog.size(), 7u);
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(catalog[i - 1].name, catalog[i].name) << "catalog not sorted";
+    }
+    EXPECT_FALSE(catalog[i].summary.empty()) << catalog[i].name;
+    const std::string name(catalog[i].name);
+    EXPECT_EQ(AttackSpec::named(name).strategy, name);
+    EXPECT_EQ(find_strategy(name), &catalog[i]);
   }
-  EXPECT_FALSE(registry.contains("nope"));
-  const auto entries = registry.entries();
-  ASSERT_GE(entries.size(), 5u);
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    EXPECT_LT(entries[i - 1].name, entries[i].name) << "entries not sorted";
-    EXPECT_FALSE(entries[i].summary.empty());
-  }
+  EXPECT_EQ(find_strategy("nope"), nullptr);
 }
 
-TEST(StrategyRegistry, UnknownStrategyThrowsWithCatalog) {
+TEST(StrategyCatalog, UnknownStrategyThrowsWithCatalog) {
   AttackSpec spec;
   spec.strategy = "unknown-strategy";
   try {
@@ -86,54 +85,20 @@ TEST(StrategyRegistry, UnknownStrategyThrowsWithCatalog) {
     EXPECT_NE(what.find("unknown-strategy"), std::string::npos);
     EXPECT_NE(what.find("balanced"), std::string::npos) << "should list the catalog";
   }
+  EXPECT_THROW((void)AttackSpec::named("unknown-strategy"), std::invalid_argument);
 }
 
-TEST(StrategyRegistry, DuplicateRegistrationRejected) {
-  EXPECT_THROW(
-      StrategyRegistry::instance().add(
-          "balanced", "dup",
-          [](const AttackSpec&) { return make_strategy(AttackSpec::balanced()); }),
-      std::invalid_argument);
-}
-
-/// A registered-from-outside strategy: balanced planning, but pushes only
-/// on even rounds. Exercises the full custom-strategy path: registration →
-/// AttackSpec::named → ScenarioSpec::attack → engaged telemetry.
-class EvenRoundsStrategy final : public IStrategy {
- public:
-  [[nodiscard]] std::string_view name() const override { return "test_even_rounds"; }
-  [[nodiscard]] bool active(Round r) const override { return r % 2 == 0; }
-  void plan_pushes(Round r, Coordinator& coord,
-                   std::vector<NodeId>& schedule) override {
-    schedule.clear();
-    if (!active(r) || coord.victims().empty() ||
-        coord.config().push_budget_per_member == 0) {
-      return;
-    }
-    const std::size_t total =
-        coord.members().size() * coord.config().push_budget_per_member;
-    for (std::size_t j = 0; j < total; ++j) {
-      schedule.push_back(coord.victims()[j % coord.victims().size()]);
-    }
-  }
-};
-
-TEST(StrategyRegistry, CustomStrategyRunsThroughTheScenarioApi) {
-  auto& registry = StrategyRegistry::instance();
-  if (!registry.contains("test_even_rounds")) {
-    registry.add("test_even_rounds", "test-only: attacks even rounds",
-                 [](const AttackSpec&) { return std::make_unique<EvenRoundsStrategy>(); });
-  }
+TEST(StrategyCatalog, OscillatingStrategyRunsThroughTheScenarioApi) {
   const auto result = scenario::ScenarioSpec()
                           .population(96)
                           .view_size(12)
                           .rounds(20)
                           .adversary(0.2)
-                          .attack("test_even_rounds")
+                          .attack(AttackSpec::oscillating(1, 1))
                           .seed(3)
                           .run();
   EXPECT_TRUE(result.attack.engaged);
-  EXPECT_EQ(result.attack.strategy, "test_even_rounds");
+  EXPECT_EQ(result.attack.strategy, "oscillating");
   EXPECT_EQ(result.attack.rounds_active, 10u);  // even rounds of 20
   EXPECT_GT(result.steady_pollution, 0.0);
 }

@@ -7,14 +7,30 @@
 #include <set>
 
 #include "adversary/strategy.hpp"
+#include "support/targets.hpp"
 
 namespace raptee::adversary {
 namespace {
+
+using test::pull_targets_of;
+using test::push_targets_of;
 
 std::vector<NodeId> ids(std::uint32_t from, std::uint32_t count) {
   std::vector<NodeId> out;
   for (std::uint32_t i = 0; i < count; ++i) out.emplace_back(from + i);
   return out;
+}
+
+/// A member's push slice, copied so it can be compared by value.
+std::vector<NodeId> slice_of(const Coordinator& coord, NodeId member) {
+  const auto slice = coord.push_slice(member);
+  return {slice.begin(), slice.end()};
+}
+
+std::vector<NodeId> faulty_view_of(Coordinator& coord, std::size_t k) {
+  std::vector<NodeId> view;
+  coord.faulty_view(k, view);
+  return view;
 }
 
 AttackConfig basic_attack() {
@@ -34,7 +50,7 @@ TEST(Coordinator, BalancedPushSpreadIsEvenWithinOne) {
   std::map<std::uint32_t, int> per_victim;
   std::size_t total = 0;
   for (NodeId m : members) {
-    const auto targets = coord.push_allocation(m);
+    const auto targets = coord.push_slice(m);
     EXPECT_EQ(targets.size(), 8u);
     total += targets.size();
     for (NodeId t : targets) ++per_victim[t.value];
@@ -53,9 +69,9 @@ TEST(Coordinator, BeginRoundIsIdempotentPerRound) {
   const auto members = ids(100, 4);
   Coordinator coord(members, ids(0, 10), basic_attack(), 2);
   coord.begin_round(5);
-  const auto first = coord.push_allocation(members[0]);
+  const auto first = slice_of(coord, members[0]);
   coord.begin_round(5);  // same round: schedule must not be rebuilt
-  EXPECT_EQ(coord.push_allocation(members[0]), first);
+  EXPECT_EQ(slice_of(coord, members[0]), first);
   coord.begin_round(6);  // new round: typically a different allocation
 }
 
@@ -65,7 +81,7 @@ TEST(Coordinator, TargetedModeFocusesBudget) {
   Coordinator coord(ids(100, 5), ids(0, 40), config, 3);
   coord.begin_round(0);
   for (NodeId m : ids(100, 5)) {
-    for (NodeId t : coord.push_allocation(m)) {
+    for (NodeId t : coord.push_slice(m)) {
       EXPECT_LT(t.value, 2u);
     }
   }
@@ -74,7 +90,7 @@ TEST(Coordinator, TargetedModeFocusesBudget) {
 TEST(Coordinator, FaultyViewDrawsFromMembersOnly) {
   const auto members = ids(100, 30);
   Coordinator coord(members, ids(0, 10), basic_attack(), 4);
-  const auto view = coord.faulty_view(20);
+  const auto view = faulty_view_of(coord, 20);
   EXPECT_EQ(view.size(), 20u);
   std::set<std::uint32_t> uniq;
   for (NodeId id : view) {
@@ -86,14 +102,15 @@ TEST(Coordinator, FaultyViewDrawsFromMembersOnly) {
 
 TEST(Coordinator, FaultyViewRepeatsWhenMembersScarce) {
   Coordinator coord(ids(100, 3), ids(0, 10), basic_attack(), 5);
-  const auto view = coord.faulty_view(9);
+  const auto view = faulty_view_of(coord, 9);
   EXPECT_EQ(view.size(), 9u);
   for (NodeId id : view) EXPECT_TRUE(coord.is_member(id));
 }
 
 TEST(Coordinator, PullTargetsAreVictims) {
   Coordinator coord(ids(100, 3), ids(0, 10), basic_attack(), 6);
-  const auto targets = coord.pull_targets(NodeId{100});
+  std::vector<NodeId> targets;
+  coord.pull_targets(targets);
   EXPECT_EQ(targets.size(), 8u);
   for (NodeId t : targets) EXPECT_LT(t.value, 10u);
 }
@@ -113,9 +130,9 @@ TEST(ByzantineNode, PushesFollowCoordinatorSchedule) {
   auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 9);
   ByzantineNode node(NodeId{101}, coord, 1);
   node.begin_round(0);
-  const auto targets = node.push_targets();
+  const auto targets = push_targets_of(node);
   EXPECT_EQ(targets.size(), 8u);
-  EXPECT_EQ(targets, coord->push_allocation(NodeId{101}));
+  EXPECT_EQ(targets, slice_of(*coord, NodeId{101}));
 }
 
 TEST(ByzantineNode, PushAdvertisesFaultyIds) {
@@ -162,40 +179,23 @@ TEST(ByzantineNode, PullFanoutMatchesConfig) {
   auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 14);
   ByzantineNode node(NodeId{100}, coord, 6);
   node.begin_round(0);
-  EXPECT_EQ(node.pull_targets().size(), 8u);
+  EXPECT_EQ(pull_targets_of(node).size(), 8u);
 }
 
-// ---------------------------------------------------------------- slices
-
-TEST(Coordinator, PushSliceAndScratchOverloadMatchAllocation) {
-  const auto members = ids(100, 6);
-  Coordinator coord(members, ids(0, 30), basic_attack(), 21);
-  coord.begin_round(0);
-  std::vector<NodeId> scratch;
-  for (NodeId m : members) {
-    const auto allocated = coord.push_allocation(m);
-    const auto slice = coord.push_slice(m);
-    EXPECT_TRUE(std::equal(allocated.begin(), allocated.end(), slice.begin(),
-                           slice.end()));
-    coord.push_allocation(m, scratch);
-    EXPECT_EQ(scratch, allocated);
-  }
-  // The scratch keeps its capacity across refills (the zero-allocation
-  // contract of the hot path).
-  coord.push_allocation(members[0], scratch);
-  const auto capacity = scratch.capacity();
-  coord.begin_round(1);
-  coord.push_allocation(members[0], scratch);
-  EXPECT_EQ(scratch.capacity(), capacity);
-}
-
-TEST(ByzantineNode, ScratchPushTargetsMatchesAllocatingForm) {
+TEST(ByzantineNode, PushTargetsScratchKeepsItsCapacityAcrossRounds) {
   auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 22);
   ByzantineNode node(NodeId{102}, coord, 7);
   node.begin_round(0);
   std::vector<NodeId> scratch;
   node.push_targets(scratch);
-  EXPECT_EQ(scratch, node.push_targets());
+  EXPECT_EQ(scratch, slice_of(*coord, NodeId{102}));
+  // The scratch keeps its capacity across refills (the zero-allocation
+  // contract of the hot path).
+  const auto capacity = scratch.capacity();
+  node.begin_round(1);
+  node.push_targets(scratch);
+  EXPECT_EQ(scratch, slice_of(*coord, NodeId{102}));
+  EXPECT_EQ(scratch.capacity(), capacity);
 }
 
 // ----------------------------------------------- victims under churn
@@ -211,7 +211,7 @@ TEST(Coordinator, SetVictimsRedirectsNextRoundsSchedule) {
   coord.set_victims(ids(1, 9));  // node 0 crashed
   coord.begin_round(1);
   for (NodeId m : ids(100, 5)) {
-    for (NodeId t : coord.push_allocation(m)) EXPECT_NE(t, NodeId{0});
+    for (NodeId t : coord.push_slice(m)) EXPECT_NE(t, NodeId{0});
   }
 
   coord.set_victims(ids(0, 10));  // node 0 rejoined
@@ -219,7 +219,7 @@ TEST(Coordinator, SetVictimsRedirectsNextRoundsSchedule) {
   for (Round r = 2; r < 12 && !targeted_again; ++r) {
     coord.begin_round(r);
     for (NodeId m : ids(100, 5)) {
-      for (NodeId t : coord.push_allocation(m)) {
+      for (NodeId t : coord.push_slice(m)) {
         if (t == NodeId{0}) targeted_again = true;
       }
     }
@@ -232,19 +232,19 @@ TEST(Coordinator, SetTargetedNarrowsEclipseMidRun) {
   config.targeted_victims = ids(0, 2);
   Coordinator coord(ids(100, 5), ids(0, 40), config, 32);
   coord.begin_round(0);
-  for (NodeId t : coord.push_allocation(NodeId{100})) EXPECT_LT(t.value, 2u);
+  for (NodeId t : coord.push_slice(NodeId{100})) EXPECT_LT(t.value, 2u);
 
   coord.set_targeted(ids(1, 1));  // victim 0 died mid-eclipse
   coord.begin_round(1);
   for (NodeId m : ids(100, 5)) {
-    for (NodeId t : coord.push_allocation(m)) EXPECT_EQ(t, NodeId{1});
+    for (NodeId t : coord.push_slice(m)) EXPECT_EQ(t, NodeId{1});
   }
 
   coord.set_targeted({});  // all victims gone: fall back to the full pool
   coord.begin_round(2);
   std::set<std::uint32_t> seen;
   for (NodeId m : ids(100, 5)) {
-    for (NodeId t : coord.push_allocation(m)) seen.insert(t.value);
+    for (NodeId t : coord.push_slice(m)) seen.insert(t.value);
   }
   EXPECT_GT(seen.size(), 2u) << "schedule did not widen back to the victim pool";
 }
@@ -265,9 +265,11 @@ TEST(Strategies, OmissionRefusesPullsAndPushesNothing) {
   ByzantineNode node(NodeId{100}, coord, 1);
   node.begin_round(0);
   EXPECT_FALSE(node.answers_pull(NodeId{5}));
-  EXPECT_TRUE(node.push_targets().empty());
+  std::vector<NodeId> pushes{NodeId{7}, NodeId{8}};  // stale entries
+  node.push_targets(pushes);
+  EXPECT_TRUE(pushes.empty());
   // Camouflage pulls still go out (the adversary keeps harvesting).
-  EXPECT_EQ(node.pull_targets().size(), 8u);
+  EXPECT_EQ(pull_targets_of(node).size(), 8u);
 }
 
 TEST(Strategies, BalancedAnswersPullsAndPushes) {
@@ -275,7 +277,7 @@ TEST(Strategies, BalancedAnswersPullsAndPushes) {
   ByzantineNode node(NodeId{100}, coord, 1);
   node.begin_round(0);
   EXPECT_TRUE(node.answers_pull(NodeId{5}));
-  EXPECT_EQ(node.push_targets().size(), 8u);
+  EXPECT_EQ(push_targets_of(node).size(), 8u);
 }
 
 TEST(Strategies, OscillatingFollowsItsDutyCycle) {
@@ -284,7 +286,7 @@ TEST(Strategies, OscillatingFollowsItsDutyCycle) {
   std::uint64_t active_rounds = 0;
   for (Round r = 0; r < 10; ++r) {
     node.begin_round(r);
-    const bool pushes = !node.push_targets().empty();
+    const bool pushes = !push_targets_of(node).empty();
     const bool expect_active = (r % 5) < 3;
     EXPECT_EQ(pushes, expect_active) << "round " << r;
     if (expect_active) ++active_rounds;
@@ -314,7 +316,7 @@ TEST(Strategies, EclipseCapsPerVictimPushesAndSpendsTheRest) {
   std::map<std::uint32_t, int> hits;
   std::size_t total = 0;
   for (NodeId m : ids(100, 5)) {
-    for (NodeId t : coord->push_allocation(m)) {
+    for (NodeId t : coord->push_slice(m)) {
       ++hits[t.value];
       ++total;
     }

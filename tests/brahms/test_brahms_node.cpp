@@ -6,8 +6,13 @@
 #include <algorithm>
 #include <set>
 
+#include "support/targets.hpp"
+
 namespace raptee::brahms {
 namespace {
+
+using test::pull_targets_of;
+using test::push_targets_of;
 
 BrahmsConfig small_config(std::size_t l1 = 20) {
   BrahmsConfig config;
@@ -56,7 +61,7 @@ TEST(BrahmsNode, ValidatesParams) {
 TEST(BrahmsNode, BootstrapDedupsAndExcludesSelf) {
   auto node = make_node(NodeId{5});
   node->bootstrap({NodeId{1}, NodeId{1}, NodeId{5}, NodeId{2}});
-  const auto view = node->current_view();
+  const auto view = node->view().ids();
   EXPECT_EQ(view.size(), 2u);
   EXPECT_EQ(std::count(view.begin(), view.end(), NodeId{5}), 0);
 }
@@ -64,7 +69,7 @@ TEST(BrahmsNode, BootstrapDedupsAndExcludesSelf) {
 TEST(BrahmsNode, BootstrapTruncatesToViewSize) {
   auto node = make_node(NodeId{0}, small_config(8));
   node->bootstrap(id_range(1, 50));
-  EXPECT_EQ(node->current_view().size(), 8u);
+  EXPECT_EQ(node->view().size(), 8u);
 }
 
 TEST(BrahmsNode, BootstrapPrimesSamplers) {
@@ -77,21 +82,25 @@ TEST(BrahmsNode, FanoutsMatchAlphaBetaSlices) {
   auto node = make_node(NodeId{0});  // l1=20: push 8, pull 8, history 4
   node->bootstrap(id_range(1, 20));
   node->begin_round(0);
-  const auto pushes = node->push_targets();
-  const auto pulls = node->pull_targets();
+  const auto pushes = push_targets_of(*node);
+  const auto pulls = pull_targets_of(*node);
   EXPECT_EQ(pushes.size(), 8u);
   EXPECT_EQ(pulls.size(), 8u);
-  const auto view = node->current_view();
+  const auto view = node->view().ids();
   for (NodeId t : pushes) {
     EXPECT_NE(std::find(view.begin(), view.end(), t), view.end());
   }
 }
 
-TEST(BrahmsNode, EmptyViewYieldsNoTargets) {
+TEST(BrahmsNode, EmptyViewReplacesStaleTargetsWithNone) {
   auto node = make_node(NodeId{0});
   node->begin_round(0);
-  EXPECT_TRUE(node->push_targets().empty());
-  EXPECT_TRUE(node->pull_targets().empty());
+  std::vector<NodeId> targets{NodeId{3}, NodeId{4}};  // stale entries
+  node->push_targets(targets);
+  EXPECT_TRUE(targets.empty());
+  targets = {NodeId{3}, NodeId{4}};
+  node->pull_targets(targets);
+  EXPECT_TRUE(targets.empty());
 }
 
 TEST(BrahmsNode, PushCarriesOwnId) {
@@ -105,7 +114,7 @@ TEST(BrahmsNode, PullAnswerIsFullView) {
   node->begin_round(0);
   const auto reply = node->answer_pull(wire::PullRequest{NodeId{99}, {}});
   EXPECT_EQ(reply.sender, NodeId{0});
-  EXPECT_EQ(reply.view, node->current_view());
+  EXPECT_EQ(reply.view, node->view().ids());
 }
 
 TEST(BrahmsNode, ViewRenewalDrawsFromAllThreeSources) {
@@ -122,7 +131,7 @@ TEST(BrahmsNode, ViewRenewalDrawsFromAllThreeSources) {
   run_pull(*a, *b);
   a->end_round(0);
 
-  const auto view = a->current_view();
+  const auto view = a->view().ids();
   EXPECT_EQ(view.size(), 20u);
   const auto has_in = [&view](std::uint32_t lo, std::uint32_t hi) {
     return std::any_of(view.begin(), view.end(), [lo, hi](NodeId id) {
@@ -139,7 +148,7 @@ TEST(BrahmsNode, FloodBlocksViewUpdate) {
   auto b = make_node(NodeId{100}, small_config(20), 2);
   a->bootstrap(id_range(1, 20));
   b->bootstrap(id_range(40, 20));
-  const auto before = a->current_view();
+  const auto before = a->view().ids();
 
   a->begin_round(0);
   b->begin_round(0);
@@ -150,7 +159,7 @@ TEST(BrahmsNode, FloodBlocksViewUpdate) {
 
   EXPECT_TRUE(a->telemetry().update_blocked);
   // Ages aside, membership is unchanged.
-  auto after = a->current_view();
+  auto after = a->view().ids();
   std::sort(after.begin(), after.end());
   auto sorted_before = before;
   std::sort(sorted_before.begin(), sorted_before.end());
@@ -206,7 +215,7 @@ TEST(BrahmsNode, SelfNeverEntersView) {
     run_pull(*a, *b);
     a->end_round(r);
   }
-  const auto view = a->current_view();
+  const auto view = a->view().ids();
   EXPECT_EQ(std::count(view.begin(), view.end(), NodeId{0}), 0);
 }
 
@@ -227,7 +236,7 @@ TEST(BrahmsNode, RenewalSamplesStreamWithMultiplicity) {
     a->on_push(wire::PushMessage{NodeId{200}});
     for (int pull = 0; pull < 5; ++pull) run_pull(*a, *b);
     a->end_round(0);
-    const auto view = a->current_view();
+    const auto view = a->view().ids();
     hits += std::count(view.begin(), view.end(), NodeId{300});
     ++trials;
   }

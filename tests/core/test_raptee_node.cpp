@@ -8,9 +8,13 @@
 
 #include "core/node_factory.hpp"
 #include "sim/engine.hpp"
+#include "support/targets.hpp"
 
 namespace raptee::core {
 namespace {
+
+using test::pull_targets_of;
+using test::push_targets_of;
 
 brahms::BrahmsConfig small_brahms(std::size_t l1 = 20) {
   brahms::BrahmsConfig config;
@@ -119,9 +123,9 @@ TEST(RapteeNode, FullEvictionStillRenewsViews) {
   // ER=100%: untrusted pulled IDs are barred from the view, but the view
   // must keep renewing from pushes/history ("as if issuing no pulls").
   MixedWorld world(EvictionSpec::fixed(1.0), /*honest=*/10);
-  const auto before = world.trusted[0]->current_view();
+  const auto before = world.trusted[0]->view().ids();
   world.engine.run(10);
-  const auto after = world.trusted[0]->current_view();
+  const auto after = world.trusted[0]->view().ids();
   EXPECT_GE(after.size(), before.size());  // views keep filling toward l1
   EXPECT_NE(after, before);                // and their content keeps renewing
 }
@@ -130,7 +134,7 @@ TEST(RapteeNode, ViewNeverContainsSelf) {
   MixedWorld world(EvictionSpec::adaptive(), /*honest=*/8);
   world.engine.run(8);
   for (const auto* node : world.trusted) {
-    const auto view = node->current_view();
+    const auto view = node->view().ids();
     EXPECT_EQ(std::count(view.begin(), view.end(), node->id()), 0);
   }
 }
@@ -138,12 +142,16 @@ TEST(RapteeNode, ViewNeverContainsSelf) {
 TEST(RapteeNode, TrustedOverlayAddsExtraPullAfterDiscovery) {
   MixedWorld world(EvictionSpec::adaptive(), /*honest=*/6, /*overlay=*/true);
   world.engine.run(15);
+  world.trusted[0]->begin_round(99);
+  std::vector<NodeId> pulls(40, NodeId{999});  // stale entries
+  world.trusted[0]->pull_targets(pulls);
+  EXPECT_EQ(std::count(pulls.begin(), pulls.end(), NodeId{999}), 0);
   // Once trusted peers discovered each other, pull fan-out grows by one.
   if (world.trusted[0]->trusted_store().size() > 0) {
-    world.trusted[0]->begin_round(99);
-    const auto pulls = world.trusted[0]->pull_targets();
     EXPECT_EQ(pulls.size(), small_brahms().params.pull_slice() + 1);
     EXPECT_EQ(pulls.back(), NodeId{1});
+  } else {
+    EXPECT_EQ(pulls.size(), small_brahms().params.pull_slice());
   }
 }
 
@@ -156,10 +164,10 @@ TEST(RapteeNode, CamouflageTrafficShapeMatchesHonest) {
   auto& honest_node = world.engine.node(NodeId{5});
   trusted_node->begin_round(50);
   honest_node.begin_round(50);
-  EXPECT_EQ(trusted_node->push_targets().size(), honest_node.push_targets().size());
-  EXPECT_EQ(trusted_node->pull_targets().size(), honest_node.pull_targets().size());
+  EXPECT_EQ(push_targets_of(*trusted_node).size(), push_targets_of(honest_node).size());
+  EXPECT_EQ(pull_targets_of(*trusted_node).size(), pull_targets_of(honest_node).size());
   const auto reply = trusted_node->answer_pull(wire::PullRequest{NodeId{9}, {}});
-  EXPECT_EQ(reply.view.size(), trusted_node->current_view().size());
+  EXPECT_EQ(reply.view.size(), trusted_node->view().size());
 }
 
 TEST(RapteeNode, BogusSwapOfferFromUntrustedIsIgnored) {
@@ -180,9 +188,9 @@ TEST(RapteeNode, StraySwapReplyIsIgnored) {
   MixedWorld world(EvictionSpec::adaptive(), /*honest=*/4);
   auto* node = world.trusted[0];
   node->begin_round(0);
-  const auto before = node->current_view();
+  const auto before = node->view().ids();
   node->process_swap_reply(wire::SwapReply{NodeId{9}, {NodeId{4}, NodeId{5}}});
-  EXPECT_EQ(node->current_view(), before);
+  EXPECT_EQ(node->view().ids(), before);
 }
 
 TEST(RapteeNode, EnclaveLedgerAccumulatesDuringRun) {

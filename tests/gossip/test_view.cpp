@@ -55,17 +55,6 @@ TEST(PartialView, RemoveById) {
   EXPECT_EQ(v.size(), 1u);
 }
 
-TEST(PartialView, RemoveOldestH) {
-  PartialView v(5);
-  for (std::uint32_t i = 0; i < 5; ++i) v.insert(NodeId{i}, i);
-  v.remove_oldest(2);
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_FALSE(v.contains(NodeId{4}));
-  EXPECT_FALSE(v.contains(NodeId{3}));
-  v.remove_oldest(100);  // clamped
-  EXPECT_TRUE(v.empty());
-}
-
 TEST(PartialView, RandomAndPickCoverage) {
   Rng rng(2);
   PartialView v(8);
@@ -80,26 +69,9 @@ TEST(PartialView, FrameworkMergeDedupsAndExcludesSelf) {
   PartialView v(6);
   v.insert(NodeId{1}, 4);
   v.framework_merge({{NodeId{1}, 1}, {NodeId{5}, 0}, {NodeId{7}, 2}}, /*self=*/NodeId{7},
-                    /*h=*/0, /*s=*/0, /*sent=*/{}, rng);
+                    /*sent=*/{}, rng);
   EXPECT_EQ(v.size(), 2u);         // self excluded, 1 deduped
   EXPECT_EQ(v.entries()[0].age, 1u);  // fresher copy of node 1 kept
-  EXPECT_TRUE(v.contains(NodeId{5}));
-}
-
-TEST(PartialView, FrameworkMergeHealDropsOldest) {
-  Rng rng(6);
-  PartialView v(3);
-  v.insert(NodeId{1}, 9);
-  v.insert(NodeId{2}, 8);
-  v.insert(NodeId{3}, 1);
-  // Merge two new entries into a full view: surplus 2, H=2 drops the two
-  // oldest (ids 1 and 2).
-  v.framework_merge({{NodeId{4}, 0}, {NodeId{5}, 0}}, NodeId{100}, /*h=*/2, /*s=*/0, {},
-                    rng);
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_FALSE(v.contains(NodeId{1}));
-  EXPECT_FALSE(v.contains(NodeId{2}));
-  EXPECT_TRUE(v.contains(NodeId{4}));
   EXPECT_TRUE(v.contains(NodeId{5}));
 }
 
@@ -109,8 +81,8 @@ TEST(PartialView, FrameworkMergeSwapDropsSentEntries) {
   v.insert(NodeId{1}, 0);
   v.insert(NodeId{2}, 0);
   v.insert(NodeId{3}, 0);
-  // Surplus 2 with H=0, S=2: the sent entries {1,2} are removed.
-  v.framework_merge({{NodeId{4}, 0}, {NodeId{5}, 0}}, NodeId{100}, /*h=*/0, /*s=*/2,
+  // Surplus 2: the sent entries {1,2} are removed.
+  v.framework_merge({{NodeId{4}, 0}, {NodeId{5}, 0}}, NodeId{100},
                     /*sent=*/{NodeId{1}, NodeId{2}}, rng);
   EXPECT_EQ(v.size(), 3u);
   EXPECT_FALSE(v.contains(NodeId{1}));
@@ -122,8 +94,8 @@ TEST(PartialView, FrameworkMergeRandomFallback) {
   PartialView v(2);
   v.insert(NodeId{1}, 0);
   v.insert(NodeId{2}, 0);
-  // Surplus with H=0, S=0: random removal keeps size at capacity.
-  v.framework_merge({{NodeId{3}, 0}, {NodeId{4}, 0}}, NodeId{100}, 0, 0, {}, rng);
+  // Surplus with nothing sent: random removal keeps size at capacity.
+  v.framework_merge({{NodeId{3}, 0}, {NodeId{4}, 0}}, NodeId{100}, /*sent=*/{}, rng);
   EXPECT_EQ(v.size(), 2u);
 }
 

@@ -1,6 +1,6 @@
 // Determinism gates for the pluggable adversary layer:
 //
-//  * every registered strategy is same-seed bit-identical down to the
+//  * every catalog strategy is same-seed bit-identical down to the
 //    results::to_json bytes (the scale_links-style purity bar);
 //  * the default balanced attack is byte-identical to the PRE-redesign
 //    hardcoded adversary — asserted against SHA-256 digests of result JSON
@@ -71,7 +71,8 @@ TEST(AttackDeterminism, ExplicitBalancedIsTheDefaultRun) {
 }
 
 TEST(AttackDeterminism, EveryRegisteredStrategyIsBitIdenticalAcrossRuns) {
-  for (const std::string& name : adversary::StrategyRegistry::instance().names()) {
+  for (const adversary::StrategyEntry& entry : adversary::strategy_catalog()) {
+    const std::string name(entry.name);
     const ScenarioSpec spec = ScenarioSpec()
                                   .population(128)
                                   .view_size(16)
@@ -93,7 +94,8 @@ TEST(AttackDeterminism, StrategiesProduceDistinctRuns) {
   // The catalog must actually differ behaviourally: pairwise-distinct
   // result bytes for the same (seed, population).
   std::vector<std::string> docs;
-  for (const std::string& name : adversary::StrategyRegistry::instance().names()) {
+  for (const adversary::StrategyEntry& entry : adversary::strategy_catalog()) {
+    const std::string name(entry.name);
     docs.push_back(results::to_json(ScenarioSpec()
                                         .population(128)
                                         .view_size(16)

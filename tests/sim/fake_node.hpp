@@ -2,6 +2,7 @@
 // push/pull targets, records every callback.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -23,13 +24,13 @@ class FakeNode : public INode {
     ++begin_calls;
     pushes_seen_this_round = 0;
   }
-  std::vector<NodeId> push_targets() override { return push_targets_; }
+  void push_targets(std::vector<NodeId>& out) override { out = push_targets_; }
   wire::PushMessage make_push() override { return wire::PushMessage{id_}; }
   void on_push(const wire::PushMessage& push) override {
     received_pushes.push_back(push.sender);
     ++pushes_seen_this_round;
   }
-  std::vector<NodeId> pull_targets() override { return pull_targets_; }
+  void pull_targets(std::vector<NodeId>& out) override { out = pull_targets_; }
   bool answers_pull(NodeId requester) override {
     pull_refusal_checks.push_back(requester);
     return !refuse_pulls;
@@ -62,7 +63,12 @@ class FakeNode : public INode {
   }
   void on_pull_timeout(NodeId target) override { timeouts.push_back(target); }
   void end_round(Round) override { ++end_calls; }
-  std::vector<NodeId> current_view() const override { return view_; }
+  std::size_t view_capacity() const override { return view_.size(); }
+  std::size_t copy_view(NodeId* out, std::size_t cap) const override {
+    const std::size_t n = std::min(view_.size(), cap);
+    std::copy_n(view_.begin(), n, out);
+    return n;
+  }
 
   // Script knobs.
   std::vector<NodeId> view_;

@@ -193,26 +193,21 @@ TEST_F(EngineFixture, BootstrapWithProviderControlsViews) {
   EXPECT_EQ(fakes[2]->view_, std::vector<NodeId>{NodeId{0}});
 }
 
-TEST_F(EngineFixture, AliveIdsFiltersByKindAndLiveness) {
+TEST_F(EngineFixture, AliveIdsListsLiveNodesOfEveryKind) {
   Engine engine({});
   engine.add_node(std::make_unique<FakeNode>(NodeId{0}), NodeKind::kHonest);
   engine.add_node(std::make_unique<FakeNode>(NodeId{1}), NodeKind::kByzantine);
   engine.add_node(std::make_unique<FakeNode>(NodeId{2}), NodeKind::kTrusted);
   engine.set_alive(NodeId{0}, false);
-  const auto correct = engine.alive_ids([](NodeKind k) { return is_correct(k); });
-  EXPECT_EQ(correct, std::vector<NodeId>{NodeId{2}});
-  EXPECT_EQ(engine.alive_ids().size(), 2u);
+  std::vector<NodeId> alive{NodeId{7}, NodeId{0}, NodeId{9}};  // stale entries
+  engine.alive_ids(alive);
+  EXPECT_EQ(alive, (std::vector<NodeId>{NodeId{1}, NodeId{2}}));
 }
 
 struct RecordingListener : ITrafficListener {
-  int pushes = 0, replies = 0, swaps = 0, rounds = 0;
-  void on_push_delivered(Round, NodeId, NodeId, NodeId) override { ++pushes; }
+  int replies = 0, rounds = 0;
   void on_pull_reply_delivered(Round, NodeId, NodeId, const std::vector<NodeId>&) override {
     ++replies;
-  }
-  void on_swap_completed(Round, NodeId, NodeId, const std::vector<NodeId>&,
-                         const std::vector<NodeId>&) override {
-    ++swaps;
   }
   void on_round_end(Round, Engine&) override { ++rounds; }
 };
@@ -226,9 +221,9 @@ TEST_F(EngineFixture, ListenersObserveTraffic) {
   fakes[0]->offer_on_reply = true;
   fakes[1]->answer_swaps = true;
   engine.step();
-  EXPECT_EQ(listener.pushes, 1);
+  EXPECT_EQ(engine.counters().pushes_delivered, 1u);
   EXPECT_EQ(listener.replies, 1);
-  EXPECT_EQ(listener.swaps, 1);
+  EXPECT_EQ(engine.counters().swaps_completed, 1u);
   EXPECT_EQ(listener.rounds, 1);
 
   engine.remove_listener(&listener);
@@ -244,9 +239,9 @@ TEST_F(EngineFixture, ListenersObserveTraffic) {
 
 struct SelfRemovingListener : ITrafficListener {
   Engine* engine = nullptr;
-  int pushes = 0, rounds = 0;
-  void on_push_delivered(Round, NodeId, NodeId, NodeId) override {
-    ++pushes;
+  int replies = 0, rounds = 0;
+  void on_pull_reply_delivered(Round, NodeId, NodeId, const std::vector<NodeId>&) override {
+    ++replies;
     engine->remove_listener(this);
   }
   void on_round_end(Round, Engine&) override { ++rounds; }
@@ -259,24 +254,24 @@ TEST_F(EngineFixture, ListenerMayRemoveItselfFromInsideACallback) {
   RecordingListener survivor;
   engine.add_listener(&remover);
   engine.add_listener(&survivor);
-  fakes[0]->push_targets_ = {NodeId{1}, NodeId{2}, NodeId{1}};
+  fakes[0]->pull_targets_ = {NodeId{1}, NodeId{2}, NodeId{1}};
   engine.step();
   // The remover saw exactly the callback it removed itself in; the
   // listener registered after it observed the whole round regardless.
-  EXPECT_EQ(remover.pushes, 1);
+  EXPECT_EQ(remover.replies, 1);
   EXPECT_EQ(remover.rounds, 0);
-  EXPECT_EQ(survivor.pushes, 3);
+  EXPECT_EQ(survivor.replies, 3);
   EXPECT_EQ(survivor.rounds, 1);
 
   engine.step();
-  EXPECT_EQ(remover.pushes, 1);
+  EXPECT_EQ(remover.replies, 1);
   EXPECT_EQ(survivor.rounds, 2);
 }
 
 struct PeerRemovingListener : ITrafficListener {
   Engine* engine = nullptr;
   ITrafficListener* peer = nullptr;
-  void on_push_delivered(Round, NodeId, NodeId, NodeId) override {
+  void on_pull_reply_delivered(Round, NodeId, NodeId, const std::vector<NodeId>&) override {
     if (peer != nullptr) {
       engine->remove_listener(peer);
       peer = nullptr;
@@ -294,12 +289,12 @@ TEST_F(EngineFixture, ListenerMayRemoveAPeerFromInsideACallback) {
   // callback that triggered its removal.
   engine.add_listener(&remover);
   engine.add_listener(&victim);
-  fakes[0]->push_targets_ = {NodeId{1}, NodeId{2}};
+  fakes[0]->pull_targets_ = {NodeId{1}, NodeId{2}};
   engine.step();
-  EXPECT_EQ(victim.pushes, 0);
+  EXPECT_EQ(victim.replies, 0);
   EXPECT_EQ(victim.rounds, 0);
   engine.step();  // the compacted listener list stays consistent
-  EXPECT_EQ(victim.pushes, 0);
+  EXPECT_EQ(victim.replies, 0);
 }
 
 TEST_F(EngineFixture, RunHonorsStopPredicate) {

@@ -74,10 +74,9 @@ constexpr std::size_t kPopulation = 16;
 constexpr std::size_t kViewSize = 4;
 
 /// Allocation-free INode: fixed inline ring view, deterministic push/pull
-/// fan-out, empty exchange payloads. Every hot-path hook the engine uses —
-/// the scratch-filling target forms and the slab copy — is overridden to
-/// stay off the heap; the allocating base forms exist only to satisfy the
-/// interface.
+/// fan-out, empty exchange payloads. The target calls fill the engine's
+/// scratch and the slab copy writes in place, so nothing here touches the
+/// heap.
 class LeanNode final : public INode {
  public:
   explicit LeanNode(NodeId id) : id_(id) {
@@ -90,9 +89,6 @@ class LeanNode final : public INode {
   void bootstrap(const std::vector<NodeId>&) override {}
   void begin_round(Round) override {}
 
-  [[nodiscard]] std::vector<NodeId> push_targets() override {
-    return {view_.begin(), view_.end()};
-  }
   void push_targets(std::vector<NodeId>& out) override {
     out.clear();
     for (NodeId target : view_) out.push_back(target);
@@ -100,7 +96,6 @@ class LeanNode final : public INode {
   [[nodiscard]] wire::PushMessage make_push() override { return wire::PushMessage{id_}; }
   void on_push(const wire::PushMessage&) override {}
 
-  [[nodiscard]] std::vector<NodeId> pull_targets() override { return {view_[0]}; }
   void pull_targets(std::vector<NodeId>& out) override {
     out.clear();
     out.push_back(view_[0]);
@@ -123,9 +118,6 @@ class LeanNode final : public INode {
   void process_swap_reply(const wire::SwapReply&) override {}
   void end_round(Round) override {}
 
-  [[nodiscard]] std::vector<NodeId> current_view() const override {
-    return {view_.begin(), view_.end()};
-  }
   [[nodiscard]] std::size_t view_capacity() const override { return kViewSize; }
   std::size_t copy_view(NodeId* out, std::size_t cap) const override {
     const std::size_t n = kViewSize < cap ? kViewSize : cap;

@@ -38,8 +38,6 @@ int main() {
 
   metrics::TablePrinter table(
       {"bounds", "f%", "improvement %", "discovery ovh %", "ident F1", "mean ER %"});
-  metrics::CsvWriter csv({"lower", "upper", "f_pct", "improvement_pct",
-                          "discovery_overhead_pct", "ident_f1", "mean_er_pct"});
   scenario::results::BenchReport report("ablation_adaptive_bounds", knobs);
 
   const std::size_t stride = 1 + variants.size();
@@ -60,11 +58,6 @@ int main() {
                      bench::fmt_opt(disc),
                      metrics::fmt(raptee.ident_best_f1.mean(), 2),
                      metrics::fmt(100.0 * raptee.eviction_rate.mean())});
-      csv.add_row({metrics::fmt(b.lower, 2), metrics::fmt(b.upper, 2),
-                   std::to_string(fs[fi]), metrics::fmt(imp, 3),
-                   bench::fmt_opt(disc, 3),
-                   metrics::fmt(raptee.ident_best_f1.mean(), 4),
-                   metrics::fmt(100.0 * raptee.eviction_rate.mean(), 2)});
       report.add_row(metrics::JsonObject()
                          .field("lower", b.lower)
                          .field("upper", b.upper)
@@ -77,7 +70,6 @@ int main() {
   }
   std::cout << table.render() << '\n';
   bench::report_timing(report, timer, knobs, specs.size() * knobs.reps);
-  bench::write_csv("ablation_adaptive_bounds.csv", csv);
   report.write();
   return 0;
 }

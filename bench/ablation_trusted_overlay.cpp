@@ -34,8 +34,6 @@ int main() {
 
   metrics::TablePrinter table({"f%", "t%", "improvement off %", "improvement on %",
                                "trusted pollution off %", "trusted pollution on %"});
-  metrics::CsvWriter csv({"f_pct", "t_pct", "overlay", "improvement_pct",
-                          "trusted_pollution_pct"});
   scenario::results::BenchReport report("ablation_trusted_overlay", knobs);
 
   std::size_t idx = 0;
@@ -52,10 +50,6 @@ int main() {
                      metrics::fmt(imp_on),
                      metrics::fmt(100.0 * off.pollution_trusted.mean()),
                      metrics::fmt(100.0 * on.pollution_trusted.mean())});
-      csv.add_row({std::to_string(f), std::to_string(t), "off", metrics::fmt(imp_off, 3),
-                   metrics::fmt(100.0 * off.pollution_trusted.mean(), 3)});
-      csv.add_row({std::to_string(f), std::to_string(t), "on", metrics::fmt(imp_on, 3),
-                   metrics::fmt(100.0 * on.pollution_trusted.mean(), 3)});
       const auto json_row = [&](const char* overlay, double improvement,
                                 const metrics::RepeatedResult& cell) {
         report.add_row(metrics::JsonObject()
@@ -71,7 +65,6 @@ int main() {
   }
   std::cout << table.render() << '\n';
   bench::report_timing(report, timer, knobs, specs.size() * knobs.reps);
-  bench::write_csv("ablation_trusted_overlay.csv", csv);
   report.write();
   return 0;
 }

@@ -4,7 +4,7 @@
 // coverage BASALT-style evaluations demand and the single balanced attack
 // of the paper's §VI cannot provide.
 //
-// Emits bench_out/attack_matrix.{csv,json} (raptee.bench/4) and exits
+// Emits bench_out/attack_matrix.json (raptee.bench/4) and exits
 // non-zero if the catalog loses its teeth:
 //   * capture — the honest-victim eclipse must push its victims well past
 //     the population-wide pollution, to majority capture (eviction cannot
@@ -61,9 +61,6 @@ int main() {
 
   metrics::TablePrinter table({"attack", "eviction", "pollution %", "victim %",
                                "isolated", "suppressed"});
-  metrics::CsvWriter csv({"attack", "eviction", "pollution", "victim_pollution",
-                          "isolation_reached", "isolation_round_mean",
-                          "legs_suppressed_mean", "attacked_runs"});
   scenario::results::BenchReport report("attack_matrix", knobs);
 
   for (std::size_t a = 0; a < attacks.size(); ++a) {
@@ -78,13 +75,6 @@ int main() {
            has_victims ? metrics::fmt(100.0 * cell.victim_pollution.mean()) : "-",
            std::to_string(cell.isolation_reached) + "/" + std::to_string(cell.runs),
            metrics::fmt(suppressed, 0)});
-      csv.add_row({attacks[a].first, evictions[e].first,
-                   metrics::fmt(cell.pollution.mean(), 6),
-                   has_victims ? metrics::fmt(cell.victim_pollution.mean(), 6) : "",
-                   std::to_string(cell.isolation_reached),
-                   cell.isolation_reached ? metrics::fmt(cell.isolation_round.mean(), 1)
-                                          : "",
-                   metrics::fmt(suppressed, 1), std::to_string(cell.attacked_runs)});
       metrics::JsonObject row;
       row.field("attack", attacks[a].first)
           .field("eviction", evictions[e].first)
@@ -106,7 +96,6 @@ int main() {
 
   std::cout << table.render() << '\n';
   bench::report_timing(report, timer, knobs, sweep.cells.size() * knobs.reps);
-  bench::write_csv("attack_matrix.csv", csv);
   report.write();
 
   // --- gates ---

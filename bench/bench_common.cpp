@@ -7,15 +7,6 @@
 
 namespace raptee::bench {
 
-void write_csv(const std::string& file_name, const metrics::CsvWriter& csv) {
-  const std::string path = "bench_out/" + file_name;
-  if (!csv.write(path)) {
-    std::cerr << "warning: could not write " << path << '\n';
-  } else {
-    std::cout << "[csv] " << path << '\n';
-  }
-}
-
 void print_header(const char* bench_name, const scenario::Knobs& knobs) {
   std::cout << "==== " << bench_name << " ====\n"
             << "mode=" << (knobs.full ? "FULL (paper-scale)" : "quick")
@@ -76,10 +67,6 @@ void run_eviction_figure(const char* fig_name, const char* title,
   std::vector<std::string> headers{"f%\\t%"};
   for (const int t : ts) headers.push_back("t=" + std::to_string(t) + "%");
   metrics::TablePrinter improvement(headers), discovery(headers), stability(headers);
-  metrics::CsvWriter csv({"f_pct", "t_pct", "eviction", "baseline_pollution_pct",
-                          "raptee_pollution_pct", "resilience_improvement_pct",
-                          "resilience_improvement_honest_pct", "discovery_overhead_pct",
-                          "stability_overhead_pct", "mean_eviction_rate_pct"});
   scenario::results::BenchReport report(fig_name, knobs);
 
   const std::size_t stride = 1 + ts.size();
@@ -100,12 +87,6 @@ void run_eviction_figure(const char* fig_name, const char* title,
       row_stab.push_back(fmt_opt(stab));
 
       const double imp_honest = cmp.resilience_improvement_honest_pct;
-      csv.add_row({std::to_string(f), std::to_string(ts[ti]), eviction.describe(),
-                   metrics::fmt(100.0 * baseline.pollution.mean(), 3),
-                   metrics::fmt(100.0 * raptee.pollution.mean(), 3),
-                   metrics::fmt(imp, 3), metrics::fmt(imp_honest, 3), fmt_opt(disc, 3),
-                   fmt_opt(stab, 3),
-                   metrics::fmt(100.0 * raptee.eviction_rate.mean(), 2)});
       report.add_row(metrics::JsonObject()
                          .field("f_pct", f)
                          .field("t_pct", ts[ti])
@@ -131,7 +112,6 @@ void run_eviction_figure(const char* fig_name, const char* title,
   std::cout << "(c) Round overhead to reach view stability (%)\n" << stability.render()
             << '\n';
   report_timing(report, timer, knobs, specs.size() * knobs.reps);
-  write_csv(std::string(fig_name) + ".csv", csv);
   report.write();
 }
 

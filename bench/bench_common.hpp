@@ -4,9 +4,10 @@
 // scenario::Knobs::from_env() sizes runs (RAPTEE_BENCH_* knobs, see
 // README.md), ScenarioSpec builds cells, Runner executes them. This header
 // only keeps what benches share to *present* results: aligned tables, the
-// CSV + JSON sinks under bench_out/ and the Figures 5-9 eviction-sweep
-// driver. The derived metrics (resilience improvement, round overheads)
-// come from metrics::finalize_comparison.
+// wall-clock row of the bench_out/ JSON report (every bench's one
+// machine-readable output) and the Figures 5-9 eviction-sweep driver. The
+// derived metrics (resilience improvement, round overheads) come from
+// metrics::finalize_comparison.
 #pragma once
 
 #include <chrono>
@@ -17,9 +18,6 @@
 #include "scenario/scenario.hpp"
 
 namespace raptee::bench {
-
-/// Writes a CSV under bench_out/ (best effort; failures warn on stderr).
-void write_csv(const std::string& file_name, const metrics::CsvWriter& csv);
 
 /// Prints the run header (grid sizes, mode) for reproducibility.
 void print_header(const char* bench_name, const scenario::Knobs& knobs);
@@ -48,8 +46,8 @@ void report_timing(scenario::results::BenchReport& report, const WallTimer& time
 
 /// Figures 5-9 all share this sweep: for a given eviction policy, produce
 /// the three panels (resilience improvement, discovery overhead, stability
-/// overhead) as f x t matrices, print them and write CSV + JSON. Baselines
-/// are computed once per f and shared across the t columns.
+/// overhead) as f x t matrices, print them and write the JSON report.
+/// Baselines are computed once per f and shared across the t columns.
 void run_eviction_figure(const char* fig_name, const char* title,
                          const core::EvictionSpec& eviction,
                          const scenario::Knobs& knobs);

@@ -23,7 +23,6 @@ int main() {
   std::vector<std::string> headers{"f%\\t%"};
   for (const int t : ts) headers.push_back("t=" + std::to_string(t) + "%");
   metrics::TablePrinter recall(headers), precision(headers), f1(headers);
-  metrics::CsvWriter csv({"f_pct", "t_pct", "recall", "precision", "f1"});
   scenario::results::BenchReport report("fig12_ident_adaptive", knobs);
 
   for (std::size_t fi = 0; fi < fs.size(); ++fi) {
@@ -35,10 +34,6 @@ int main() {
       row_r.push_back(metrics::fmt(cell.ident_best_recall.mean(), 2));
       row_p.push_back(metrics::fmt(cell.ident_best_precision.mean(), 2));
       row_f.push_back(metrics::fmt(cell.ident_best_f1.mean(), 2));
-      csv.add_row({std::to_string(fs[fi]), std::to_string(ts[ti]),
-                   metrics::fmt(cell.ident_best_recall.mean(), 4),
-                   metrics::fmt(cell.ident_best_precision.mean(), 4),
-                   metrics::fmt(cell.ident_best_f1.mean(), 4)});
       report.add_row(metrics::JsonObject()
                          .field("f_pct", fs[fi])
                          .field("t_pct", ts[ti])
@@ -56,7 +51,6 @@ int main() {
   std::cout << "(b) Identification precision\n" << precision.render() << '\n';
   std::cout << "(c) Identification F1-score\n" << f1.render() << '\n';
   bench::report_timing(report, timer, knobs, grid.size() * knobs.reps);
-  bench::write_csv("fig12_ident_adaptive.csv", csv);
   report.write();
   return 0;
 }

@@ -37,8 +37,6 @@ int main() {
   const bench::WallTimer timer;
   const auto cells = scenario::Runner(knobs.threads).run_batch(specs, knobs.reps);
 
-  metrics::CsvWriter csv({"t_pct", "injected_pct", "f_pct", "baseline_pollution_pct",
-                          "raptee_pollution_pct", "resilience_improvement_pct"});
   scenario::results::BenchReport report("fig13_injection", knobs);
   const std::size_t stride = 1 + t_panels.size() * injections.size();
 
@@ -63,11 +61,6 @@ int main() {
         const double imp =
             metrics::finalize_comparison(raptee, baseline).resilience_improvement_pct;
         row.push_back(metrics::fmt(imp));
-        csv.add_row({std::to_string(t), std::to_string(injections[ii]),
-                     std::to_string(fs[fi]),
-                     metrics::fmt(100.0 * baseline.pollution.mean(), 3),
-                     metrics::fmt(100.0 * raptee.pollution.mean(), 3),
-                     metrics::fmt(imp, 3)});
         report.add_row(metrics::JsonObject()
                            .field("t_pct", t)
                            .field("injected_pct", injections[ii])
@@ -81,7 +74,6 @@ int main() {
     std::cout << table.render() << '\n';
   }
   bench::report_timing(report, timer, knobs, specs.size() * knobs.reps);
-  bench::write_csv("fig13_injection.csv", csv);
   report.write();
   return 0;
 }

@@ -20,8 +20,6 @@ int main() {
 
   metrics::TablePrinter table(
       {"f%", "byz-in-views %", "discovery rounds", "stability rounds"});
-  metrics::CsvWriter csv({"f_pct", "pollution_pct", "pollution_sd_pct",
-                          "discovery_rounds", "stability_rounds"});
   scenario::results::BenchReport report("fig3_brahms_baseline", knobs);
 
   for (std::size_t fi = 0; fi < fs.size(); ++fi) {
@@ -34,9 +32,6 @@ int main() {
         result.stability_reached ? metrics::fmt(result.stability.mean(), 0) : "-";
     table.add_row({std::to_string(f), metrics::fmt(100.0 * result.pollution.mean()),
                    discovery, stability});
-    csv.add_row({std::to_string(f), metrics::fmt(100.0 * result.pollution.mean(), 3),
-                 metrics::fmt(100.0 * result.pollution.sample_stddev(), 3), discovery,
-                 stability});
     report.add_row(metrics::JsonObject()
                        .field("f_pct", f)
                        .field("pollution", result.pollution.mean())
@@ -46,7 +41,6 @@ int main() {
 
   std::cout << table.render() << '\n';
   bench::report_timing(report, timer, knobs, grid.size() * knobs.reps);
-  bench::write_csv("fig3_brahms_baseline.csv", csv);
   report.write();
   return 0;
 }

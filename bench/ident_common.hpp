@@ -28,7 +28,6 @@ inline void run_ident_fixed_f_figure(const char* fig_name, int f_pct,
   std::vector<std::string> headers{"ER%\\t%"};
   for (const int t : ts) headers.push_back("t=" + std::to_string(t) + "%");
   metrics::TablePrinter recall(headers), precision(headers), f1(headers);
-  metrics::CsvWriter csv({"f_pct", "er_pct", "t_pct", "recall", "precision", "f1"});
   scenario::results::BenchReport report(fig_name, knobs);
 
   for (std::size_t ei = 0; ei < ers.size(); ++ei) {
@@ -40,11 +39,6 @@ inline void run_ident_fixed_f_figure(const char* fig_name, int f_pct,
       row_r.push_back(metrics::fmt(cell.ident_best_recall.mean(), 2));
       row_p.push_back(metrics::fmt(cell.ident_best_precision.mean(), 2));
       row_f.push_back(metrics::fmt(cell.ident_best_f1.mean(), 2));
-      csv.add_row({std::to_string(f_pct), std::to_string(ers[ei]),
-                   std::to_string(ts[ti]),
-                   metrics::fmt(cell.ident_best_recall.mean(), 4),
-                   metrics::fmt(cell.ident_best_precision.mean(), 4),
-                   metrics::fmt(cell.ident_best_f1.mean(), 4)});
       report.add_row(metrics::JsonObject()
                          .field("f_pct", f_pct)
                          .field("er_pct", ers[ei])
@@ -63,7 +57,6 @@ inline void run_ident_fixed_f_figure(const char* fig_name, int f_pct,
   std::cout << "(b) Precision\n" << precision.render() << '\n';
   std::cout << "(c) F1-score\n" << f1.render() << '\n';
   report_timing(report, timer, knobs, grid.size() * knobs.reps);
-  write_csv(std::string(fig_name) + ".csv", csv);
   report.write();
 }
 

@@ -3,7 +3,7 @@
 // full event-mode telemetry (virtual clock, late legs, partition drops,
 // dissemination time) the aggregated grid path does not carry.
 //
-// Emits bench_out/latency_sweep.{csv,json} (raptee.bench/4) and exits
+// Emits bench_out/latency_sweep.json (raptee.bench/4) and exits
 // non-zero if event-driven time loses its teeth:
 //   * delay leverage — under high-latency (wan) links, delay_eclipse must
 //     pollute its trusted victims measurably harder than plain eclipse
@@ -94,9 +94,6 @@ int main() {
 
   metrics::TablePrinter table({"latency", "partition", "attack", "victim %",
                                "isolated", "late", "severed", "dissem ms"});
-  metrics::CsvWriter csv({"latency", "partition", "attack", "pollution",
-                          "victim_pollution", "rounds_to_isolation", "legs_late",
-                          "partition_drops", "virtual_ms", "dissemination_time_ms"});
   scenario::results::BenchReport report("latency_sweep", knobs);
 
   for (std::size_t l = 0; l < latencies.size(); ++l) {
@@ -113,13 +110,6 @@ int main() {
                        std::to_string(run.evt.legs_late),
                        std::to_string(run.evt.partition_drops),
                        std::to_string(run.evt.dissemination_time_ms)});
-        csv.add_row({latencies[l].first, partitions[p].first, attacks[a].first,
-                     metrics::fmt(run.steady_pollution, 6),
-                     metrics::fmt(run.attack.steady_victim_pollution, 6),
-                     bench::fmt_opt(isolation, 0), std::to_string(run.evt.legs_late),
-                     std::to_string(run.evt.partition_drops),
-                     std::to_string(run.evt.virtual_ms),
-                     std::to_string(run.evt.dissemination_time_ms)});
         metrics::JsonObject row;
         row.field("latency", latencies[l].first)
             .field("partition", partitions[p].first)
@@ -138,7 +128,6 @@ int main() {
 
   std::cout << table.render() << '\n';
   bench::report_timing(report, timer, knobs, runs.size());
-  bench::write_csv("latency_sweep.csv", csv);
   report.write();
 
   // --- gates ---

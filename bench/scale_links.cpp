@@ -52,8 +52,6 @@ int main() {
 
   metrics::TablePrinter table(
       {"mode", "wall s", "derivations", "sessions", "speedup"});
-  metrics::CsvWriter csv({"mode", "wall_seconds", "derivations", "active_sessions",
-                          "wire_bytes", "pulls_completed", "speedup"});
   scenario::results::BenchReport report("scale_links", knobs);
 
   struct Mode {
@@ -93,11 +91,6 @@ int main() {
     table.add_row({mode.name, metrics::fmt(seconds, 2),
                    std::to_string(stats.derivations),
                    std::to_string(stats.active_sessions), metrics::fmt(speedup, 2)});
-    csv.add_row({mode.name, metrics::fmt(seconds, 4),
-                 std::to_string(stats.derivations),
-                 std::to_string(stats.active_sessions),
-                 std::to_string(result.wire_bytes),
-                 std::to_string(result.pulls_completed), metrics::fmt(speedup, 3)});
     report.add_row(metrics::JsonObject()
                        .field("mode", mode.name)
                        .field("wall_seconds", seconds)
@@ -112,7 +105,6 @@ int main() {
   const double speedup =
       cached_seconds > 0.0 ? baseline_seconds / cached_seconds : 1.0;
   report.set_timing(cached_seconds, 1, speedup);
-  bench::write_csv("scale_links.csv", csv);
   report.write();
 
   if (cached_json != baseline_json) {

@@ -300,10 +300,6 @@ int main() {
                                "round ms p90", "rounds/s"});
   metrics::TablePrinter phase_table({"n", "begin ms", "push gen ms", "deliver ms",
                                      "pulls ms", "end ms"});
-  metrics::CsvWriter csv({"n", "build_seconds", "peak_bytes", "bytes_per_node",
-                          "round_ms_p50", "round_ms_p90", "rounds_per_second",
-                          "begin_round_ms", "push_gen_ms", "push_deliver_ms",
-                          "pulls_ms", "end_round_ms"});
   ScalePoint largest;
   bool pushes_flowed = true;
   for (const std::size_t n : populations) {
@@ -322,16 +318,6 @@ int main() {
                          metrics::fmt(ph[sim::Engine::kPhasePushDeliver], 2),
                          metrics::fmt(ph[sim::Engine::kPhasePulls], 2),
                          metrics::fmt(ph[sim::Engine::kPhaseEndRound], 2)});
-    csv.add_row({std::to_string(point.n), metrics::fmt(point.build_seconds, 4),
-                 std::to_string(point.peak_bytes),
-                 metrics::fmt(point.bytes_per_node, 1),
-                 metrics::fmt(point.round_ms_p50, 4), metrics::fmt(point.round_ms_p90, 4),
-                 metrics::fmt(point.rounds_per_second, 3),
-                 metrics::fmt(ph[sim::Engine::kPhaseBeginRound], 4),
-                 metrics::fmt(ph[sim::Engine::kPhasePushGen], 4),
-                 metrics::fmt(ph[sim::Engine::kPhasePushDeliver], 4),
-                 metrics::fmt(ph[sim::Engine::kPhasePulls], 4),
-                 metrics::fmt(ph[sim::Engine::kPhaseEndRound], 4)});
     report.add_row(metrics::JsonObject()
                        .field("kind", "scale")
                        .field("n", point.n)
@@ -352,7 +338,6 @@ int main() {
   std::cout << "hardware threads: " << hw << "\n\n";
 
   report.set_timing(bench_timer.seconds(), resolved_threads);
-  bench::write_csv("scale_nodes.csv", csv);
   report.write();
 
   if (!all_identical) {

@@ -41,8 +41,6 @@ int main() {
   }
 
   metrics::TablePrinter table({"threads", "wall s", "runs/s", "speedup", "identical"});
-  metrics::CsvWriter csv({"threads", "wall_seconds", "runs_per_second", "speedup",
-                          "identical_to_serial"});
   scenario::results::BenchReport report("scale_threads", knobs);
 
   std::string serial_document;
@@ -79,9 +77,6 @@ int main() {
     table.add_row({std::to_string(width), metrics::fmt(seconds, 2),
                    metrics::fmt(seconds > 0.0 ? runs / seconds : 0.0, 2),
                    metrics::fmt(speedup, 2), identical ? "yes" : "NO"});
-    csv.add_row({std::to_string(width), metrics::fmt(seconds, 4),
-                 metrics::fmt(seconds > 0.0 ? runs / seconds : 0.0, 3),
-                 metrics::fmt(speedup, 3), identical ? "1" : "0"});
     report.add_row(metrics::JsonObject()
                        .field("threads", width)
                        .field("wall_seconds", seconds)
@@ -94,7 +89,6 @@ int main() {
   std::cout << table.render() << '\n';
   std::cout << "hardware threads: " << exec::hardware_threads() << "\n\n";
   report.set_timing(serial_seconds, 1);
-  bench::write_csv("scale_threads.csv", csv);
   report.write();
 
   if (!all_identical) {

@@ -153,8 +153,6 @@ void print_table1() {
 
   metrics::TablePrinter table({"Peer sampling function", "Standard", "SGX",
                                "Mean overhead", "Std dev"});
-  metrics::CsvWriter csv({"function", "standard_cycles", "sgx_cycles", "mean_overhead",
-                          "stddev_pct"});
   metrics::JsonArray rows;
 
   for (const Row& row : kRows) {
@@ -183,9 +181,6 @@ void print_table1() {
     table.add_row({row.name, metrics::fmt(standard.mean(), 0),
                    metrics::fmt(sgx_variant.mean(), 0), metrics::fmt(overhead, 0),
                    metrics::fmt(sd_pct, 1) + " %"});
-    csv.add_row({row.name, metrics::fmt(standard.mean(), 1),
-                 metrics::fmt(sgx_variant.mean(), 1), metrics::fmt(overhead, 1),
-                 metrics::fmt(sd_pct, 2)});
     rows.item_raw(metrics::JsonObject()
                       .field("function", row.name)
                       .field("standard_cycles", standard.mean())
@@ -201,9 +196,7 @@ void print_table1() {
                "push 7521->9182 (+1661), trusted comms 9845->11516 (+1671),\n"
                "sample list 13024->15364 (+2340), dynamic view 12457->15076 (+2619); "
                "sd 2-4%.\n";
-  const std::string path = "bench_out/table1_sgx_overhead.csv";
-  if (csv.write(path)) std::cout << "[csv] " << path << '\n';
-  // Own schema id: unlike the figure benches (raptee.bench/2) this document
+  // Own schema id: unlike the figure benches (raptee.bench/4) this document
   // has no scenario knobs — its provenance is the cycle-sampling count.
   const std::string json = metrics::JsonObject()
                                .field("schema", "raptee.bench.table1/1")

@@ -9,7 +9,7 @@
 //     flips landing in payload fields decode cleanly and reach the
 //     protocol as silent corruption (detected < tampered).
 //
-// Emits bench_out/tamper_sweep.{csv,json} (raptee.bench/2) and exits
+// Emits bench_out/tamper_sweep.json (raptee.bench/4) and exits
 // non-zero if the detection accounting ever breaks.
 #include <algorithm>
 #include <iostream>
@@ -29,9 +29,6 @@ int main() {
 
   metrics::TablePrinter table({"tamper %", "links", "tampered", "detected",
                                "pulls ok", "pollution"});
-  metrics::CsvWriter csv({"tamper_pct", "encrypted", "legs_tampered",
-                          "legs_corrupted", "legs_dropped", "pulls_completed",
-                          "steady_pollution"});
   scenario::results::BenchReport report("tamper_sweep", knobs);
 
   bool coherent = true;
@@ -52,12 +49,6 @@ int main() {
                      std::to_string(result.legs_corrupted),
                      std::to_string(result.pulls_completed),
                      metrics::fmt(result.steady_pollution, 4)});
-      csv.add_row({std::to_string(pct), encrypted ? "1" : "0",
-                   std::to_string(result.legs_tampered),
-                   std::to_string(result.legs_corrupted),
-                   std::to_string(result.legs_dropped),
-                   std::to_string(result.pulls_completed),
-                   metrics::fmt(result.steady_pollution, 6)});
       report.add_row(metrics::JsonObject()
                          .field("tamper_pct", pct)
                          .field("encrypted", encrypted)
@@ -81,7 +72,6 @@ int main() {
   std::cout << table.render() << '\n';
   std::cout << "aead: detected == tampered (every flip rejected); plain: the "
                "gap is silent corruption reaching the protocol\n";
-  bench::write_csv("tamper_sweep.csv", csv);
   report.write();
 
   if (!coherent) {

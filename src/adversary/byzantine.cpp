@@ -2,36 +2,24 @@
 
 #include <algorithm>
 
+#include "adversary/identification.hpp"
 #include "common/assert.hpp"
 
 namespace raptee::adversary {
 
 Coordinator::Coordinator(std::vector<NodeId> members, std::vector<NodeId> victims,
-                         AttackConfig config, std::uint64_t seed)
-    : Coordinator(std::move(members), std::move(victims), std::move(config), seed,
-                  make_strategy(AttackSpec::balanced())) {}
-
-Coordinator::Coordinator(std::vector<NodeId> members, std::vector<NodeId> victims,
                          AttackConfig config, std::uint64_t seed,
-                         std::unique_ptr<IStrategy> strategy)
+                         std::unique_ptr<IStrategy> strategy,
+                         IdentificationAttack* ledger)
     : members_(std::move(members)),
       victims_(std::move(victims)),
       config_(std::move(config)),
       rng_(mix64(seed, 0x42595A43ull)),
-      strategy_(std::move(strategy)) {
+      strategy_(std::move(strategy)),
+      ledger_(ledger) {
   RAPTEE_REQUIRE(!members_.empty(), "coordinator needs at least one member");
   RAPTEE_REQUIRE(strategy_ != nullptr, "coordinator needs a strategy");
   std::sort(members_.begin(), members_.end());
-}
-
-void Coordinator::set_victims(std::vector<NodeId> victims) {
-  victims_ = std::move(victims);
-}
-
-void Coordinator::set_targeted(std::vector<NodeId> victims) {
-  // Takes effect at the next round's planning; an already-built schedule
-  // keeps pushing at the old set for the remainder of its round.
-  config_.targeted_victims = std::move(victims);
 }
 
 void Coordinator::begin_round(Round r) {
@@ -90,6 +78,10 @@ NodeId Coordinator::faulty_id() {
   return members_[static_cast<std::size_t>(rng_.below(members_.size()))];
 }
 
+void Coordinator::record_pull_reply(NodeId responder, std::span<const NodeId> view) {
+  if (ledger_ != nullptr) ledger_->observe(responder, view);
+}
+
 bool Coordinator::is_member(NodeId id) const {
   return std::binary_search(members_.begin(), members_.end(), id);
 }
@@ -126,7 +118,8 @@ void ByzantineNode::pull_targets(std::vector<NodeId>& out) {
   coordinator_->pull_targets(out);
 }
 
-wire::PullRequest ByzantineNode::open_pull(NodeId /*target*/) {
+wire::PullRequest ByzantineNode::open_pull(NodeId target) {
+  pulled_ = target;
   wire::PullRequest request;
   request.sender = self_;
   drbg_.fill(request.challenge.r_a.data(), request.challenge.r_a.size());
@@ -146,10 +139,11 @@ wire::PullReply ByzantineNode::answer_pull(const wire::PullRequest& /*request*/)
   return reply;
 }
 
-wire::AuthConfirm ByzantineNode::process_pull_reply(const wire::PullReply& /*reply*/) {
-  // The engine's traffic listener already surfaces this reply to the
-  // identification attack; the node only needs to keep the exchange shaped
-  // like an honest one.
+wire::AuthConfirm ByzantineNode::process_pull_reply(const wire::PullReply& reply) {
+  // Recorded under the target this node pulled: reply.sender is only the
+  // responder's claim, and an on-path flip can rewrite it. Beyond that the
+  // node only keeps the exchange shaped like an honest one.
+  coordinator_->record_pull_reply(pulled_, reply.view);
   wire::AuthConfirm confirm;
   confirm.sender = self_;
   drbg_.fill(confirm.confirm.proof_a.data(), confirm.confirm.proof_a.size());

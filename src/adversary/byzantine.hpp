@@ -27,6 +27,10 @@
 // the round's schedule, and pull_targets(), answer_view() and faulty_view()
 // fill caller-owned vectors. ByzantineNode relays them through the
 // one-form sim::INode calls and keeps no view of its own.
+//
+// The §VI-A identification attack is the adversary's own ledger: when the
+// Coordinator holds one, every member records each pull reply it receives
+// (record_pull_reply), keyed by the target the member pulled.
 #pragma once
 
 #include <functional>
@@ -44,6 +48,8 @@
 
 namespace raptee::adversary {
 
+class IdentificationAttack;
+
 /// Resolved, mechanism-level knobs (strategy-independent). AttackSpec is
 /// the declarative front door; experiments map it onto this struct when
 /// building the Coordinator.
@@ -59,14 +65,12 @@ struct AttackConfig {
 
 class Coordinator {
  public:
-  /// Balanced-strategy coordinator (the historical constructor; behaviour
-  /// and random streams are unchanged).
-  Coordinator(std::vector<NodeId> members, std::vector<NodeId> victims,
-              AttackConfig config, std::uint64_t seed);
-  /// Strategy-driven coordinator. `strategy` must be non-null.
+  /// `strategy` must be non-null. `ledger`, when set, receives every pull
+  /// reply a member records and must outlive the coordinator.
   Coordinator(std::vector<NodeId> members, std::vector<NodeId> victims,
               AttackConfig config, std::uint64_t seed,
-              std::unique_ptr<IStrategy> strategy);
+              std::unique_ptr<IStrategy> strategy,
+              IdentificationAttack* ledger = nullptr);
 
   /// Recomputes this round's push schedule via the strategy. Idempotent per
   /// round: every member calls it, the first call does the work.
@@ -96,6 +100,10 @@ class Coordinator {
   void faulty_view(std::size_t k, std::vector<NodeId>& out);
   [[nodiscard]] NodeId faulty_id();
 
+  /// A member pulled `responder` and received `view`: forwarded to the
+  /// identification ledger when the coordinator holds one.
+  void record_pull_reply(NodeId responder, std::span<const NodeId> view);
+
   [[nodiscard]] bool is_member(NodeId id) const;
   [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
   [[nodiscard]] const std::vector<NodeId>& victims() const { return victims_; }
@@ -119,17 +127,13 @@ class Coordinator {
   [[nodiscard]] std::vector<NodeId>& pool_scratch() { return pool_scratch_; }
   [[nodiscard]] std::vector<NodeId>& background_scratch() { return background_scratch_; }
 
-  /// Replaces the victim set (population changes under churn).
-  void set_victims(std::vector<NodeId> victims);
-  /// Replaces the targeted subset (a victim died / rejoined mid-eclipse).
-  void set_targeted(std::vector<NodeId> victims);
-
  private:
   std::vector<NodeId> members_;  // sorted; a member's slice index is its rank
   std::vector<NodeId> victims_;
   AttackConfig config_;
   Rng rng_;
   std::unique_ptr<IStrategy> strategy_;
+  IdentificationAttack* ledger_;
   /// Flat schedule: push j of the round goes to schedule_[j]; member i owns
   /// slice [i·budget, (i+1)·budget).
   std::vector<NodeId> schedule_;
@@ -174,6 +178,7 @@ class ByzantineNode final : public sim::INode {
   std::shared_ptr<Coordinator> coordinator_;
   crypto::Drbg drbg_;  // random bytes for camouflage auth fields
   Rng rng_;
+  NodeId pulled_;  // target of the open pull; its reply is recorded under it
 };
 
 }  // namespace raptee::adversary

@@ -1,6 +1,7 @@
 #include "adversary/identification.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -12,19 +13,15 @@ IdentificationAttack::IdentificationAttack(std::function<bool(NodeId)> is_byzant
   RAPTEE_REQUIRE(is_byzantine_ && is_trusted_, "identification attack needs oracles");
 }
 
-void IdentificationAttack::on_pull_reply_delivered(Round /*round*/, NodeId from,
-                                                   NodeId to,
-                                                   const std::vector<NodeId>& view) {
-  // The adversary only sees replies its own members received, and only
-  // cares about non-Byzantine responders.
-  if (!is_byzantine_(to) || is_byzantine_(from)) return;
+void IdentificationAttack::observe(NodeId responder, std::span<const NodeId> view) {
+  if (is_byzantine_(responder)) return;
   std::size_t byz = 0;
   for (NodeId id : view) {
     if (is_byzantine_(id)) ++byz;
   }
   const double share =
       view.empty() ? 0.0 : static_cast<double>(byz) / static_cast<double>(view.size());
-  Observation& obs = ledger_[from.value];
+  Observation& obs = ledger_[responder.value];
   obs.share_sum += share;
   ++obs.count;
 }

@@ -7,16 +7,16 @@
 // Byzantine IDs than average — the signature Byzantine eviction leaves on
 // a trusted node's view.
 //
-// The attack is a sim::ITrafficListener: it sees exactly what the
-// adversary sees (pull replies delivered to Byzantine nodes), nothing more.
+// The attack is the adversary's own ledger: the Coordinator holds it and
+// every ByzantineNode records each pull reply it receives, keyed by the
+// target it pulled. It sees exactly what the adversary sees, nothing more.
 #pragma once
 
 #include <functional>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hpp"
-#include "sim/traffic.hpp"
 
 namespace raptee::adversary {
 
@@ -30,16 +30,17 @@ struct IdentificationResult {
   Round evaluated_at = 0;
 };
 
-class IdentificationAttack final : public sim::ITrafficListener {
+class IdentificationAttack {
  public:
-  /// `is_byzantine` tells the attack which receivers belong to the
-  /// adversary (its own members — legitimately known to it); `is_trusted`
-  /// is the experiment's ground truth used ONLY to score the attack.
+  /// `is_byzantine` tells the attack which IDs belong to the adversary (its
+  /// own members — legitimately known to it); `is_trusted` is the
+  /// experiment's ground truth used ONLY to score the attack.
   IdentificationAttack(std::function<bool(NodeId)> is_byzantine,
                        std::function<bool(NodeId)> is_trusted);
 
-  void on_pull_reply_delivered(Round round, NodeId from, NodeId to,
-                               const std::vector<NodeId>& view) override;
+  /// A member pulled `responder` and received `view`. Replies from fellow
+  /// members are not observations and are ignored.
+  void observe(NodeId responder, std::span<const NodeId> view);
 
   /// Classifies with the given threshold (paper: 0.10) over all
   /// observations accumulated so far and scores against ground truth.
@@ -47,8 +48,6 @@ class IdentificationAttack final : public sim::ITrafficListener {
 
   /// Observation ledger size (victims with at least one observation).
   [[nodiscard]] std::size_t observed_victims() const { return ledger_.size(); }
-
-  void reset() { ledger_.clear(); }
 
  private:
   struct Observation {

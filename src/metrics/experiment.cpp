@@ -101,6 +101,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     }
   }
 
+  auto is_byz = [&kinds](NodeId id) {
+    return id.value < kinds.size() && kinds[id.value] == NodeKind::kByzantine;
+  };
+  // The §VI-A identification attack: the adversary's own ledger, fed by its
+  // members' pull replies. Built before the engine, so it outlives every
+  // ByzantineNode that records into it. Only genuinely honest trusted nodes
+  // are "trusted" ground truth: the attack targets the nodes whose
+  // camouflage matters.
+  std::unique_ptr<adversary::IdentificationAttack> ident;
+  if (config.run_identification && !byz_ids.empty()) {
+    auto is_trusted_truth = [&kinds](NodeId id) {
+      return id.value < kinds.size() && is_trusted(kinds[id.value]);
+    };
+    ident = std::make_unique<adversary::IdentificationAttack>(is_byz, is_trusted_truth);
+  }
+
   // --- engine, adversary, factory ---
   sim::EngineConfig engine_config;
   engine_config.seed = config.seed;
@@ -151,7 +167,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     }
     coordinator = std::make_shared<adversary::Coordinator>(
         byz_ids, correct_ids, attack, mix64(config.seed, 0x636F6F72ull),
-        std::move(strategy));
+        std::move(strategy), ident.get());
     if (config.event.enabled) {
       // Delay-capable strategies (delay_eclipse) inject extra per-link
       // latency through the engine's scheduling path; extra_delay_us is a
@@ -214,33 +230,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   });
 
   // --- trackers ---
-  auto is_byz = [&kinds](NodeId id) {
-    return id.value < kinds.size() && kinds[id.value] == NodeKind::kByzantine;
-  };
   PollutionTracker pollution(is_byz, config.brahms.l1, 0.10, kStabilityWindow);
   DiscoveryTracker discovery(correct_ids);
   TrustedTelemetryTracker trusted_telemetry(trusted_ids);
   discovery.prime(engine);
-  engine.add_listener(&pollution);
-  engine.add_listener(&discovery);
-  engine.add_listener(&trusted_telemetry);
 
   std::unique_ptr<VictimTracker> victim_tracker;
   if (!victim_ids.empty()) {
     victim_tracker = std::make_unique<VictimTracker>(is_byz, victim_ids,
                                                      config.attack.isolation_threshold);
-    engine.add_listener(victim_tracker.get());
-  }
-
-  std::unique_ptr<adversary::IdentificationAttack> ident;
-  if (config.run_identification && !byz_ids.empty()) {
-    // Only genuinely honest trusted nodes are "trusted" ground truth: the
-    // attack targets the nodes whose camouflage matters.
-    auto is_trusted_truth = [&kinds](NodeId id) {
-      return id.value < kinds.size() && is_trusted(kinds[id.value]);
-    };
-    ident = std::make_unique<adversary::IdentificationAttack>(is_byz, is_trusted_truth);
-    engine.add_listener(ident.get());
   }
 
   // --- churn schedule (correct nodes only; seed-derived stream) ---
@@ -261,37 +259,29 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (observer) observer->on_run_start(config, engine);
   for (Round r = 0; r < config.rounds; ++r) {
     if (config.churn.enabled) churn_schedule.apply(engine, config.brahms.l1);
-    // Some series only append when their population was observable this
-    // round (trusted telemetry needs an alive trusted node, the honest /
-    // trusted pollution splits need an alive correct node); remember each
-    // length so the snapshot can tell "no datum" apart from a stale value.
-    const std::size_t telemetry_before = trusted_telemetry.eviction_rate_series().size();
-    const std::size_t honest_before = pollution.honest_series().size();
-    const std::size_t trusted_before = pollution.trusted_series().size();
-    const std::size_t knowledge_before = discovery.min_knowledge_series().size();
-    const std::size_t victim_before =
-        victim_tracker ? victim_tracker->pollution_series().size() : 0;
     engine.step();
+    // One slab refresh per round serves every tracker; each observe()
+    // returns the round's values (0 where its population had no alive
+    // member).
+    engine.refresh_views();
+    const auto shares = pollution.observe(r, engine);
+    const double min_knowledge = discovery.observe(r, engine);
+    const auto telemetry = trusted_telemetry.observe(r, engine);
+    const double victim_pollution =
+        victim_tracker ? victim_tracker->observe(r, engine) : 0.0;
     if (ident) {
       const auto eval = ident->evaluate(engine.now(), config.identification_threshold);
       if (eval.f1 > best.f1) best = eval;
     }
     if (observer) {
-      // Report 0 for a series that skipped this round (no observable
-      // population), and its fresh tail value when it grew.
-      const auto latest = [](const std::vector<double>& series, std::size_t before) {
-        return series.size() > before ? series.back() : 0.0;
-      };
       scenario::RoundSnapshot snapshot;
       snapshot.round = r;
-      snapshot.pollution = pollution.pollution_series().back();
-      snapshot.pollution_honest = latest(pollution.honest_series(), honest_before);
-      snapshot.pollution_trusted = latest(pollution.trusted_series(), trusted_before);
-      snapshot.min_knowledge = latest(discovery.min_knowledge_series(), knowledge_before);
-      if (trusted_telemetry.eviction_rate_series().size() > telemetry_before) {
-        snapshot.eviction_rate = trusted_telemetry.eviction_rate_series().back();
-        snapshot.trusted_ratio = trusted_telemetry.trusted_ratio_series().back();
-      }
+      snapshot.pollution = shares.all;
+      snapshot.pollution_honest = shares.honest;
+      snapshot.pollution_trusted = shares.trusted;
+      snapshot.min_knowledge = min_knowledge;
+      snapshot.eviction_rate = telemetry.eviction_rate;
+      snapshot.trusted_ratio = telemetry.trusted_ratio;
       snapshot.swaps_completed = engine.counters().swaps_completed;
       snapshot.pulls_completed = engine.counters().pulls_completed;
       snapshot.pushes_delivered = engine.counters().pushes_delivered;
@@ -300,10 +290,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       snapshot.legs_tampered = engine.counters().legs_tampered;
       snapshot.legs_corrupted = engine.counters().legs_corrupted;
       snapshot.legs_suppressed = engine.counters().legs_suppressed;
-      if (victim_tracker) {
-        snapshot.victim_pollution = latest(victim_tracker->pollution_series(),
-                                           victim_before);
-      }
+      snapshot.victim_pollution = victim_pollution;
       snapshot.attack_active = coordinator && coordinator->active();
       if (config.event.enabled) {
         snapshot.virtual_ms = engine.virtual_now_us() / 1000;

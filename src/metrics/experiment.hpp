@@ -8,7 +8,10 @@
 //      + injected poisoned-trusted) with attested enclaves and wired keys;
 //   2. bootstraps every correct node with a uniform sample of the global
 //      membership (poisoned-trusted nodes get all-Byzantine views);
-//   3. runs `rounds` synchronous rounds under the balanced attack;
+//   3. runs `rounds` synchronous rounds under the configured attack. After
+//      each Engine::step() it refreshes the view slab once and calls the
+//      trackers' observe() (trackers.hpp); the identification ledger is
+//      fed by the Byzantine nodes themselves, inside the step;
 //   4. reports steady-state pollution, discovery round, stability round,
 //      adaptive-eviction telemetry, identification-attack scores and
 //      enclave cycle totals.

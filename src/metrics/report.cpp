@@ -1,7 +1,6 @@
 #include "metrics/report.hpp"
 
-#include <filesystem>
-#include <fstream>
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -45,31 +44,6 @@ std::string fmt(double value, int precision) {
   std::ostringstream oss;
   oss << std::fixed << std::setprecision(precision) << value;
   return oss.str();
-}
-
-CsvWriter::CsvWriter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
-
-void CsvWriter::add_row(std::vector<std::string> cells) {
-  RAPTEE_REQUIRE(cells.size() == headers_.size(), "csv row width mismatch");
-  rows_.push_back(std::move(cells));
-}
-
-bool CsvWriter::write(const std::string& path) const {
-  std::error_code ec;
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path(), ec);
-  std::ofstream out(path);
-  if (!out) return false;
-  auto emit = [&out](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return static_cast<bool>(out);
 }
 
 }  // namespace raptee::metrics

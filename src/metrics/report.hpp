@@ -1,5 +1,6 @@
 // Reporting helpers: aligned text tables (the bench binaries print the
-// paper's rows/series) and CSV export (bench_out/*.csv for re-plotting).
+// paper's rows/series) and fixed-precision number formatting. Machine-
+// readable output is JSON (metrics/json.hpp, scenario/results.hpp).
 #pragma once
 
 #include <string>
@@ -25,18 +26,5 @@ class TablePrinter {
 
 /// Formats a double with fixed precision.
 [[nodiscard]] std::string fmt(double value, int precision = 1);
-
-/// Minimal CSV writer; creates parent directories.
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> headers);
-  void add_row(std::vector<std::string> cells);
-  /// Writes to `path`; returns false on I/O failure.
-  bool write(const std::string& path) const;
-
- private:
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
-};
 
 }  // namespace raptee::metrics

@@ -18,7 +18,8 @@ PollutionTracker::PollutionTracker(std::function<bool(NodeId)> is_byzantine_id,
   RAPTEE_REQUIRE(is_byzantine_id_, "PollutionTracker needs a Byzantine oracle");
 }
 
-void PollutionTracker::on_round_end(Round round, sim::Engine& engine) {
+PollutionTracker::Sample PollutionTracker::observe(Round round,
+                                                  const sim::Engine& engine) {
   if (history_.size() < engine.size()) history_.resize(engine.size());
 
   double snapshot_sum = 0.0;
@@ -70,14 +71,16 @@ void PollutionTracker::on_round_end(Round round, sim::Engine& engine) {
   if (observed == 0) {
     series_.push_back(0.0);
     max_dev_.push_back(0.0);
-    return;
+    return {};
   }
   const double count = static_cast<double>(observed);
-  series_.push_back(snapshot_sum / count);
-  honest_series_.push_back(honest_count ? honest_sum / static_cast<double>(honest_count)
-                                        : 0.0);
-  trusted_series_.push_back(
-      trusted_count ? trusted_sum / static_cast<double>(trusted_count) : 0.0);
+  const Sample sample{
+      snapshot_sum / count,
+      honest_count ? honest_sum / static_cast<double>(honest_count) : 0.0,
+      trusted_count ? trusted_sum / static_cast<double>(trusted_count) : 0.0};
+  series_.push_back(sample.all);
+  honest_series_.push_back(sample.honest);
+  trusted_series_.push_back(sample.trusted);
 
   const double smoothed_avg = smoothed_sum / count;
   double max_dev = 0.0;
@@ -108,6 +111,7 @@ void PollutionTracker::on_round_end(Round round, sim::Engine& engine) {
     }
     if (max_dev <= allowance && plateaued) stability_round_ = round;
   }
+  return sample;
 }
 
 namespace {
@@ -167,7 +171,7 @@ void DiscoveryTracker::prime(sim::Engine& engine) {
   }
 }
 
-void DiscoveryTracker::on_round_end(Round round, sim::Engine& engine) {
+double DiscoveryTracker::observe(Round round, const sim::Engine& engine) {
   for (NodeId id : correct_ids_) {
     if (!engine.is_alive(id)) continue;
     learn_view(id, engine.view_of(id));
@@ -176,13 +180,14 @@ void DiscoveryTracker::on_round_end(Round round, sim::Engine& engine) {
   for (const auto& bits : knowledge_) min_fill = std::min(min_fill, bits.fill_ratio());
   min_knowledge_.push_back(min_fill);
   if (!discovery_round_ && min_fill >= threshold_) discovery_round_ = round;
+  return min_fill;
 }
 
 TrustedTelemetryTracker::TrustedTelemetryTracker(std::vector<NodeId> trusted_ids)
     : trusted_ids_(std::move(trusted_ids)) {}
 
-void TrustedTelemetryTracker::on_round_end(Round /*round*/, sim::Engine& engine) {
-  if (trusted_ids_.empty()) return;
+TrustedTelemetryTracker::Sample TrustedTelemetryTracker::observe(
+    Round /*round*/, const sim::Engine& engine) {
   double rate_sum = 0.0, ratio_sum = 0.0;
   std::size_t counted = 0;
   for (NodeId id : trusted_ids_) {
@@ -193,9 +198,12 @@ void TrustedTelemetryTracker::on_round_end(Round /*round*/, sim::Engine& engine)
     ratio_sum += node->last_trusted_ratio();
     ++counted;
   }
-  if (counted == 0) return;
-  eviction_rates_.push_back(rate_sum / static_cast<double>(counted));
-  trusted_ratios_.push_back(ratio_sum / static_cast<double>(counted));
+  if (counted == 0) return {};
+  const Sample sample{rate_sum / static_cast<double>(counted),
+                      ratio_sum / static_cast<double>(counted)};
+  eviction_rates_.push_back(sample.eviction_rate);
+  trusted_ratios_.push_back(sample.trusted_ratio);
+  return sample;
 }
 
 double TrustedTelemetryTracker::mean_eviction_rate() const {
@@ -223,7 +231,7 @@ VictimTracker::VictimTracker(std::function<bool(NodeId)> is_byzantine_id,
                  "isolation threshold out of (0,1]: " << isolation_threshold_);
 }
 
-void VictimTracker::on_round_end(Round round, sim::Engine& engine) {
+double VictimTracker::observe(Round round, const sim::Engine& engine) {
   double sum = 0.0;
   std::size_t alive = 0;
   bool all_isolated = true;
@@ -241,9 +249,11 @@ void VictimTracker::on_round_end(Round round, sim::Engine& engine) {
     sum += share;
     if (share < isolation_threshold_) all_isolated = false;
   }
-  if (alive == 0) return;  // no observable victim; the snapshot reports 0
-  series_.push_back(sum / static_cast<double>(alive));
+  if (alive == 0) return 0.0;  // no observable victim
+  const double mean = sum / static_cast<double>(alive);
+  series_.push_back(mean);
   if (!isolation_round_ && all_isolated) isolation_round_ = round;
+  return mean;
 }
 
 double VictimTracker::steady_state_pollution(std::size_t window) const {

@@ -14,6 +14,11 @@
 //                        message traffic would trivially saturate in one
 //                        round at any scale; view admission is the paper's
 //                        round-denominated bottleneck).
+//
+// The trackers are plain values the experiment loop drives: after each
+// Engine::step() it calls refresh_views() once, then every tracker's
+// observe(), which reads views through Engine::view_of and returns what the
+// round contributed to its series.
 #pragma once
 
 #include <functional>
@@ -24,11 +29,10 @@
 #include "common/bitset.hpp"
 #include "common/types.hpp"
 #include "sim/engine.hpp"
-#include "sim/traffic.hpp"
 
 namespace raptee::metrics {
 
-/// Scans non-Byzantine views at every round end.
+/// Scans non-Byzantine views once per round.
 ///
 /// Stability (D4): a single view snapshot of l1 entries carries binomial
 /// noise ~ sqrt(p(1-p)/l1), which at small l1 dwarfs the 10 % band — so
@@ -36,14 +40,25 @@ namespace raptee::metrics {
 /// of its last `smoothing_window` snapshots, and stability is the first
 /// round (>= window) at which every node's estimate lies within
 /// max(band·avg, 1/l1) of the population average.
-class PollutionTracker final : public sim::ITrafficListener {
+class PollutionTracker {
  public:
+  /// One round's contribution: the average Byzantine share over all alive
+  /// correct nodes, over the honest untrusted ones and over the trusted
+  /// ones (0 for an empty class; all 0 when no correct node was alive).
+  struct Sample {
+    double all = 0.0;
+    double honest = 0.0;
+    double trusted = 0.0;
+  };
+
   /// `is_byzantine_id` classifies view entries; `view_size` sets the D4
   /// stability floor; `stability_band` is the paper's 10 %.
   PollutionTracker(std::function<bool(NodeId)> is_byzantine_id, std::size_t view_size,
                    double stability_band = 0.10, std::size_t smoothing_window = 10);
 
-  void on_round_end(Round round, sim::Engine& engine) override;
+  /// Reads the round's views (the slab must be fresh) and appends to every
+  /// series: the honest / trusted splits only when a correct node was alive.
+  Sample observe(Round round, const sim::Engine& engine);
 
   /// Average (over non-Byzantine nodes) fraction of Byzantine view entries,
   /// per round.
@@ -91,7 +106,7 @@ class PollutionTracker final : public sim::ITrafficListener {
 
 /// Accumulates "knowledge": which non-Byzantine IDs have ever been admitted
 /// to each non-Byzantine node's dynamic view.
-class DiscoveryTracker final : public sim::ITrafficListener {
+class DiscoveryTracker {
  public:
   /// `correct_ids` — the non-Byzantine population (the 75 % denominator);
   /// observers are the same set. `threshold` is the paper's 0.75.
@@ -101,7 +116,9 @@ class DiscoveryTracker final : public sim::ITrafficListener {
   /// after Engine::bootstrap_*, before the first round.
   void prime(sim::Engine& engine);
 
-  void on_round_end(Round round, sim::Engine& engine) override;
+  /// Learns the round's views (the slab must be fresh); returns the round's
+  /// minimum knowledge, which the series always appends.
+  double observe(Round round, const sim::Engine& engine);
 
   [[nodiscard]] std::optional<Round> discovery_round() const { return discovery_round_; }
   /// Minimum (over observers) fraction of correct IDs discovered, per round.
@@ -127,15 +144,17 @@ class DiscoveryTracker final : public sim::ITrafficListener {
 /// `isolation_threshold` (full eclipse success; Brahms' history sample
 /// keeps a γ·l1 slice the adversary cannot reach, so thresholds are
 /// denominated below 1.0).
-class VictimTracker final : public sim::ITrafficListener {
+class VictimTracker {
  public:
   VictimTracker(std::function<bool(NodeId)> is_byzantine_id,
                 std::vector<NodeId> victims, double isolation_threshold);
 
-  void on_round_end(Round round, sim::Engine& engine) override;
+  /// Reads the victims' views (the slab must be fresh); returns their mean
+  /// pollution, 0 when no victim was alive.
+  double observe(Round round, const sim::Engine& engine);
 
   /// Mean victim view pollution per round; a round with no alive victim
-  /// appends nothing (the snapshot then reports 0).
+  /// appends nothing.
   [[nodiscard]] const std::vector<double>& pollution_series() const { return series_; }
   /// First round every alive victim was isolated.
   [[nodiscard]] std::optional<Round> isolation_round() const { return isolation_round_; }
@@ -153,11 +172,20 @@ class VictimTracker final : public sim::ITrafficListener {
 
 /// Average applied eviction rate and trusted-exchange ratio across trusted
 /// nodes, per round (diagnostics for the adaptive policy).
-class TrustedTelemetryTracker final : public sim::ITrafficListener {
+class TrustedTelemetryTracker {
  public:
+  /// One round's contribution: the means over alive trusted nodes, both 0
+  /// when none was alive.
+  struct Sample {
+    double eviction_rate = 0.0;
+    double trusted_ratio = 0.0;
+  };
+
   explicit TrustedTelemetryTracker(std::vector<NodeId> trusted_ids);
 
-  void on_round_end(Round round, sim::Engine& engine) override;
+  /// Reads the trusted nodes' last-round telemetry; a round with no alive
+  /// trusted node appends nothing to either series.
+  Sample observe(Round round, const sim::Engine& engine);
 
   [[nodiscard]] const std::vector<double>& eviction_rate_series() const {
     return eviction_rates_;

@@ -168,43 +168,6 @@ void Engine::bootstrap_with(
   }
 }
 
-void Engine::add_listener(ITrafficListener* listener) {
-  RAPTEE_REQUIRE(listener != nullptr, "null listener");
-  listeners_.push_back(listener);
-}
-
-void Engine::remove_listener(ITrafficListener* listener) {
-  if (listener_depth_ > 0) {
-    // Mid-dispatch removal (a listener removing itself or a peer from
-    // inside a callback): erasing here would invalidate the dispatch
-    // iteration, so null the slot and compact after the outermost dispatch.
-    for (auto*& slot : listeners_) {
-      if (slot == listener) {
-        slot = nullptr;
-        listeners_dirty_ = true;
-      }
-    }
-    return;
-  }
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), listener),
-                   listeners_.end());
-}
-
-template <typename Fn>
-void Engine::for_listeners(const Fn& fn) {
-  ++listener_depth_;
-  for (std::size_t i = 0; i < listeners_.size(); ++i) {
-    if (listeners_[i] != nullptr) fn(*listeners_[i]);
-  }
-  --listener_depth_;
-  if (listener_depth_ == 0 && listeners_dirty_) {
-    listeners_.erase(std::remove(listeners_.begin(), listeners_.end(),
-                                 static_cast<ITrafficListener*>(nullptr)),
-                     listeners_.end());
-    listeners_dirty_ = false;
-  }
-}
-
 exec::ThreadPool& Engine::pool() {
   if (!pool_) {
     pool_ = std::make_unique<exec::ThreadPool>(
@@ -451,13 +414,9 @@ bool Engine::run_exchange(INode& initiator, INode& responder) {
   // Leg 2: pull reply (auth response + full view).
   leg = responder.answer_pull(std::get<wire::PullRequest>(leg));
   if (!transfer(leg, wire::MsgType::kPullReply, /*forward=*/false)) return false;
-  const wire::PullReply reply = std::get<wire::PullReply>(std::move(leg));
 
   // Leg 3: auth confirm (+ possible swap offer).
-  leg = initiator.process_pull_reply(reply);
-  for_listeners([&](ITrafficListener& l) {
-    l.on_pull_reply_delivered(round_, resp_id, init_id, reply.view);
-  });
+  leg = initiator.process_pull_reply(std::get<wire::PullReply>(leg));
   if (!transfer(leg, wire::MsgType::kAuthConfirm, /*forward=*/true))
     return true;  // pull itself completed
 
@@ -633,12 +592,6 @@ void Engine::step() {
     const obs::ScopedTimer t(phase_hist_[kPhaseEndRound],
                              &last_phase_us_[kPhaseEndRound]);
     run_end_rounds();
-    if (!listeners_.empty()) {
-      // Publish every node's post-round view into the SoA slab so listeners
-      // read views via view_of() spans.
-      refresh_views();
-      for_listeners([&](ITrafficListener& l) { l.on_round_end(round_, *this); });
-    }
   }
   if (link_table_) link_table_->retire_idle(round_, kLinkIdleRounds);
   ++round_;

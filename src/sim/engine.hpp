@@ -21,6 +21,11 @@
 //    encrypt_links the AEAD rejects every flip; without it the typed-leg
 //    validator drops what fails to decode (and the rest models undetected
 //    corruption reaching the protocol).
+//
+// The engine calls no one back: step() ends with the protocol's last
+// phase. Observers read the engine between steps — counters(), and views
+// through refresh_views() then view_of() — and the adversary records the
+// pull replies its own nodes receive (adversary/identification.hpp).
 #pragma once
 
 #include <array>
@@ -37,7 +42,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "sim/node.hpp"
-#include "sim/traffic.hpp"
 #include "wire/link_session.hpp"
 
 namespace raptee::sim {
@@ -102,18 +106,11 @@ class Engine {
   void bootstrap_with(
       const std::function<std::vector<NodeId>(NodeId, NodeKind)>& provider);
 
-  void add_listener(ITrafficListener* listener);
-  /// Safe to call from inside a traffic callback (including removing the
-  /// currently-executing listener): removal during dispatch is deferred to
-  /// the end of the outermost dispatch, and the removed listener receives
-  /// no further callbacks.
-  void remove_listener(ITrafficListener* listener);
-
   /// Rebuilds the structure-of-arrays view slab read by view_of(): one
   /// dense NodeId range per node, sized by INode::view_capacity(). step()
-  /// refreshes the slab after end_round whenever listeners are registered;
-  /// other readers (tracker priming before round 0, a test between runs)
-  /// call it explicitly.
+  /// never fills the slab: a reader (the experiment's trackers after each
+  /// step, tracker priming before round 0, a test) refreshes it before
+  /// reading it.
   void refresh_views();
   /// The node's view as of the last refresh_views(), as a span over the SoA
   /// view slab: the way anything outside a node reads a view. Valid until
@@ -185,7 +182,7 @@ class Engine {
     kPhasePushGen,      ///< push-target generation (incl. the global shuffle)
     kPhasePushDeliver,  ///< mailbox application
     kPhasePulls,        ///< pull-target generation + the five-leg exchanges
-    kPhaseEndRound,     ///< eviction, view renewal, listener round-end
+    kPhaseEndRound,     ///< eviction, view renewal
     kPhaseCount
   };
   /// Wall-clock microseconds each phase of the most recent step() took.
@@ -236,11 +233,6 @@ class Engine {
   /// Safe iff `fn` touches only per-node state and read-only engine state.
   template <typename Fn>
   void shard_over_alive(const Fn& fn);
-  /// Reentrancy-safe listener dispatch: index-based iteration (listeners
-  /// added or removed mid-dispatch cannot invalidate it) with removals
-  /// deferred to the end of the outermost dispatch.
-  template <typename Fn>
-  void for_listeners(const Fn& fn);
 
   // The round phases, every one sharded over the pool. begin_round,
   // pull-target generation and end_round (eviction) draw only the nodes'
@@ -283,9 +275,6 @@ class Engine {
   std::vector<std::unique_ptr<INode>> nodes_;
   std::vector<NodeKind> kinds_;
   std::vector<std::uint8_t> alive_;
-  std::vector<ITrafficListener*> listeners_;
-  std::size_t listener_depth_ = 0;  // non-zero while dispatching callbacks
-  bool listeners_dirty_ = false;    // a removal was deferred mid-dispatch
   Counters counters_;
 
   // Per-round scratch, cleared by each round's planning; like the shard

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "adversary/identification.hpp"
 #include "adversary/strategy.hpp"
 #include "support/targets.hpp"
 
@@ -33,6 +34,8 @@ std::vector<NodeId> faulty_view_of(Coordinator& coord, std::size_t k) {
   return view;
 }
 
+std::unique_ptr<IStrategy> balanced() { return make_strategy(AttackSpec::balanced()); }
+
 AttackConfig basic_attack() {
   AttackConfig config;
   config.push_budget_per_member = 8;
@@ -44,7 +47,7 @@ AttackConfig basic_attack() {
 TEST(Coordinator, BalancedPushSpreadIsEvenWithinOne) {
   const auto members = ids(100, 10);
   const auto victims = ids(0, 40);
-  Coordinator coord(members, victims, basic_attack(), 1);
+  Coordinator coord(members, victims, basic_attack(), 1, balanced());
   coord.begin_round(0);
 
   std::map<std::uint32_t, int> per_victim;
@@ -67,7 +70,7 @@ TEST(Coordinator, BalancedPushSpreadIsEvenWithinOne) {
 
 TEST(Coordinator, BeginRoundIsIdempotentPerRound) {
   const auto members = ids(100, 4);
-  Coordinator coord(members, ids(0, 10), basic_attack(), 2);
+  Coordinator coord(members, ids(0, 10), basic_attack(), 2, balanced());
   coord.begin_round(5);
   const auto first = slice_of(coord, members[0]);
   coord.begin_round(5);  // same round: schedule must not be rebuilt
@@ -78,7 +81,7 @@ TEST(Coordinator, BeginRoundIsIdempotentPerRound) {
 TEST(Coordinator, TargetedModeFocusesBudget) {
   AttackConfig config = basic_attack();
   config.targeted_victims = ids(0, 2);  // eclipse two nodes
-  Coordinator coord(ids(100, 5), ids(0, 40), config, 3);
+  Coordinator coord(ids(100, 5), ids(0, 40), config, 3, balanced());
   coord.begin_round(0);
   for (NodeId m : ids(100, 5)) {
     for (NodeId t : coord.push_slice(m)) {
@@ -89,7 +92,7 @@ TEST(Coordinator, TargetedModeFocusesBudget) {
 
 TEST(Coordinator, FaultyViewDrawsFromMembersOnly) {
   const auto members = ids(100, 30);
-  Coordinator coord(members, ids(0, 10), basic_attack(), 4);
+  Coordinator coord(members, ids(0, 10), basic_attack(), 4, balanced());
   const auto view = faulty_view_of(coord, 20);
   EXPECT_EQ(view.size(), 20u);
   std::set<std::uint32_t> uniq;
@@ -101,14 +104,14 @@ TEST(Coordinator, FaultyViewDrawsFromMembersOnly) {
 }
 
 TEST(Coordinator, FaultyViewRepeatsWhenMembersScarce) {
-  Coordinator coord(ids(100, 3), ids(0, 10), basic_attack(), 5);
+  Coordinator coord(ids(100, 3), ids(0, 10), basic_attack(), 5, balanced());
   const auto view = faulty_view_of(coord, 9);
   EXPECT_EQ(view.size(), 9u);
   for (NodeId id : view) EXPECT_TRUE(coord.is_member(id));
 }
 
 TEST(Coordinator, PullTargetsAreVictims) {
-  Coordinator coord(ids(100, 3), ids(0, 10), basic_attack(), 6);
+  Coordinator coord(ids(100, 3), ids(0, 10), basic_attack(), 6, balanced());
   std::vector<NodeId> targets;
   coord.pull_targets(targets);
   EXPECT_EQ(targets.size(), 8u);
@@ -116,18 +119,20 @@ TEST(Coordinator, PullTargetsAreVictims) {
 }
 
 TEST(Coordinator, MembershipOracle) {
-  Coordinator coord(ids(100, 3), ids(0, 10), basic_attack(), 7);
+  Coordinator coord(ids(100, 3), ids(0, 10), basic_attack(), 7, balanced());
   EXPECT_TRUE(coord.is_member(NodeId{101}));
   EXPECT_FALSE(coord.is_member(NodeId{5}));
   EXPECT_FALSE(coord.is_member(NodeId{999}));
 }
 
 TEST(Coordinator, EmptyMembersRejected) {
-  EXPECT_THROW(Coordinator({}, ids(0, 10), basic_attack(), 8), std::invalid_argument);
+  EXPECT_THROW(Coordinator({}, ids(0, 10), basic_attack(), 8, balanced()),
+               std::invalid_argument);
 }
 
 TEST(ByzantineNode, PushesFollowCoordinatorSchedule) {
-  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 9);
+  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 9,
+                                             balanced());
   ByzantineNode node(NodeId{101}, coord, 1);
   node.begin_round(0);
   const auto targets = push_targets_of(node);
@@ -136,7 +141,8 @@ TEST(ByzantineNode, PushesFollowCoordinatorSchedule) {
 }
 
 TEST(ByzantineNode, PushAdvertisesFaultyIds) {
-  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 10);
+  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 10,
+                                             balanced());
   ByzantineNode node(NodeId{100}, coord, 2);
   for (int i = 0; i < 20; ++i) {
     EXPECT_TRUE(coord->is_member(node.make_push().sender));
@@ -144,7 +150,8 @@ TEST(ByzantineNode, PushAdvertisesFaultyIds) {
 }
 
 TEST(ByzantineNode, PullAnswersAreAllFaulty) {
-  auto coord = std::make_shared<Coordinator>(ids(100, 30), ids(0, 20), basic_attack(), 11);
+  auto coord = std::make_shared<Coordinator>(ids(100, 30), ids(0, 20), basic_attack(), 11,
+                                             balanced());
   ByzantineNode node(NodeId{100}, coord, 3);
   const auto reply = node.answer_pull(wire::PullRequest{NodeId{5}, {}});
   EXPECT_EQ(reply.sender, NodeId{100});
@@ -153,7 +160,8 @@ TEST(ByzantineNode, PullAnswersAreAllFaulty) {
 }
 
 TEST(ByzantineNode, NeverAnswersSwaps) {
-  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 12);
+  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 12,
+                                             balanced());
   ByzantineNode node(NodeId{100}, coord, 4);
   wire::AuthConfirm confirm;
   confirm.sender = NodeId{0};
@@ -164,26 +172,30 @@ TEST(ByzantineNode, NeverAnswersSwaps) {
 TEST(ByzantineNode, BogusSwapOfferKnobControlsConfirms) {
   AttackConfig config = basic_attack();
   config.attach_bogus_swap_offer = true;
-  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), config, 13);
+  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), config, 13,
+                                             balanced());
   ByzantineNode node(NodeId{100}, coord, 5);
   const auto confirm = node.process_pull_reply(wire::PullReply{NodeId{5}, {}, {}});
   EXPECT_TRUE(confirm.swap_offer.has_value());
 
-  auto coord2 = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 13);
+  auto coord2 = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 13,
+                                              balanced());
   ByzantineNode node2(NodeId{100}, coord2, 5);
   EXPECT_FALSE(node2.process_pull_reply(wire::PullReply{NodeId{5}, {}, {}})
                    .swap_offer.has_value());
 }
 
 TEST(ByzantineNode, PullFanoutMatchesConfig) {
-  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 14);
+  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 14,
+                                             balanced());
   ByzantineNode node(NodeId{100}, coord, 6);
   node.begin_round(0);
   EXPECT_EQ(pull_targets_of(node).size(), 8u);
 }
 
 TEST(ByzantineNode, PushTargetsScratchKeepsItsCapacityAcrossRounds) {
-  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 22);
+  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 22,
+                                             balanced());
   ByzantineNode node(NodeId{102}, coord, 7);
   node.begin_round(0);
   std::vector<NodeId> scratch;
@@ -198,55 +210,25 @@ TEST(ByzantineNode, PushTargetsScratchKeepsItsCapacityAcrossRounds) {
   EXPECT_EQ(scratch.capacity(), capacity);
 }
 
-// ----------------------------------------------- victims under churn
+TEST(ByzantineNode, PullRepliesReachTheLedgerUnderThePulledTarget) {
+  // Members are 100..103; node 3 is the one trusted correct node.
+  IdentificationAttack ledger([](NodeId id) { return id.value >= 100; },
+                              [](NodeId id) { return id == NodeId{3}; });
+  auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 15,
+                                             balanced(), &ledger);
+  ByzantineNode node(NodeId{100}, coord, 8);
 
-TEST(Coordinator, SetVictimsRedirectsNextRoundsSchedule) {
-  // A victim dies mid-eclipse: the experiment layer narrows the victim
-  // set; from the next planned round on, pushes stop targeting the dead
-  // node. Rejoin restores it the same way.
-  AttackConfig config = basic_attack();
-  Coordinator coord(ids(100, 5), ids(0, 10), config, 31);
-  coord.begin_round(0);
+  // The reply's sender field is only the responder's claim (an on-path
+  // flip can rewrite it): the ledger keys the reply by the pulled target.
+  (void)node.open_pull(NodeId{3});
+  (void)node.process_pull_reply(wire::PullReply{NodeId{7}, {}, ids(0, 4)});
+  EXPECT_EQ(ledger.observed_victims(), 1u);
+  EXPECT_EQ(ledger.evaluate(1).trusted_total, 1u);
 
-  coord.set_victims(ids(1, 9));  // node 0 crashed
-  coord.begin_round(1);
-  for (NodeId m : ids(100, 5)) {
-    for (NodeId t : coord.push_slice(m)) EXPECT_NE(t, NodeId{0});
-  }
-
-  coord.set_victims(ids(0, 10));  // node 0 rejoined
-  bool targeted_again = false;
-  for (Round r = 2; r < 12 && !targeted_again; ++r) {
-    coord.begin_round(r);
-    for (NodeId m : ids(100, 5)) {
-      for (NodeId t : coord.push_slice(m)) {
-        if (t == NodeId{0}) targeted_again = true;
-      }
-    }
-  }
-  EXPECT_TRUE(targeted_again) << "rejoined victim never re-targeted";
-}
-
-TEST(Coordinator, SetTargetedNarrowsEclipseMidRun) {
-  AttackConfig config = basic_attack();
-  config.targeted_victims = ids(0, 2);
-  Coordinator coord(ids(100, 5), ids(0, 40), config, 32);
-  coord.begin_round(0);
-  for (NodeId t : coord.push_slice(NodeId{100})) EXPECT_LT(t.value, 2u);
-
-  coord.set_targeted(ids(1, 1));  // victim 0 died mid-eclipse
-  coord.begin_round(1);
-  for (NodeId m : ids(100, 5)) {
-    for (NodeId t : coord.push_slice(m)) EXPECT_EQ(t, NodeId{1});
-  }
-
-  coord.set_targeted({});  // all victims gone: fall back to the full pool
-  coord.begin_round(2);
-  std::set<std::uint32_t> seen;
-  for (NodeId m : ids(100, 5)) {
-    for (NodeId t : coord.push_slice(m)) seen.insert(t.value);
-  }
-  EXPECT_GT(seen.size(), 2u) << "schedule did not widen back to the victim pool";
+  // A pull to a fellow member adds nothing.
+  (void)node.open_pull(NodeId{101});
+  (void)node.process_pull_reply(wire::PullReply{NodeId{101}, {}, ids(100, 4)});
+  EXPECT_EQ(ledger.observed_victims(), 1u);
 }
 
 // ---------------------------------------------------------- strategies

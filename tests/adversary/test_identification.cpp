@@ -31,10 +31,10 @@ TEST(Identification, FlagsCleanerTrustedNodes) {
   IdentificationAttack attack(is_byz, is_trusted);
   // Honest nodes answer with 50% Byzantine views; trusted with 10%.
   for (std::uint32_t honest = 0; honest < 10; ++honest) {
-    attack.on_pull_reply_delivered(1, NodeId{honest}, NodeId{95}, view_with(10, 20));
+    attack.observe(NodeId{honest}, view_with(10, 20));
   }
-  attack.on_pull_reply_delivered(1, NodeId{10}, NodeId{95}, view_with(2, 20));
-  attack.on_pull_reply_delivered(1, NodeId{11}, NodeId{96}, view_with(2, 20));
+  attack.observe(NodeId{10}, view_with(2, 20));
+  attack.observe(NodeId{11}, view_with(2, 20));
 
   const auto result = attack.evaluate(1, 0.10);
   EXPECT_EQ(result.flagged, 2u);
@@ -49,7 +49,7 @@ TEST(Identification, FlagsCleanerTrustedNodes) {
 TEST(Identification, IndistinguishableViewsYieldNoFlags) {
   IdentificationAttack attack(is_byz, is_trusted);
   for (std::uint32_t node = 0; node < 12; ++node) {
-    attack.on_pull_reply_delivered(1, NodeId{node}, NodeId{95}, view_with(8, 20));
+    attack.observe(NodeId{node}, view_with(8, 20));
   }
   const auto result = attack.evaluate(1);
   EXPECT_EQ(result.flagged, 0u);
@@ -60,10 +60,10 @@ TEST(Identification, IndistinguishableViewsYieldNoFlags) {
 TEST(Identification, FalsePositivesLowerPrecision) {
   IdentificationAttack attack(is_byz, is_trusted);
   // Honest node 0 happens to have a clean view too (false positive).
-  attack.on_pull_reply_delivered(1, NodeId{0}, NodeId{95}, view_with(1, 20));
-  attack.on_pull_reply_delivered(1, NodeId{10}, NodeId{95}, view_with(1, 20));
+  attack.observe(NodeId{0}, view_with(1, 20));
+  attack.observe(NodeId{10}, view_with(1, 20));
   for (std::uint32_t honest = 1; honest < 10; ++honest) {
-    attack.on_pull_reply_delivered(1, NodeId{honest}, NodeId{95}, view_with(10, 20));
+    attack.observe(NodeId{honest}, view_with(10, 20));
   }
   const auto result = attack.evaluate(1, 0.10);
   EXPECT_EQ(result.flagged, 2u);
@@ -76,10 +76,10 @@ TEST(Identification, FalsePositivesLowerPrecision) {
 TEST(Identification, ThresholdControlsSensitivity) {
   IdentificationAttack attack(is_byz, is_trusted);
   for (std::uint32_t honest = 0; honest < 10; ++honest) {
-    attack.on_pull_reply_delivered(1, NodeId{honest}, NodeId{95}, view_with(10, 20));
+    attack.observe(NodeId{honest}, view_with(10, 20));
   }
   // Trusted only slightly cleaner: 40% vs 50%.
-  attack.on_pull_reply_delivered(1, NodeId{10}, NodeId{95}, view_with(8, 20));
+  attack.observe(NodeId{10}, view_with(8, 20));
   EXPECT_EQ(attack.evaluate(1, /*threshold=*/0.05).flagged, 1u);
   EXPECT_EQ(attack.evaluate(1, /*threshold=*/0.20).flagged, 0u);
 }
@@ -90,27 +90,22 @@ TEST(Identification, ObservationsAccumulateAcrossRounds) {
   // honest nodes 50%/60%.
   for (Round r = 0; r < 10; ++r) {
     for (std::uint32_t honest = 0; honest < 6; ++honest) {
-      attack.on_pull_reply_delivered(r, NodeId{honest}, NodeId{95},
-                                     view_with(r % 2 ? 10 : 12, 20));
+      attack.observe(NodeId{honest}, view_with(r % 2 ? 10 : 12, 20));
     }
-    attack.on_pull_reply_delivered(r, NodeId{10}, NodeId{95},
-                                   view_with(r % 2 ? 4 : 6, 20));
+    attack.observe(NodeId{10}, view_with(r % 2 ? 4 : 6, 20));
   }
   const auto result = attack.evaluate(10, 0.10);
   EXPECT_EQ(result.flagged, 1u);
   EXPECT_DOUBLE_EQ(result.precision, 1.0);
 }
 
-TEST(Identification, OnlyByzantineReceiversObserve) {
+TEST(Identification, OnlyNonByzantineRespondersAreObserved) {
   IdentificationAttack attack(is_byz, is_trusted);
-  // Reply delivered to an honest node: invisible to the adversary.
-  attack.on_pull_reply_delivered(1, NodeId{10}, NodeId{5}, view_with(0, 20));
-  EXPECT_EQ(attack.observed_victims(), 0u);
   // Reply from a Byzantine responder: not a victim observation.
-  attack.on_pull_reply_delivered(1, NodeId{95}, NodeId{96}, view_with(20, 20));
+  attack.observe(NodeId{95}, view_with(20, 20));
   EXPECT_EQ(attack.observed_victims(), 0u);
   // Genuine observation.
-  attack.on_pull_reply_delivered(1, NodeId{3}, NodeId{95}, view_with(5, 20));
+  attack.observe(NodeId{3}, view_with(5, 20));
   EXPECT_EQ(attack.observed_victims(), 1u);
 }
 
@@ -121,17 +116,9 @@ TEST(Identification, EmptyLedgerEvaluatesToZero) {
   EXPECT_DOUBLE_EQ(result.f1, 0.0);
 }
 
-TEST(Identification, ResetClearsLedger) {
-  IdentificationAttack attack(is_byz, is_trusted);
-  attack.on_pull_reply_delivered(1, NodeId{3}, NodeId{95}, view_with(5, 20));
-  EXPECT_EQ(attack.observed_victims(), 1u);
-  attack.reset();
-  EXPECT_EQ(attack.observed_victims(), 0u);
-}
-
 TEST(Identification, EmptyViewCountsAsCleanObservation) {
   IdentificationAttack attack(is_byz, is_trusted);
-  attack.on_pull_reply_delivered(1, NodeId{3}, NodeId{95}, {});
+  attack.observe(NodeId{3}, {});
   EXPECT_EQ(attack.observed_victims(), 1u);
 }
 

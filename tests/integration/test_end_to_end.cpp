@@ -132,7 +132,7 @@ TEST(EndToEnd, ViewsRemainFullAndSelfFree) {
   }
   engine.bootstrap_uniform(16);
   engine.run(30);
-  engine.refresh_views();  // no listener ran, so the slab is filled here
+  engine.refresh_views();  // step() never fills the slab; a reader does
   for (std::uint32_t i = 0; i < 50; ++i) {
     const auto view = engine.view_of(NodeId{i});
     EXPECT_EQ(view.size(), 16u) << "node " << i;

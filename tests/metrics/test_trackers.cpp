@@ -47,39 +47,51 @@ struct TrackerWorld {
   std::vector<FakeNode*> fakes;
 };
 
+/// One experiment round for one tracker: step, refresh the view slab once,
+/// observe the round; returns what the round contributed.
+template <typename Tracker>
+auto step(TrackerWorld& world, Tracker& tracker) {
+  const Round round = world.engine.now();
+  world.engine.step();
+  world.engine.refresh_views();
+  return tracker.observe(round, world.engine);
+}
+
 TEST(PollutionTracker, ComputesAverageAndPerKindSeries) {
   TrackerWorld world;
   PollutionTracker tracker(is_byz_id, /*view_size=*/4);
-  world.engine.add_listener(&tracker);
   // Honest nodes: 2/4 Byzantine; trusted node: 0/4.
   for (std::uint32_t i = 0; i < 4; ++i) {
     world.node(i).view_ = {NodeId{8}, NodeId{9}, NodeId{1}, NodeId{2}};
   }
   world.node(4).view_ = {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}};
-  world.engine.step();
+  const PollutionTracker::Sample sample = step(world, tracker);
 
   ASSERT_EQ(tracker.pollution_series().size(), 1u);
   EXPECT_NEAR(tracker.pollution_series()[0], 0.4, 1e-9);  // (4*0.5 + 0)/5
   EXPECT_NEAR(tracker.honest_series()[0], 0.5, 1e-9);
   EXPECT_NEAR(tracker.trusted_series()[0], 0.0, 1e-9);
+  // observe() returns exactly the entries the series gained.
+  EXPECT_EQ(sample.all, tracker.pollution_series()[0]);
+  EXPECT_EQ(sample.honest, tracker.honest_series()[0]);
+  EXPECT_EQ(sample.trusted, tracker.trusted_series()[0]);
 }
 
 TEST(PollutionTracker, SteadyStateUsesTailWindow) {
   TrackerWorld world;
   PollutionTracker tracker(is_byz_id, 4);
-  world.engine.add_listener(&tracker);
   // 3 rounds at 0% then 10 rounds at 50% pollution for everyone.
   for (int r = 0; r < 3; ++r) {
     for (std::uint32_t i = 0; i < 5; ++i) {
       world.node(i).view_ = {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}};
     }
-    world.engine.step();
+    step(world, tracker);
   }
   for (int r = 0; r < 10; ++r) {
     for (std::uint32_t i = 0; i < 5; ++i) {
       world.node(i).view_ = {NodeId{8}, NodeId{9}, NodeId{2}, NodeId{3}};
     }
-    world.engine.step();
+    step(world, tracker);
   }
   EXPECT_NEAR(tracker.steady_state_pollution(10), 0.5, 1e-9);
   EXPECT_NEAR(tracker.steady_state_honest(10), 0.5, 1e-9);
@@ -88,7 +100,6 @@ TEST(PollutionTracker, SteadyStateUsesTailWindow) {
 TEST(PollutionTracker, StabilityRequiresWarmupAndLowDeviation) {
   TrackerWorld world;
   PollutionTracker tracker(is_byz_id, 4, 0.10, /*smoothing_window=*/3);
-  world.engine.add_listener(&tracker);
   // Identical views for every node: deviation 0 from the start, so
   // stability triggers as soon as the smoothing window fills AND the
   // plateau check has one full window of history (round 3 with window=3).
@@ -96,7 +107,7 @@ TEST(PollutionTracker, StabilityRequiresWarmupAndLowDeviation) {
     for (std::uint32_t i = 0; i < 5; ++i) {
       world.node(i).view_ = {NodeId{8}, NodeId{1}, NodeId{2}, NodeId{3}};
     }
-    world.engine.step();
+    step(world, tracker);
   }
   ASSERT_TRUE(tracker.stability_round().has_value());
   EXPECT_EQ(*tracker.stability_round(), 3u);
@@ -105,13 +116,12 @@ TEST(PollutionTracker, StabilityRequiresWarmupAndLowDeviation) {
 TEST(PollutionTracker, PersistentOutlierPreventsStability) {
   TrackerWorld world;
   PollutionTracker tracker(is_byz_id, 4, 0.10, 3);
-  world.engine.add_listener(&tracker);
   for (int r = 0; r < 8; ++r) {
     for (std::uint32_t i = 0; i < 4; ++i) {
       world.node(i).view_ = {NodeId{8}, NodeId{9}, NodeId{2}, NodeId{3}};  // 50 %
     }
     world.node(4).view_ = {NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}};    // 0 %
-    world.engine.step();
+    step(world, tracker);
   }
   EXPECT_FALSE(tracker.stability_round().has_value());
   EXPECT_GT(tracker.deviation_series().back(), 0.3);
@@ -120,8 +130,7 @@ TEST(PollutionTracker, PersistentOutlierPreventsStability) {
 TEST(PollutionTracker, EmptyViewsCountAsClean) {
   TrackerWorld world;
   PollutionTracker tracker(is_byz_id, 4);
-  world.engine.add_listener(&tracker);
-  world.engine.step();
+  step(world, tracker);
   EXPECT_NEAR(tracker.pollution_series()[0], 0.0, 1e-12);
 }
 
@@ -131,9 +140,9 @@ TEST(DiscoveryTracker, PrimeSeedsBootstrapKnowledge) {
   DiscoveryTracker tracker(correct, 0.75);
   world.node(0).view_ = {NodeId{1}, NodeId{2}, NodeId{3}};  // knows 4/5 with self
   tracker.prime(world.engine);
-  world.engine.add_listener(&tracker);
-  world.engine.step();
+  const double min_knowledge = step(world, tracker);
   ASSERT_EQ(tracker.min_knowledge_series().size(), 1u);
+  EXPECT_EQ(min_knowledge, tracker.min_knowledge_series()[0]);
   // Node 0 knows {0,1,2,3} = 0.8; others know only themselves = 0.2.
   EXPECT_NEAR(tracker.min_knowledge_series()[0], 0.2, 1e-9);
 }
@@ -142,20 +151,19 @@ TEST(DiscoveryTracker, DiscoveryTriggersWhenAllCross75) {
   TrackerWorld world;
   std::vector<NodeId> correct{NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
   DiscoveryTracker tracker(correct, 0.75);
-  world.engine.add_listener(&tracker);
 
   // Round 0: everyone sees 2 others (+self = 3/5 = 0.6 < 0.75).
   for (std::uint32_t i = 0; i < 5; ++i) {
     world.node(i).view_ = {NodeId{(i + 1) % 5}, NodeId{(i + 2) % 5}};
   }
-  world.engine.step();
+  step(world, tracker);
   EXPECT_FALSE(tracker.discovery_round().has_value());
 
   // Round 1: one more distinct acquaintance (4/5 = 0.8 >= 0.75).
   for (std::uint32_t i = 0; i < 5; ++i) {
     world.node(i).view_ = {NodeId{(i + 3) % 5}};
   }
-  world.engine.step();
+  step(world, tracker);
   ASSERT_TRUE(tracker.discovery_round().has_value());
   EXPECT_EQ(*tracker.discovery_round(), 1u);
 }
@@ -164,11 +172,10 @@ TEST(DiscoveryTracker, ByzantineIdsDoNotCount) {
   TrackerWorld world;
   std::vector<NodeId> correct{NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
   DiscoveryTracker tracker(correct, 0.75);
-  world.engine.add_listener(&tracker);
   for (std::uint32_t i = 0; i < 5; ++i) {
     world.node(i).view_ = {NodeId{8}, NodeId{9}};  // only Byzantine entries
   }
-  world.engine.step();
+  step(world, tracker);
   EXPECT_NEAR(tracker.min_knowledge_series()[0], 0.2, 1e-9);  // self only
 }
 
@@ -176,11 +183,10 @@ TEST(DiscoveryTracker, KnowledgeIsMonotone) {
   TrackerWorld world;
   std::vector<NodeId> correct{NodeId{0}, NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
   DiscoveryTracker tracker(correct, 0.75);
-  world.engine.add_listener(&tracker);
   world.node(0).view_ = {NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
-  world.engine.step();
+  step(world, tracker);
   world.node(0).view_ = {};  // forgets its view; knowledge must persist
-  world.engine.step();
+  step(world, tracker);
   EXPECT_GE(tracker.min_knowledge_series()[1], tracker.min_knowledge_series()[0]);
 }
 

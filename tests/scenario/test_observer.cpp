@@ -166,6 +166,60 @@ TEST(ScenarioObserver, AttackSnapshotsStreamVictimSeriesAndSuppression) {
   }
 }
 
+/// Records each round's trusted telemetry and whether any trusted node was
+/// alive when the round closed.
+class TrustedTelemetryObserver final : public IScenarioObserver {
+ public:
+  void on_round(const RoundSnapshot& snapshot, const sim::Engine& engine) override {
+    bool alive = false;
+    for (std::uint32_t i = 0; i < engine.size(); ++i) {
+      const NodeId id{i};
+      if (is_trusted(engine.kind(id)) && engine.is_alive(id)) alive = true;
+    }
+    trusted_alive.push_back(alive);
+    snapshots.push_back(snapshot);
+  }
+
+  std::vector<bool> trusted_alive;
+  std::vector<RoundSnapshot> snapshots;
+};
+
+TEST(ScenarioObserver, RoundsWithoutAnAliveTrustedNodeStreamZeroTelemetry) {
+  // t = 1 % of 128 leaves one trusted node; under 5 %/round churn with a
+  // 10-round downtime it spends rounds crashed, and those rounds have no
+  // telemetry to average.
+  TrustedTelemetryObserver observer;
+  const auto result =
+      Runner().run(test::Scenario()
+                       .adversary(0.1)
+                       .trusted_pct(1)
+                       .eviction(core::EvictionSpec::adaptive())
+                       .churn(metrics::ChurnSpec::steady(0.05, /*downtime=*/10))
+                       .rounds(40),
+                   &observer);
+  ASSERT_EQ(observer.snapshots.size(), 40u);
+
+  double rate_sum = 0.0;
+  std::size_t alive_rounds = 0, dead_rounds = 0;
+  for (Round r = 0; r < 40; ++r) {
+    const RoundSnapshot& snapshot = observer.snapshots[r];
+    if (observer.trusted_alive[r]) {
+      rate_sum += snapshot.eviction_rate;
+      ++alive_rounds;
+    } else {
+      EXPECT_TRUE(bit_equal(snapshot.eviction_rate, 0.0)) << "round " << r;
+      EXPECT_TRUE(bit_equal(snapshot.trusted_ratio, 0.0)) << "round " << r;
+      ++dead_rounds;
+    }
+  }
+  EXPECT_GT(dead_rounds, 0u) << "the trusted node never crashed";
+  ASSERT_GT(alive_rounds, 0u);
+  // The series skipped exactly the dead rounds: its mean is the mean of the
+  // streamed values over the other rounds, bit for bit.
+  EXPECT_TRUE(bit_equal(rate_sum / static_cast<double>(alive_rounds),
+                        result.mean_eviction_rate));
+}
+
 TEST(ScenarioObserver, AttachingAnObserverDoesNotPerturbTheRun) {
   const ScenarioSpec spec =
       test::Scenario().adversary(0.3).trusted_share(0.2).eviction_pct(100).churn(true);

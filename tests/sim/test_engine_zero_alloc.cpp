@@ -1,8 +1,9 @@
 // Zero-allocation steady state of Engine::step (the "default scenario"
 // gate): once the round staging and phase scratch vectors, the event heap
 // and the SoA view slab have warmed their capacity, a full round — begin_round,
-// push fan-out, pull exchanges, end_round, listener dispatch — performs no
-// heap allocation at all, in round mode and in event mode. Verified by
+// push fan-out, pull exchanges, end_round — performs no heap allocation at
+// all, in round mode and in event mode, and neither does the slab refresh
+// plus view_of scan every experiment round runs after it. Verified by
 // counting every global operator new in this binary across a measured
 // window, the same harness as wire_test_wire_zero_alloc.
 //
@@ -29,7 +30,6 @@
 #include "evt/latency.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
-#include "sim/traffic.hpp"
 
 namespace {
 
@@ -130,19 +130,6 @@ class LeanNode final : public INode {
   std::array<NodeId, kViewSize> view_;
 };
 
-/// Reads every view through the SoA slab each round — exercising
-/// refresh_views + view_of inside the measured window — without touching
-/// the heap.
-class SlabScanListener final : public ITrafficListener {
- public:
-  void on_round_end(Round, Engine& engine) override {
-    for (std::uint32_t i = 0; i < engine.size(); ++i) {
-      for (NodeId entry : engine.view_of(NodeId{i})) checksum += entry.value;
-    }
-  }
-  std::uint64_t checksum = 0;
-};
-
 Engine make_engine(EngineConfig config = {}) {  // threads == 1 by default
   Engine engine(config);
   for (std::uint32_t i = 0; i < kPopulation; ++i) {
@@ -167,22 +154,28 @@ TEST(EngineZeroAlloc, StepIsAllocationFreeInSteadyState) {
             53u * kPopulation * kViewSize);  // the rounds really ran
 }
 
-TEST(EngineZeroAlloc, StepWithListenerAndViewSlabIsAllocationFree) {
+TEST(EngineZeroAlloc, StepAndViewSlabReadsAreAllocationFree) {
   Engine engine = make_engine();
-  SlabScanListener listener;
-  engine.add_listener(&listener);
+  // One experiment round: step, refresh the slab once, then read every
+  // view through view_of, as the trackers do.
+  std::uint64_t checksum = 0;
+  const auto round = [&] {
+    engine.step();
+    engine.refresh_views();
+    for (std::uint32_t i = 0; i < engine.size(); ++i) {
+      for (NodeId entry : engine.view_of(NodeId{i})) checksum += entry.value;
+    }
+  };
 
-  // Warm-up additionally sizes the view slab (refresh_views only runs when
-  // listeners are registered).
-  for (int i = 0; i < 3; ++i) engine.step();
+  // Warm-up additionally sizes the view slab.
+  for (int i = 0; i < 3; ++i) round();
 
   const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 50; ++i) engine.step();
+  for (int i = 0; i < 50; ++i) round();
   const std::uint64_t during = g_allocations.load() - before;
 
-  EXPECT_EQ(during, 0u)
-      << "refresh_views + view_of listener reads must stay off the heap";
-  EXPECT_GT(listener.checksum, 0u);
+  EXPECT_EQ(during, 0u) << "step + refresh_views + view_of reads must stay off the heap";
+  EXPECT_GT(checksum, 0u);
 }
 
 TEST(EngineZeroAlloc, EventStepIsAllocationFreeInSteadyState) {

@@ -90,8 +90,7 @@ ByzantineNode::ByzantineNode(NodeId self, std::shared_ptr<Coordinator> coordinat
                              std::uint64_t seed)
     : self_(self),
       coordinator_(std::move(coordinator)),
-      drbg_(mix64(seed, self.value), "byzantine-camouflage"),
-      rng_(mix64(seed, ~static_cast<std::uint64_t>(self.value))) {
+      drbg_(mix64(seed, self.value), "byzantine-camouflage") {
   RAPTEE_REQUIRE(coordinator_ != nullptr, "ByzantineNode requires a coordinator");
 }
 

@@ -177,7 +177,6 @@ class ByzantineNode final : public sim::INode {
   NodeId self_;
   std::shared_ptr<Coordinator> coordinator_;
   crypto::Drbg drbg_;  // random bytes for camouflage auth fields
-  Rng rng_;
   NodeId pulled_;  // target of the open pull; its reply is recorded under it
 };
 

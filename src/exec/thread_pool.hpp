@@ -1,12 +1,12 @@
 // exec::ThreadPool — deterministic parallel execution for scenario fan-out.
 //
-// A dependency-free work-stealing thread pool: each worker owns a deque,
-// pushes and pops at the back (hot, cache-friendly) and steals from the
-// front of a victim's deque when its own runs dry. Parallel loops block the
-// caller, but the caller *participates* — it executes and steals tasks
-// while waiting — so nested parallel_for calls (a sharded engine phase
-// inside a parallel grid cell) cannot deadlock and never leave a core
-// idle.
+// A dependency-free pool that runs one loop at a time: parallel_for
+// publishes its range as one job, and the caller and the workers claim
+// contiguous chunks from one shared cursor until every chunk has run. The
+// caller blocks, but *participates*. A parallel_for issued while the pool
+// already runs one — from inside a body, or from a second thread — runs
+// inline on its own caller, in index order, so nesting cannot deadlock.
+// The pool allocates nothing per loop.
 //
 // Determinism contract: parallel_for(n, body) invokes body(i) exactly once
 // for every i in [0, n), with no two invocations sharing an index. Which
@@ -52,7 +52,8 @@ class ThreadPool {
   /// contiguous chunks of `grain` indices (0 = auto: ~4 chunks per thread).
   /// Blocks until every index completed; the caller executes chunks too.
   /// The first exception thrown by any body is rethrown on the caller
-  /// after the loop has drained.
+  /// after the loop has drained. Runs inline, in index order, when the pool
+  /// has no workers or is already running a loop.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                     std::size_t grain = 0);
 

@@ -1,9 +1,11 @@
 // exec::ThreadPool / parallel_map contract: every index runs exactly once,
-// results land in order, nesting cannot deadlock, exceptions propagate, and
-// the 1-thread pool is fully inline — the properties the deterministic
+// results land in order, a loop issued while the pool is busy (nested, or
+// from a second thread) runs inline on its caller, exceptions propagate,
+// and the 1-thread pool is fully inline — the properties the deterministic
 // scenario fan-out is built on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -86,10 +88,60 @@ TEST(ThreadPool, ParallelMapConvenienceOverloadMatchesPoolForm) {
 TEST(ThreadPool, NestedParallelForCompletesWithoutDeadlock) {
   ThreadPool pool(3);
   std::atomic<int> total{0};
-  pool.parallel_for(8, [&](std::size_t) {
-    pool.parallel_for(16, [&total](std::size_t) { total.fetch_add(1); });
+  std::atomic<int> inner_off_thread{0};
+  std::vector<std::vector<std::size_t>> inner_order(8);
+  pool.parallel_for(8, [&](std::size_t outer) {
+    const std::thread::id outer_thread = std::this_thread::get_id();
+    pool.parallel_for(16, [&, outer, outer_thread](std::size_t i) {
+      total.fetch_add(1);
+      if (std::this_thread::get_id() != outer_thread) inner_off_thread.fetch_add(1);
+      inner_order[outer].push_back(i);
+    });
   });
   EXPECT_EQ(total.load(), 8 * 16);
+  // The pool is busy with the outer loop, so each inner loop runs inline on
+  // its outer body's thread, in index order.
+  EXPECT_EQ(inner_off_thread.load(), 0);
+  std::vector<std::size_t> in_order(16);
+  std::iota(in_order.begin(), in_order.end(), std::size_t{0});
+  for (const auto& order : inner_order) EXPECT_EQ(order, in_order);
+}
+
+TEST(ThreadPool, TwoThreadsShareOnePool) {
+  // Whichever caller finds the pool busy runs its loop inline; either way
+  // every index of every loop runs exactly once.
+  ThreadPool pool(4);
+  constexpr int kLoops = 2000;
+  const auto drive = [&pool](std::size_t& total) {
+    for (int loop = 0; loop < kLoops; ++loop) {
+      std::atomic<std::size_t> sum{0};
+      pool.parallel_for(64, [&sum](std::size_t i) { sum.fetch_add(i); });
+      total += sum.load();
+    }
+  };
+  std::size_t first = 0;
+  std::size_t second = 0;
+  std::thread other([&] { drive(second); });
+  drive(first);
+  other.join();
+  EXPECT_EQ(first, kLoops * (63u * 64u / 2u));
+  EXPECT_EQ(second, kLoops * (63u * 64u / 2u));
+}
+
+TEST(ThreadPool, BackToBackTinyLoopsNeverLoseOrRepeatAnIndex) {
+  // Loops of 1-7 single-index chunks finish before most workers wake up, so
+  // workers keep waking to a job that has already closed; they must neither
+  // join it nor run an index of the next one twice.
+  ThreadPool pool(4);
+  std::array<std::atomic<int>, 7> hits{};
+  for (std::size_t loop = 0; loop < 10'000; ++loop) {
+    const std::size_t n = 1 + loop % 7;
+    for (auto& h : hits) h.store(0);
+    pool.parallel_for(n, [&hits](std::size_t i) { hits[i].fetch_add(1); }, 1);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), i < n ? 1 : 0) << "loop " << loop << " index " << i;
+    }
+  }
 }
 
 TEST(ThreadPool, FirstExceptionPropagatesAfterTheLoopDrains) {

@@ -6,51 +6,13 @@
 // scraping MonitorServer ride inside the hot loop without perturbing the
 // allocator (and thus the engine's own zero-alloc gate).
 //
-// Same harness as the engine test: every global operator new in this binary
-// is counted across a measured window. The overrides forward to
-// std::malloc/std::free so sanitizers still see the underlying allocations.
+// Same harness as the engine test (tests/support/count_allocations.hpp):
+// every global operator new in this binary is counted across a measured
+// window.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "obs/registry.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  const auto alignment = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  if (void* p = std::aligned_alloc(alignment, rounded ? rounded : alignment)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+#include "support/count_allocations.hpp"
 
 namespace raptee::obs {
 namespace {
@@ -61,13 +23,13 @@ TEST(ObsZeroAlloc, IncrementsAreAllocationFree) {
   Gauge& gauge = reg.gauge("hot.gauge");
   Histogram& hist = reg.histogram("hot.hist");
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::g_allocations.load();
   for (std::uint64_t i = 0; i < 100'000; ++i) {
     counter.add(1);
     gauge.set(static_cast<double>(i));
     hist.record(i % 10'000);
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
+  EXPECT_EQ(test::g_allocations.load() - before, 0u)
       << "metric mutation must never touch the heap";
   EXPECT_EQ(counter.value(), 100'000u);
   EXPECT_EQ(hist.count(), 100'000u);
@@ -92,13 +54,13 @@ TEST(ObsZeroAlloc, SnapshotIntoIsAmortizedAllocationFree) {
   // Warm-up: first fill grows every buffer to steady-state capacity.
   reg.snapshot_into(snap);
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::g_allocations.load();
   for (int i = 0; i < 1'000; ++i) {
     reg.counter("engine.rounds").add(1);
     reg.histogram("bus.flush_us").record(static_cast<std::uint64_t>(i));
     reg.snapshot_into(snap);
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u)
+  EXPECT_EQ(test::g_allocations.load() - before, 0u)
       << "steady-state snapshot_into must reuse the caller's buffers";
   EXPECT_EQ(snap.counters.size(), 6u);
   EXPECT_EQ(snap.histograms.size(), 3u);
@@ -106,10 +68,10 @@ TEST(ObsZeroAlloc, SnapshotIntoIsAmortizedAllocationFree) {
 
 TEST(ObsZeroAlloc, CounterSeesOrdinaryAllocations) {
   // Sanity-check the instrument itself.
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::g_allocations.load();
   auto* v = new std::uint8_t[1024];
   delete[] v;
-  EXPECT_GT(g_allocations.load(), before);
+  EXPECT_GT(test::g_allocations.load(), before);
 }
 
 }  // namespace

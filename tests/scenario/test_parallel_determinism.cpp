@@ -1,6 +1,6 @@
 // The exec acceptance bar: every Runner entry point produces BIT-IDENTICAL
 // results — including the serialized results::to_json documents — whether
-// it runs on 1 thread or on a wide work-stealing pool.
+// it runs on 1 thread or on a wide pool.
 #include <gtest/gtest.h>
 
 #include <string>

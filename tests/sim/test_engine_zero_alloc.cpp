@@ -5,67 +5,29 @@
 // all, in round mode and in event mode, and neither does the slab refresh
 // plus view_of scan every experiment round runs after it. Verified by
 // counting every global operator new in this binary across a measured
-// window, the same harness as wire_test_wire_zero_alloc.
+// window (tests/support/count_allocations.hpp, shared with
+// wire_test_wire_zero_alloc and obs_test_obs_zero_alloc).
 //
-// The gate runs at width 1 (EngineConfig::threads == 1, the default): the
-// same sharded phases as every width, on a pool of one that runs them
-// inline. Wider pools are exempt by design: exec::ThreadPool's parallel_for
-// allocates its job state per call once it has workers. Node-side protocol
-// messages (PullReply views) allocate regardless of the engine, so nodes
-// here are deliberately lean — fixed inline views, empty reply payloads —
-// and the counter isolates the engine's own round machinery.
-//
-// The counting overrides forward to std::malloc/std::free, which keeps the
-// sanitizer jobs honest: ASan still intercepts the underlying malloc, so
-// leaks and overflows on this path stay visible.
+// Both step gates run at width 1 (EngineConfig::threads == 1, the default:
+// the same sharded phases as every width, on a pool of one that runs them
+// inline) and at width 4, where every sharded phase is one
+// exec::ThreadPool::parallel_for across three workers and the caller: the
+// pool allocates nothing per loop, and a phase body whose captures outgrew
+// std::function's inline buffer would show here.
+// Node-side protocol messages (PullReply views) allocate regardless of the
+// engine, so nodes here are deliberately lean — fixed inline views, empty
+// reply payloads — and the counter isolates the engine's own round
+// machinery.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "evt/latency.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  // aligned_alloc requires size to be a multiple of the alignment.
-  const auto alignment = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  if (void* p = std::aligned_alloc(alignment, rounded ? rounded : alignment)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+#include "support/count_allocations.hpp"
 
 namespace raptee::sim {
 namespace {
@@ -139,19 +101,25 @@ Engine make_engine(EngineConfig config = {}) {  // threads == 1 by default
 }
 
 TEST(EngineZeroAlloc, StepIsAllocationFreeInSteadyState) {
-  Engine engine = make_engine();
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    EngineConfig config;
+    config.threads = width;
+    Engine engine = make_engine(config);
 
-  // Warm-up: grows the round staging, the alive/target scratches and the
-  // message codec buffers to their steady-state capacity.
-  for (int i = 0; i < 3; ++i) engine.step();
+    // Warm-up: grows the round staging, the alive/target scratches and the
+    // message codec buffers to their steady-state capacity, and starts the
+    // pool's workers.
+    for (int i = 0; i < 3; ++i) engine.step();
 
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 50; ++i) engine.step();
-  const std::uint64_t during = g_allocations.load() - before;
+    const std::uint64_t before = test::g_allocations.load();
+    for (int i = 0; i < 50; ++i) engine.step();
+    const std::uint64_t during = test::g_allocations.load() - before;
 
-  EXPECT_EQ(during, 0u) << "steady-state Engine::step must not touch the heap";
-  EXPECT_EQ(engine.counters().pushes_delivered,
-            53u * kPopulation * kViewSize);  // the rounds really ran
+    EXPECT_EQ(during, 0u) << "steady-state Engine::step at width " << width
+                          << " must not touch the heap";
+    EXPECT_EQ(engine.counters().pushes_delivered,
+              53u * kPopulation * kViewSize);  // the rounds really ran
+  }
 }
 
 TEST(EngineZeroAlloc, StepAndViewSlabReadsAreAllocationFree) {
@@ -170,38 +138,42 @@ TEST(EngineZeroAlloc, StepAndViewSlabReadsAreAllocationFree) {
   // Warm-up additionally sizes the view slab.
   for (int i = 0; i < 3; ++i) round();
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::g_allocations.load();
   for (int i = 0; i < 50; ++i) round();
-  const std::uint64_t during = g_allocations.load() - before;
+  const std::uint64_t during = test::g_allocations.load() - before;
 
   EXPECT_EQ(during, 0u) << "step + refresh_views + view_of reads must stay off the heap";
   EXPECT_GT(checksum, 0u);
 }
 
 TEST(EngineZeroAlloc, EventStepIsAllocationFreeInSteadyState) {
-  EngineConfig config;
-  config.event.enabled = true;
-  config.event.latency = evt::LatencySpec::named("wan");
-  Engine engine = make_engine(config);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    EngineConfig config;
+    config.threads = width;
+    config.event.enabled = true;
+    config.event.latency = evt::LatencySpec::named("wan");
+    Engine engine = make_engine(config);
 
-  // Warm-up additionally grows the event heap to its per-round depth.
-  for (int i = 0; i < 3; ++i) engine.step();
+    // Warm-up additionally grows the event heap to its per-round depth.
+    for (int i = 0; i < 3; ++i) engine.step();
 
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 50; ++i) engine.step();
-  const std::uint64_t during = g_allocations.load() - before;
+    const std::uint64_t before = test::g_allocations.load();
+    for (int i = 0; i < 50; ++i) engine.step();
+    const std::uint64_t during = test::g_allocations.load() - before;
 
-  EXPECT_EQ(during, 0u) << "steady-state event-mode Engine::step must not touch the heap";
-  EXPECT_GT(engine.counters().pushes_delivered, 0u);  // the rounds really ran
-  EXPECT_EQ(engine.virtual_now_us(), 53u * config.event.round_interval_us);
+    EXPECT_EQ(during, 0u) << "steady-state event-mode Engine::step at width " << width
+                          << " must not touch the heap";
+    EXPECT_GT(engine.counters().pushes_delivered, 0u);  // the rounds really ran
+    EXPECT_EQ(engine.virtual_now_us(), 53u * config.event.round_interval_us);
+  }
 }
 
 TEST(EngineZeroAlloc, CountersSeeOrdinaryAllocations) {
   // Sanity-check the instrument itself: a fresh vector growth must count.
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::g_allocations.load();
   std::vector<std::uint8_t>* v = new std::vector<std::uint8_t>(1024);
   delete v;
-  EXPECT_GT(g_allocations.load(), before);
+  EXPECT_GT(test::g_allocations.load(), before);
 }
 
 }  // namespace

@@ -2,57 +2,16 @@
 // buffers and message alternatives have warmed their capacity, an encrypted
 // leg round-trip — encode_into → seal_into → open_into → decode_into —
 // performs no heap allocation at all. Verified by counting every global
-// operator new in this binary across a measured window.
-//
-// The counting overrides forward to std::malloc/std::free, which keeps the
-// sanitizer jobs honest: ASan still intercepts the underlying malloc, so
-// leaks and overflows on this path stay visible.
+// operator new in this binary across a measured window
+// (tests/support/count_allocations.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "crypto/key.hpp"
+#include "support/count_allocations.hpp"
 #include "wire/link_session.hpp"
 #include "wire/message.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  ++g_allocations;
-  // aligned_alloc requires size to be a multiple of the alignment.
-  const auto alignment = static_cast<std::size_t>(align);
-  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  if (void* p = std::aligned_alloc(alignment, rounded ? rounded : alignment)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 
 namespace raptee::wire {
 namespace {
@@ -112,9 +71,9 @@ TEST(WireZeroAlloc, EncryptedLegRoundTripIsAllocationFreeInSteadyState) {
   run_exchange(0);
   run_exchange(1);
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::g_allocations.load();
   for (std::uint64_t round = 2; round < 52; ++round) run_exchange(round);
-  const std::uint64_t during = g_allocations.load() - before;
+  const std::uint64_t during = test::g_allocations.load() - before;
 
   EXPECT_EQ(during, 0u)
       << "steady-state encrypted leg round-trips must not touch the heap";
@@ -135,23 +94,23 @@ TEST(WireZeroAlloc, PlaintextCodecPathIsAllocationFreeInSteadyState) {
     }
   }
 
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::g_allocations.load();
   for (int iteration = 0; iteration < 100; ++iteration) {
     for (std::size_t i = 0; i < legs.size(); ++i) {
       encode_into(decoded[i], plain);
       decode_into(plain.data(), plain.size(), decoded[i]);
     }
   }
-  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(test::g_allocations.load() - before, 0u);
   for (std::size_t i = 0; i < legs.size(); ++i) EXPECT_EQ(decoded[i], legs[i]);
 }
 
 TEST(WireZeroAlloc, CountersSeeOrdinaryAllocations) {
   // Sanity-check the instrument itself: a fresh vector growth must count.
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t before = test::g_allocations.load();
   std::vector<std::uint8_t>* v = new std::vector<std::uint8_t>(1024);
   delete v;
-  EXPECT_GT(g_allocations.load(), before);
+  EXPECT_GT(test::g_allocations.load(), before);
 }
 
 }  // namespace

@@ -24,7 +24,10 @@
 
 int main() {
   using namespace raptee;
-  const auto knobs = scenario::Knobs::from_env();
+  auto knobs = scenario::Knobs::from_env();
+  // Runner::run_each runs every cell once, whatever RAPTEE_BENCH_REPS asks:
+  // the header and the JSON knobs report the repetitions actually run.
+  knobs.reps = 1;
   bench::print_header("latency_sweep", knobs);
   std::cout << "latency x partition x attack, event-driven time "
             << "(f=20%, t=20% of correct, trusted victims)\n\n";

@@ -117,50 +117,46 @@ void ByzantineNode::pull_targets(std::vector<NodeId>& out) {
   coordinator_->pull_targets(out);
 }
 
-wire::PullRequest ByzantineNode::open_pull(NodeId target) {
+void ByzantineNode::open_pull(NodeId target, wire::PullRequest& out) {
   pulled_ = target;
-  wire::PullRequest request;
-  request.sender = self_;
-  drbg_.fill(request.challenge.r_a.data(), request.challenge.r_a.size());
-  return request;
+  out.sender = self_;
+  drbg_.fill(out.challenge.r_a.data(), out.challenge.r_a.size());
 }
 
 bool ByzantineNode::answers_pull(NodeId /*requester*/) {
   return coordinator_->answers_pulls();
 }
 
-wire::PullReply ByzantineNode::answer_pull(const wire::PullRequest& /*request*/) {
-  wire::PullReply reply;
-  reply.sender = self_;
-  drbg_.fill(reply.auth.r_b.data(), reply.auth.r_b.size());
-  drbg_.fill(reply.auth.proof_b.data(), reply.auth.proof_b.size());  // can't forge
-  coordinator_->answer_view(coordinator_->config().advertised_view_size, reply.view);
-  return reply;
+void ByzantineNode::answer_pull(const wire::PullRequest& /*request*/, wire::PullReply& out) {
+  out.sender = self_;
+  drbg_.fill(out.auth.r_b.data(), out.auth.r_b.size());
+  drbg_.fill(out.auth.proof_b.data(), out.auth.proof_b.size());  // can't forge
+  coordinator_->answer_view(coordinator_->config().advertised_view_size, out.view);
 }
 
-wire::AuthConfirm ByzantineNode::process_pull_reply(const wire::PullReply& reply) {
+void ByzantineNode::process_pull_reply(const wire::PullReply& reply, wire::AuthConfirm& out) {
   // Recorded under the target this node pulled: reply.sender is only the
   // responder's claim, and an on-path flip can rewrite it. Beyond that the
   // node only keeps the exchange shaped like an honest one.
   coordinator_->record_pull_reply(pulled_, reply.view);
-  wire::AuthConfirm confirm;
-  confirm.sender = self_;
-  drbg_.fill(confirm.confirm.proof_a.data(), confirm.confirm.proof_a.size());
+  out.sender = self_;
+  drbg_.fill(out.confirm.proof_a.data(), out.confirm.proof_a.size());
   if (coordinator_->attach_bogus_swap()) {
     coordinator_->faulty_view(
         std::max<std::size_t>(1, coordinator_->config().advertised_view_size / 2),
-        confirm.swap_offer.emplace());
+        out.swap_offer.emplace());
+  } else {
+    out.swap_offer.reset();
   }
-  return confirm;
 }
 
-std::optional<wire::SwapReply> ByzantineNode::process_confirm(
-    const wire::AuthConfirm& /*confirm*/) {
-  return std::nullopt;  // nobody ever mutually authenticates with us
+bool ByzantineNode::process_confirm(const wire::AuthConfirm& /*confirm*/,
+                                    wire::SwapReply& /*out*/) {
+  return false;  // nobody ever mutually authenticates with us
 }
 
 void ByzantineNode::process_swap_reply(const wire::SwapReply& /*reply*/) {}
 
-void ByzantineNode::end_round(Round /*r*/) {}
+void ByzantineNode::end_round(Round /*r*/, sim::RoundScratch& /*scratch*/) {}
 
 }  // namespace raptee::adversary

@@ -159,14 +159,14 @@ class ByzantineNode final : public sim::INode {
   [[nodiscard]] wire::PushMessage make_push() override;
   void on_push(const wire::PushMessage& push) override;
   void pull_targets(std::vector<NodeId>& out) override;
-  [[nodiscard]] wire::PullRequest open_pull(NodeId target) override;
+  void open_pull(NodeId target, wire::PullRequest& out) override;
   [[nodiscard]] bool answers_pull(NodeId requester) override;
-  [[nodiscard]] wire::PullReply answer_pull(const wire::PullRequest& request) override;
-  [[nodiscard]] wire::AuthConfirm process_pull_reply(const wire::PullReply& reply) override;
-  [[nodiscard]] std::optional<wire::SwapReply> process_confirm(
-      const wire::AuthConfirm& confirm) override;
+  void answer_pull(const wire::PullRequest& request, wire::PullReply& out) override;
+  void process_pull_reply(const wire::PullReply& reply, wire::AuthConfirm& out) override;
+  [[nodiscard]] bool process_confirm(const wire::AuthConfirm& confirm,
+                                     wire::SwapReply& out) override;
   void process_swap_reply(const wire::SwapReply& reply) override;
-  void end_round(Round r) override;
+  void end_round(Round r, sim::RoundScratch& scratch) override;
   /// Byzantine nodes opt out of the engine's SoA view slab: they keep no
   /// view (the Coordinator answers pulls) and are excluded from every
   /// honest-side metric.

@@ -24,10 +24,16 @@
 //
 // Extension hooks (protected virtuals) let core::RapteeNode add trusted
 // exchanges and Byzantine eviction without duplicating protocol code.
+//
+// Memory: a round runs in reused memory. Each completed pull (and each
+// trusted swap) appends its IDs to one per-node pulled-ID slab, reserved at
+// pull_slice() · l1 IDs, and begin_round only resets lengths. end_round works in the scratch the
+// engine lends (the sampler-feed dedup, the renewal streams), which the
+// engine keeps per block of nodes, not per node.
 #pragma once
 
 #include <memory>
-#include <optional>
+#include <span>
 
 #include "brahms/auth.hpp"
 #include "brahms/params.hpp"
@@ -52,7 +58,6 @@ struct RoundTelemetry {
   std::size_t pulls_completed = 0;     ///< outgoing pulls that returned a reply
   std::size_t trusted_exchanges = 0;   ///< completed pulls with mutual trust
   std::size_t pulled_ids_total = 0;    ///< IDs received via pulls (pre-filter)
-  std::size_t pulled_ids_kept = 0;     ///< after the eviction hook
   double eviction_rate = 0.0;          ///< rate applied this round (trusted nodes)
   bool update_blocked = false;         ///< defence (ii) triggered
 };
@@ -70,14 +75,14 @@ class BrahmsNode : public sim::INode {
   [[nodiscard]] wire::PushMessage make_push() override;
   void on_push(const wire::PushMessage& push) override;
   void pull_targets(std::vector<NodeId>& out) override;
-  [[nodiscard]] wire::PullRequest open_pull(NodeId target) override;
-  [[nodiscard]] wire::PullReply answer_pull(const wire::PullRequest& request) override;
-  [[nodiscard]] wire::AuthConfirm process_pull_reply(const wire::PullReply& reply) override;
-  [[nodiscard]] std::optional<wire::SwapReply> process_confirm(
-      const wire::AuthConfirm& confirm) override;
+  void open_pull(NodeId target, wire::PullRequest& out) override;
+  void answer_pull(const wire::PullRequest& request, wire::PullReply& out) override;
+  void process_pull_reply(const wire::PullReply& reply, wire::AuthConfirm& out) override;
+  [[nodiscard]] bool process_confirm(const wire::AuthConfirm& confirm,
+                                     wire::SwapReply& out) override;
   void process_swap_reply(const wire::SwapReply& reply) override;
   void on_pull_timeout(NodeId target) override;
-  void end_round(Round r) override;
+  void end_round(Round r, sim::RoundScratch& scratch) override;
   /// The dynamic view has fixed capacity l1 — a constant slab-slot bound.
   [[nodiscard]] std::size_t view_capacity() const override { return view_.capacity(); }
   std::size_t copy_view(NodeId* out, std::size_t cap) const override {
@@ -92,45 +97,72 @@ class BrahmsNode : public sim::INode {
   [[nodiscard]] const RoundTelemetry& telemetry() const { return telemetry_; }
 
  protected:
-  /// One completed outgoing pull: the responder, whether mutual trust was
-  /// established, and the IDs it returned.
+  /// One entry of the round's pulled-ID list: a completed outgoing pull —
+  /// the responder and whether mutual trust was established — or the half
+  /// view a trusted swap brought in, which §IV-B also "transmits to the
+  /// list of pulled IDs". Its `len` IDs sit in the pulled-ID slab, in
+  /// arrival order.
   struct PullRecord {
     NodeId peer;
+    std::uint32_t len = 0;
     bool trusted = false;
-    std::vector<NodeId> ids;
+    bool swap = false;
   };
 
   // --- extension hooks for RAPTEE ---
-  /// Initiator-side, after authenticating `peer` as trusted. Return a swap
-  /// offer (half view + self link) to open a trusted exchange; default none.
-  [[nodiscard]] virtual std::optional<std::vector<NodeId>> make_swap_offer(NodeId peer);
+  /// Initiator-side, after authenticating `peer` as trusted. Return true to
+  /// open a trusted exchange with the swap offer (half view + self link)
+  /// written into `offer`; default none.
+  [[nodiscard]] virtual bool make_swap_offer(NodeId peer, std::vector<NodeId>& offer);
   /// Responder-side, after verifying the initiator as trusted and receiving
-  /// its swap offer. Return the half view to send back; default ignore.
-  [[nodiscard]] virtual std::optional<std::vector<NodeId>> accept_swap_offer(
-      NodeId peer, const std::vector<NodeId>& offer);
+  /// its swap offer. Return true to send back the half view written into
+  /// `half`; default ignore.
+  [[nodiscard]] virtual bool accept_swap_offer(NodeId peer, const std::vector<NodeId>& offer,
+                                               std::vector<NodeId>& half);
   /// Initiator-side, closing a trusted exchange with the responder's half.
   virtual void integrate_swap_reply(NodeId peer, const std::vector<NodeId>& half);
 
-  /// What this round's pulled IDs contribute downstream. RAPTEE's eviction
-  /// overrides the default (which keeps everything, plain Brahms).
+  /// One entry of the β·l1 renewal stream and whether an untrusted source
+  /// delivered it.
+  struct RenewalEntry {
+    NodeId id;
+    bool untrusted;
+  };
+  /// What this round's pulled IDs contribute downstream, written into
+  /// end_round's workspace. RAPTEE's eviction overrides the default (which
+  /// keeps everything, plain Brahms).
   struct PulledContribution {
-    /// Stream fed to the samplers (post-eviction).
-    std::vector<NodeId> sampler_ids;
-    /// Renewal stream from trusted-authenticated sources (pull answers of
-    /// trusted peers + swap halves); never capped.
-    std::vector<NodeId> renewal_trusted;
-    /// Renewal stream from untrusted sources.
-    std::vector<NodeId> renewal_untrusted;
+    /// The sampler feed (post-eviction); it already holds the pushes.
+    SamplerFeed& sampler_feed;
+    /// The renewal stream: trusted-authenticated sources first (pull
+    /// answers of trusted peers, then swap halves; never capped), then
+    /// untrusted ones, each in completion order.
+    std::vector<RenewalEntry>& renewal;
+    /// Free scratch for the hook (RAPTEE's eviction survivors).
+    std::vector<NodeId>& scratch;
     /// Untrusted IDs may fill at most this fraction of the β·l1 slice
     /// (1 - eviction rate); the vacated slots fall through to the history
     /// sample and the D3 retention rule.
     double untrusted_slice_cap = 1.0;
   };
-  [[nodiscard]] virtual PulledContribution process_pulled(
-      const std::vector<PullRecord>& records);
+  virtual void process_pulled(PulledContribution& out);
   /// Called when the view was renewed (not blocked) — RAPTEE uses it to
   /// refresh trusted bookkeeping.
   virtual void after_view_update() {}
+
+  /// Appends a trusted swap's received half to the round's pulled-ID list.
+  void add_swap_ids(NodeId peer, std::span<const NodeId> ids);
+  /// Calls fn(record, ids) for each entry of the round's pulled-ID list, in
+  /// arrival order, with the IDs it brought.
+  template <typename Fn>
+  void for_each_pulled(Fn&& fn) const {
+    const std::span<const NodeId> slab(pulled_ids_);
+    std::size_t at = 0;
+    for (const PullRecord& record : pulled_) {
+      fn(record, slab.subspan(at, record.len));
+      at += record.len;
+    }
+  }
 
   /// Accessors for subclasses.
   [[nodiscard]] gossip::PartialView& mutable_view() { return view_; }
@@ -139,7 +171,10 @@ class BrahmsNode : public sim::INode {
   [[nodiscard]] RoundTelemetry& mutable_telemetry() { return telemetry_; }
 
  private:
-  void renew_view(const PulledContribution& pulled);
+  void add_pulled(const PullRecord& record, std::span<const NodeId> ids);
+  /// end_round's working memory, kept in the engine's RoundScratch.
+  struct Workspace;
+  void renew_view(Workspace& work, double untrusted_slice_cap);
 
   NodeId self_;
   BrahmsConfig config_;
@@ -150,10 +185,12 @@ class BrahmsNode : public sim::INode {
   gossip::PartialView view_;
   SamplerArray samplers_;
 
-  // Per-round buffers.
-  std::vector<NodeId> pushed_;          ///< advertised IDs from received pushes
+  // Per-round buffers; begin_round resets their lengths, never their
+  // capacity.
+  std::vector<NodeId> pushed_;          ///< the first push_slice() pushed IDs
   std::size_t raw_push_count_ = 0;      ///< including duplicates (flood detection)
   std::vector<PullRecord> pulled_;
+  std::vector<NodeId> pulled_ids_;      ///< the pulled-ID slab (see PullRecord)
 
   // Single-slot exchange state (the engine completes each exchange's legs
   // before starting the next; asserted in debug).

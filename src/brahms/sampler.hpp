@@ -7,9 +7,16 @@
 // Sample *validation* (churn defence): Brahms periodically probes the
 // currently held sample; if it stopped responding the sampler re-draws its
 // hash function and restarts, so departed nodes eventually wash out of S.
+//
+// MinWiseHash is a bijection on IDs for a fixed seed, so two distinct IDs
+// never tie and a sampler's state after a stream is a function of the set
+// of distinct IDs in it, not of their order or multiplicity. SamplerFeed
+// relies on that: it feeds each distinct ID of a round once.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -56,7 +63,7 @@ class SamplerArray {
   void feed(NodeId id) {
     for (auto& s : samplers_) s.next(id);
   }
-  void feed_all(const std::vector<NodeId>& ids) {
+  void feed_all(std::span<const NodeId> ids) {
     for (NodeId id : ids) feed(id);
   }
 
@@ -66,8 +73,11 @@ class SamplerArray {
   [[nodiscard]] std::vector<NodeId> sample_list() const;
 
   /// `k` IDs drawn uniformly (without replacement) from the distinct held
-  /// samples — the γ·l1 "history sample" of the view renewal.
-  [[nodiscard]] std::vector<NodeId> history_sample(std::size_t k, Rng& rng) const;
+  /// samples — the γ·l1 "history sample" of the view renewal. Clears and
+  /// fills `out`; `indices` is the draw's scratch. Both keep their
+  /// capacity, and the draws are those of rng.sample(sample_list(), k).
+  void history_sample(std::size_t k, Rng& rng, std::vector<NodeId>& out,
+                      std::vector<std::size_t>& indices) const;
 
   /// Probes every held sample with `alive`; re-initializes samplers whose
   /// sample fails the probe. Returns the number re-initialized.
@@ -76,7 +86,41 @@ class SamplerArray {
   [[nodiscard]] const Sampler& at(std::size_t i) const { return samplers_[i]; }
 
  private:
+  /// Clears `out` and fills it with sample_list()'s IDs.
+  void sample_list_into(std::vector<NodeId>& out) const;
+
   std::vector<Sampler> samplers_;
+};
+
+/// The exact per-round dedup of a sampler feed: an open-addressing set of
+/// the distinct IDs added since reset(), which are then fed to the samplers
+/// once each. It drops `self` and kNoNode, as the feed always has, so the
+/// samplers end the round exactly as if fed the raw stream. The table is
+/// sized from the expected count, never from a received ID's value (a
+/// tampered leg can deliver IDs near 2^32); it grows when a round outruns
+/// it and keeps its capacity, so one feed serves a whole block of nodes.
+class SamplerFeed {
+ public:
+  /// Starts a feed that drops `self`, with room for `expected` distinct
+  /// IDs before the table grows.
+  void reset(NodeId self, std::size_t expected);
+  /// Adds one stream element; a duplicate, `self` or kNoNode is dropped.
+  void add(NodeId id);
+  /// The distinct IDs added since reset(), in first-seen order.
+  [[nodiscard]] std::span<const NodeId> ids() const { return ids_; }
+
+ private:
+  /// Rebuilds the table with `slots` (a power of two) empty slots, then
+  /// re-inserts ids_.
+  void rehash(std::size_t slots);
+  [[nodiscard]] std::size_t slot_of(std::uint32_t value) const {
+    return static_cast<std::size_t>((value * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  NodeId self_;
+  std::vector<std::uint32_t> slots_;  ///< NodeId::kInvalid marks an empty slot
+  unsigned shift_ = 64;               ///< 64 - log2(slots_.size())
+  std::vector<NodeId> ids_;
 };
 
 }  // namespace raptee::brahms

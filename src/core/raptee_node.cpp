@@ -25,12 +25,19 @@ RapteeNode::RapteeNode(NodeId self, RapteeConfig config,
   RAPTEE_REQUIRE(enclave_->has_group_key(),
                  "RapteeNode requires an attested (provisioned) enclave");
   config_.eviction.validate();
+  // A swap moves at most half a view plus the self link each way, so these
+  // hold an l1-entry view and its halves without growing.
+  const std::size_t l1 = config_.brahms.params.l1;
+  mutable_view().reserve(l1 + (l1 + 1) / 2 + 1);
+  view_ids_.reserve(l1);
+  incoming_.reserve(l1);
+  pending_swap_.sent.reserve(l1);
 }
 
 void RapteeNode::begin_round(Round r) {
   BrahmsNode::begin_round(r);
-  swap_received_.clear();
-  pending_swap_ = {};
+  pending_swap_.active = false;
+  pending_swap_.sent.clear();
   trusted_store_.next_round();
 }
 
@@ -43,64 +50,69 @@ void RapteeNode::pull_targets(std::vector<NodeId>& out) {
   }
 }
 
-std::optional<std::vector<NodeId>> RapteeNode::make_swap_offer(NodeId peer) {
+bool RapteeNode::make_swap_offer(NodeId peer, std::vector<NodeId>& offer) {
   trusted_store_.note_trusted(peer);
-  std::vector<NodeId> half = enclave_->select_swap_half(view().ids());
+  view_ids_.resize(view().size());
+  view().copy_ids(view_ids_.data(), view_ids_.size());
+  enclave_->select_swap_half(view_ids_, offer);
   pending_swap_.active = true;
   pending_swap_.peer = peer;
-  pending_swap_.sent = half;
+  pending_swap_.sent.assign(offer.begin(), offer.end());
   // Framework criterion 2: the initiator inserts a link to itself in the
   // buffer it sends.
-  half.push_back(id());
-  return half;
+  offer.push_back(id());
+  return true;
 }
 
-std::optional<std::vector<NodeId>> RapteeNode::accept_swap_offer(
-    NodeId peer, const std::vector<NodeId>& offer) {
+bool RapteeNode::accept_swap_offer(NodeId peer, const std::vector<NodeId>& offer,
+                                   std::vector<NodeId>& half) {
   trusted_store_.note_trusted(peer);
-  const std::vector<NodeId> my_half = enclave_->select_swap_half(view().ids());
-  apply_swap(/*sent=*/my_half, /*received=*/offer);
-  return my_half;
+  view_ids_.resize(view().size());
+  view().copy_ids(view_ids_.data(), view_ids_.size());
+  enclave_->select_swap_half(view_ids_, half);
+  apply_swap(peer, /*sent=*/half, /*received=*/offer);
+  return true;
 }
 
 void RapteeNode::integrate_swap_reply(NodeId peer, const std::vector<NodeId>& half) {
   if (!pending_swap_.active || pending_swap_.peer != peer) return;  // stale leg
-  apply_swap(/*sent=*/pending_swap_.sent, /*received=*/half);
-  pending_swap_ = {};
+  apply_swap(peer, /*sent=*/pending_swap_.sent, /*received=*/half);
+  pending_swap_.active = false;
+  pending_swap_.sent.clear();
 }
 
-void RapteeNode::apply_swap(const std::vector<NodeId>& sent,
+void RapteeNode::apply_swap(NodeId peer, const std::vector<NodeId>& sent,
                             const std::vector<NodeId>& received) {
   // Framework swap semantics (criterion 3): append the received half, then
   // shrink back to capacity dropping first what we sent, then random. The
   // S-rule only fires on overflow, so the view never shrinks below l1 when
   // the received half overlaps entries we already hold.
-  std::vector<gossip::ViewEntry> incoming;
-  incoming.reserve(received.size());
+  incoming_.clear();
   for (NodeId id_in : received) {
-    if (id_in.valid()) incoming.push_back({id_in, 0});
+    if (id_in.valid()) incoming_.push_back({id_in, 0});
   }
-  mutable_view().framework_merge(incoming, id(), sent, rng());
-  // §IV-B second measure: swap-received IDs also join the pulled-ID list.
-  swap_received_.insert(swap_received_.end(), received.begin(), received.end());
+  mutable_view().framework_merge(incoming_, id(), sent, rng());
+  // §IV-B second measure: swap-received IDs also join the pulled-ID list,
+  // exempt from eviction.
+  add_swap_ids(peer, received);
 }
 
-brahms::BrahmsNode::PulledContribution RapteeNode::process_pulled(
-    const std::vector<PullRecord>& records) {
-  std::size_t trusted_exchanges = 0;
-  for (const auto& r : records) {
+void RapteeNode::process_pulled(PulledContribution& out) {
+  std::size_t completed = 0, trusted_exchanges = 0;
+  for_each_pulled([&](const PullRecord& r, std::span<const NodeId> /*ids*/) {
+    if (r.swap) return;
+    ++completed;
     if (r.trusted) ++trusted_exchanges;
-  }
+  });
   const double trusted_ratio =
-      records.empty() ? 0.0
-                      : static_cast<double>(trusted_exchanges) /
-                            static_cast<double>(records.size());
+      completed == 0 ? 0.0
+                     : static_cast<double>(trusted_exchanges) /
+                           static_cast<double>(completed);
   const double rate = config_.eviction.rate_for(trusted_ratio);
   last_trusted_ratio_ = trusted_ratio;
   last_eviction_rate_ = rate;
   mutable_telemetry().eviction_rate = rate;
 
-  PulledContribution out;
   // §IV-C, both prongs of the defence:
   //  * "not passing them to the BRAHMS sampling component" — the sampler
   //    stream carries trusted-sourced IDs in full, untrusted IDs filtered
@@ -109,24 +121,27 @@ brahms::BrahmsNode::PulledContribution RapteeNode::process_pulled(
   //    untrusted IDs may fill at most (1-ER) of the pulled slice; vacated
   //    slots fall to history sampling and retained entries (so a 100 % rate
   //    builds views "as if trusted nodes issued no pull requests").
-  for (const auto& r : records) {
-    if (r.trusted) {
-      out.sampler_ids.insert(out.sampler_ids.end(), r.ids.begin(), r.ids.end());
-      out.renewal_trusted.insert(out.renewal_trusted.end(), r.ids.begin(), r.ids.end());
-    } else {
-      const std::vector<NodeId> survivors = enclave_->filter_pulled(r.ids, rate);
-      out.sampler_ids.insert(out.sampler_ids.end(), survivors.begin(), survivors.end());
-      out.renewal_untrusted.insert(out.renewal_untrusted.end(), r.ids.begin(),
-                                   r.ids.end());
+  // Trusted sources first: pull answers of trusted peers, then the
+  // swap-received IDs, which count as trusted pulled IDs (§IV-B).
+  const auto trusted_source = [&out](std::span<const NodeId> ids) {
+    for (NodeId pulled : ids) {
+      out.sampler_feed.add(pulled);
+      out.renewal.push_back({pulled, /*untrusted=*/false});
     }
-  }
-  // Swap-received IDs count as trusted pulled IDs (§IV-B).
-  out.sampler_ids.insert(out.sampler_ids.end(), swap_received_.begin(),
-                         swap_received_.end());
-  out.renewal_trusted.insert(out.renewal_trusted.end(), swap_received_.begin(),
-                             swap_received_.end());
+  };
+  for_each_pulled([&](const PullRecord& r, std::span<const NodeId> ids) {
+    if (r.trusted && !r.swap) trusted_source(ids);
+  });
+  for_each_pulled([&](const PullRecord& r, std::span<const NodeId> ids) {
+    if (r.swap) trusted_source(ids);
+  });
+  for_each_pulled([&](const PullRecord& r, std::span<const NodeId> ids) {
+    if (r.trusted) return;
+    enclave_->filter_pulled(ids, rate, out.scratch);
+    for (NodeId survivor : out.scratch) out.sampler_feed.add(survivor);
+    for (NodeId pulled : ids) out.renewal.push_back({pulled, /*untrusted=*/true});
+  });
   out.untrusted_slice_cap = 1.0 - rate;
-  return out;
 }
 
 void RapteeNode::after_view_update() {

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "brahms/node.hpp"
 #include "core/eviction.hpp"
@@ -68,33 +67,35 @@ class RapteeNode : public brahms::BrahmsNode {
   [[nodiscard]] double last_trusted_ratio() const { return last_trusted_ratio_; }
 
  protected:
-  [[nodiscard]] std::optional<std::vector<NodeId>> make_swap_offer(NodeId peer) override;
-  [[nodiscard]] std::optional<std::vector<NodeId>> accept_swap_offer(
-      NodeId peer, const std::vector<NodeId>& offer) override;
+  [[nodiscard]] bool make_swap_offer(NodeId peer, std::vector<NodeId>& offer) override;
+  [[nodiscard]] bool accept_swap_offer(NodeId peer, const std::vector<NodeId>& offer,
+                                       std::vector<NodeId>& half) override;
   void integrate_swap_reply(NodeId peer, const std::vector<NodeId>& half) override;
-  [[nodiscard]] PulledContribution process_pulled(
-      const std::vector<PullRecord>& records) override;
+  void process_pulled(PulledContribution& out) override;
   void after_view_update() override;
 
  private:
-  /// Applies one swap side: drop `sent` from the view, insert `received`
-  /// (skipping self/duplicates), trim back to capacity, and queue the
-  /// received IDs for the pulled-ID buffer.
-  void apply_swap(const std::vector<NodeId>& sent, const std::vector<NodeId>& received);
+  /// Applies one swap side with `peer`: drop `sent` from the view, insert
+  /// `received` (skipping self/duplicates), trim back to capacity, and add
+  /// the received IDs to the round's pulled-ID list.
+  void apply_swap(NodeId peer, const std::vector<NodeId>& sent,
+                  const std::vector<NodeId>& received);
 
   RapteeConfig config_;
   std::unique_ptr<sgx::Enclave> enclave_;
   TrustedStore trusted_store_;
 
-  /// IDs received through trusted swaps this round ("transmitted to the
-  /// list of pulled IDs", §IV-B) — exempt from eviction.
-  std::vector<NodeId> swap_received_;
-
+  /// The open trusted exchange this node initiated; `sent` keeps its
+  /// capacity across exchanges.
   struct PendingSwap {
     bool active = false;
     NodeId peer;
     std::vector<NodeId> sent;
   } pending_swap_;
+  /// The view's IDs, copied for the enclave's swap-half draw, and a
+  /// received half as view entries, for the merge.
+  std::vector<NodeId> view_ids_;
+  std::vector<gossip::ViewEntry> incoming_;
 
   double last_eviction_rate_ = 0.0;
   double last_trusted_ratio_ = 0.0;

@@ -22,7 +22,9 @@ namespace raptee::core {
 
 class TrustedStore {
  public:
-  explicit TrustedStore(std::size_t capacity = 64) : capacity_(capacity) {}
+  explicit TrustedStore(std::size_t capacity = 64) : capacity_(capacity) {
+    peers_.reserve(capacity);
+  }
 
   /// Records a successful mutual authentication with `peer`.
   void note_trusted(NodeId peer);

@@ -33,6 +33,9 @@ class PartialView {
   }
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  /// Reserves entry storage for `n` entries: room for framework_merge,
+  /// which appends before it shrinks back to capacity().
+  void reserve(std::size_t n) { entries_.reserve(n); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }

@@ -85,12 +85,12 @@ void LoopbackCluster::on_message(Endpoint& ep, const Peer& from,
     return;
   }
   if (const auto* request = std::get_if<wire::PullRequest>(&msg)) {
-    wire::PullReply reply;
+    wire::Message reply{wire::PullReply{}};
     {
       const std::lock_guard<std::mutex> lock(ep.node_mu);
-      reply = ep.node->answer_pull(*request);
+      ep.node->answer_pull(*request, std::get<wire::PullReply>(reply));
     }
-    ep.bus->send(request->sender, wire::encode(wire::Message{std::move(reply)}));
+    ep.bus->send(request->sender, wire::encode(reply));
     return;
   }
   if (auto* reply = std::get_if<wire::PullReply>(&msg)) {
@@ -102,14 +102,13 @@ void LoopbackCluster::on_message(Endpoint& ep, const Peer& from,
     return;  // unsolicited/late replies are dropped (timeout already fired)
   }
   if (const auto* confirm = std::get_if<wire::AuthConfirm>(&msg)) {
-    std::optional<wire::SwapReply> swap;
+    wire::Message swap{wire::SwapReply{}};
+    bool swapped = false;
     {
       const std::lock_guard<std::mutex> lock(ep.node_mu);
-      swap = ep.node->process_confirm(*confirm);
+      swapped = ep.node->process_confirm(*confirm, std::get<wire::SwapReply>(swap));
     }
-    if (swap) {
-      ep.bus->send(confirm->sender, wire::encode(wire::Message{std::move(*swap)}));
-    }
+    if (swapped) ep.bus->send(confirm->sender, wire::encode(swap));
     return;
   }
   if (const auto* swap = std::get_if<wire::SwapReply>(&msg)) {
@@ -120,17 +119,17 @@ void LoopbackCluster::on_message(Endpoint& ep, const Peer& from,
 }
 
 void LoopbackCluster::run_exchange(Endpoint& ep, NodeId target) {
-  wire::PullRequest request;
+  wire::Message request{wire::PullRequest{}};
   {
     const std::lock_guard<std::mutex> lock(ep.node_mu);
-    request = ep.node->open_pull(target);
+    ep.node->open_pull(target, std::get<wire::PullRequest>(request));
   }
   {
     const std::lock_guard<std::mutex> lock(ep.pull_mu);
     ep.awaiting_reply_from = target;
     ep.pending_reply.reset();
   }
-  ep.bus->send(target, wire::encode(wire::Message{std::move(request)}));
+  ep.bus->send(target, wire::encode(request));
 
   std::optional<wire::PullReply> reply;
   {
@@ -147,12 +146,12 @@ void LoopbackCluster::run_exchange(Endpoint& ep, NodeId target) {
     ep.node->on_pull_timeout(target);
     return;
   }
-  wire::AuthConfirm confirm;
+  wire::Message confirm{wire::AuthConfirm{}};
   {
     const std::lock_guard<std::mutex> lock(ep.node_mu);
-    confirm = ep.node->process_pull_reply(*reply);
+    ep.node->process_pull_reply(*reply, std::get<wire::AuthConfirm>(confirm));
   }
-  ep.bus->send(target, wire::encode(wire::Message{std::move(confirm)}));
+  ep.bus->send(target, wire::encode(confirm));
   ++pulls_completed_;
   // The responder's optional SwapReply closes asynchronously on our bus
   // thread (process_swap_reply in on_message) — exactly a deployed
@@ -195,7 +194,7 @@ void LoopbackCluster::run_rounds(std::uint64_t count) {
     }
     for (auto& owned : endpoints_) {
       const std::lock_guard<std::mutex> lock(owned->node_mu);
-      owned->node->end_round(round_);
+      owned->node->end_round(round_, end_round_scratch_);
     }
   }
 }

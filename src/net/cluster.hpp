@@ -96,6 +96,7 @@ class LoopbackCluster {
   ClusterConfig config_;
   std::unique_ptr<core::NodeFactory> factory_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
+  sim::RoundScratch end_round_scratch_;  // run_rounds calls end_round serially
   std::uint64_t round_ = 0;
   std::uint64_t pulls_completed_ = 0;
   std::uint64_t pulls_timed_out_ = 0;

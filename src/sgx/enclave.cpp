@@ -65,23 +65,33 @@ std::uint64_t Enclave::group_fingerprint() {
   return group_key_->key().fingerprint();
 }
 
-std::vector<NodeId> Enclave::filter_pulled(const std::vector<NodeId>& ids,
-                                           double eviction_rate) {
+void Enclave::filter_pulled(std::span<const NodeId> ids, double eviction_rate,
+                            std::vector<NodeId>& kept) {
   require_key("filter_pulled");
   charge(FunctionClass::kTrustedComms);
-  if (eviction_rate <= 0.0) return ids;
-  if (eviction_rate >= 1.0) return {};
+  kept.clear();
+  kept.reserve(ids.size());  // the kept count varies with the rate; this does not
+  if (eviction_rate <= 0.0) {
+    kept.assign(ids.begin(), ids.end());
+    return;
+  }
+  if (eviction_rate >= 1.0) return;
   const double keep_fraction = 1.0 - eviction_rate;
   const auto keep = static_cast<std::size_t>(
       std::lround(keep_fraction * static_cast<double>(ids.size())));
-  return protocol_rng_.sample(ids, keep);
+  picks_.reserve(ids.size());
+  protocol_rng_.sample_indices_into(ids.size(), keep, picks_);
+  for (const std::size_t i : picks_) kept.push_back(ids[i]);
 }
 
-std::vector<NodeId> Enclave::select_swap_half(const std::vector<NodeId>& view_ids) {
+void Enclave::select_swap_half(std::span<const NodeId> view_ids,
+                               std::vector<NodeId>& half) {
   require_key("select_swap_half");
   charge(FunctionClass::kTrustedComms);
-  const std::size_t half = (view_ids.size() + 1) / 2;
-  return protocol_rng_.sample(view_ids, half);
+  picks_.reserve(view_ids.size());
+  protocol_rng_.sample_indices_into(view_ids.size(), (view_ids.size() + 1) / 2, picks_);
+  half.clear();
+  for (const std::size_t i : picks_) half.push_back(view_ids[i]);
 }
 
 void Enclave::install_group_key(const crypto::SymmetricKey& key) {

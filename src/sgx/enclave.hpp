@@ -30,6 +30,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,13 +89,15 @@ class Enclave {
   [[nodiscard]] std::uint64_t group_fingerprint();
 
   /// Byzantine-eviction filter (§IV-C): keeps a uniformly chosen
-  /// (1 - eviction_rate) fraction of `ids`. Runs inside the enclave so the
+  /// (1 - eviction_rate) fraction of `ids`, written into `kept` (cleared
+  /// first; its capacity persists). Runs inside the enclave so the
   /// dropped/kept decision is not adversarially observable.
-  [[nodiscard]] std::vector<NodeId> filter_pulled(const std::vector<NodeId>& ids,
-                                                  double eviction_rate);
+  void filter_pulled(std::span<const NodeId> ids, double eviction_rate,
+                     std::vector<NodeId>& kept);
 
-  /// Uniform half-view selection for a trusted exchange.
-  [[nodiscard]] std::vector<NodeId> select_swap_half(const std::vector<NodeId>& view_ids);
+  /// Uniform half-view selection for a trusted exchange, written into
+  /// `half` (cleared first; its capacity persists).
+  void select_swap_half(std::span<const NodeId> view_ids, std::vector<NodeId>& half);
 
   // --- sealed storage (persists the group key across "restarts") ---
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> seal_group_key();
@@ -124,6 +127,8 @@ class Enclave {
   Rng cycle_rng_;
   /// Protocol-relevant randomness (eviction filter, swap-half selection).
   Rng protocol_rng_;
+  /// Index draws of the two protocol selections; keeps its capacity.
+  std::vector<std::size_t> picks_;
   crypto::Drbg drbg_;
   CycleLedger ledger_;
   crypto::SymmetricKey device_secret_;  // per-device sealing root

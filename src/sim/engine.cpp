@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/assert.hpp"
 #include "obs/timer.hpp"
@@ -40,6 +39,15 @@ static_assert(std::size(kCounterEntries) == 13);
 // Encrypted link sessions idle for more than this many rounds are retired
 // (and re-derived on next use), bounding cipher-state memory.
 constexpr Round kLinkIdleRounds = 64;
+
+/// The `T` alternative of an engine-owned leg message: the one it holds
+/// (with its vectors' capacity), or a fresh one after a tampered leg
+/// decoded as another type.
+template <typename T>
+T& held(wire::Message& leg) {
+  if (auto* message = std::get_if<T>(&leg)) return *message;
+  return leg.emplace<T>();
+}
 
 // Event kinds on the engine's scheduler: `a` indexes the per-round staging
 // array of the matching kind; a pull event's `b` carries the exchange's
@@ -176,18 +184,27 @@ exec::ThreadPool& Engine::pool() {
   return *pool_;
 }
 
+std::size_t Engine::alive_blocks() {
+  return std::min(alive_scratch_.size(), 4 * pool().size());
+}
+
 template <typename Fn>
 void Engine::shard_over_alive(const Fn& fn) {
+  const std::size_t n = alive_scratch_.size();
+  const std::size_t blocks = alive_blocks();
+  const auto run_block = [&](std::size_t b, bool byzantine) {
+    for (std::size_t k = b * n / blocks; k < (b + 1) * n / blocks; ++k) {
+      if ((kinds_[alive_scratch_[k].value] == NodeKind::kByzantine) == byzantine) fn(k, b);
+    }
+  };
   // Byzantine nodes share the mutable adversary Coordinator: run them on
   // this thread first, in index order, so the first Byzantine call still
   // triggers the round's planning. Everyone else touches only its own
-  // state (plus read-only engine state) and shards freely.
-  for (std::size_t k = 0; k < alive_scratch_.size(); ++k) {
-    if (kinds_[alive_scratch_[k].value] == NodeKind::kByzantine) fn(k);
-  }
-  pool().parallel_for(alive_scratch_.size(), [&](std::size_t k) {
-    if (kinds_[alive_scratch_[k].value] != NodeKind::kByzantine) fn(k);
-  });
+  // state (plus read-only engine state) and shards freely, a block at a
+  // time.
+  for (std::size_t b = 0; b < blocks; ++b) run_block(b, /*byzantine=*/true);
+  pool().parallel_for(
+      blocks, [&](std::size_t b) { run_block(b, /*byzantine=*/false); }, /*grain=*/1);
 }
 
 void Engine::refresh_views() {
@@ -223,17 +240,22 @@ void Engine::run_begin_rounds() {
   alive_ids(alive_scratch_);
   // begin_round touches only per-node state (buffer clears, view ageing):
   // no draws on any shared stream, so every width gives the same result.
-  shard_over_alive(
-      [&](std::size_t k) { nodes_[alive_scratch_[k].value]->begin_round(round_); });
+  shard_over_alive([&](std::size_t k, std::size_t /*block*/) {
+    nodes_[alive_scratch_[k].value]->begin_round(round_);
+  });
 }
 
 void Engine::run_end_rounds() {
   alive_ids(alive_scratch_);
   // end_round is where eviction and view renewal happen — all driven by the
   // node's private rng_ plus the read-only aliveness probe, so as with
-  // begin_round every width gives the same result.
-  shard_over_alive(
-      [&](std::size_t k) { nodes_[alive_scratch_[k].value]->end_round(round_); });
+  // begin_round every width gives the same result. A block's nodes always
+  // run with that block's scratch, so the scratch settles at the block's
+  // largest round whatever thread runs it.
+  if (end_round_scratch_.size() < alive_blocks()) end_round_scratch_.resize(alive_blocks());
+  shard_over_alive([&](std::size_t k, std::size_t block) {
+    nodes_[alive_scratch_[k].value]->end_round(round_, end_round_scratch_[block]);
+  });
 }
 
 void Engine::plan_pushes() {
@@ -242,7 +264,7 @@ void Engine::plan_pushes() {
   alive_ids(alive_scratch_);
   if (shard_slots_.size() < alive_scratch_.size()) shard_slots_.resize(alive_scratch_.size());
   const Rng phase_base = rng_.fork("push-phase");
-  shard_over_alive([&](std::size_t k) {
+  shard_over_alive([&](std::size_t k, std::size_t /*block*/) {
     const NodeId id = alive_scratch_[k];
     INode& sender = *nodes_[id.value];
     ShardSlot& slot = shard_slots_[k];
@@ -283,7 +305,7 @@ void Engine::plan_pulls() {
   // interleave across nodes, as they would in a real deployment.
   alive_ids(alive_scratch_);
   if (shard_slots_.size() < alive_scratch_.size()) shard_slots_.resize(alive_scratch_.size());
-  shard_over_alive([&](std::size_t k) {
+  shard_over_alive([&](std::size_t k, std::size_t /*block*/) {
     nodes_[alive_scratch_[k].value]->pull_targets(shard_slots_[k].targets);
   });
   pulls_.clear();
@@ -400,8 +422,8 @@ bool Engine::run_exchange(INode& initiator, INode& responder) {
   };
 
   // Leg 1: pull request (auth challenge).
-  wire::Message leg = initiator.open_pull(resp_id);
-  if (!transfer(leg, wire::MsgType::kPullRequest, /*forward=*/true)) return false;
+  initiator.open_pull(resp_id, held<wire::PullRequest>(leg_request_));
+  if (!transfer(leg_request_, wire::MsgType::kPullRequest, /*forward=*/true)) return false;
 
   // The request arrived but the responder refuses to answer (omission
   // adversary): the initiator's slot times out without a leg-2 reply ever
@@ -412,23 +434,25 @@ bool Engine::run_exchange(INode& initiator, INode& responder) {
   }
 
   // Leg 2: pull reply (auth response + full view).
-  leg = responder.answer_pull(std::get<wire::PullRequest>(leg));
-  if (!transfer(leg, wire::MsgType::kPullReply, /*forward=*/false)) return false;
+  responder.answer_pull(std::get<wire::PullRequest>(leg_request_),
+                        held<wire::PullReply>(leg_reply_));
+  if (!transfer(leg_reply_, wire::MsgType::kPullReply, /*forward=*/false)) return false;
 
   // Leg 3: auth confirm (+ possible swap offer).
-  leg = initiator.process_pull_reply(std::get<wire::PullReply>(leg));
-  if (!transfer(leg, wire::MsgType::kAuthConfirm, /*forward=*/true))
+  initiator.process_pull_reply(std::get<wire::PullReply>(leg_reply_),
+                               held<wire::AuthConfirm>(leg_confirm_));
+  if (!transfer(leg_confirm_, wire::MsgType::kAuthConfirm, /*forward=*/true))
     return true;  // pull itself completed
 
   // Leg 4: swap reply, only for a mutually-trusted exchange.
-  std::optional<wire::SwapReply> swap =
-      responder.process_confirm(std::get<wire::AuthConfirm>(leg));
-  if (!swap) return true;
+  if (!responder.process_confirm(std::get<wire::AuthConfirm>(leg_confirm_),
+                                 held<wire::SwapReply>(leg_swap_))) {
+    return true;
+  }
 
   // Leg 5: close the trusted exchange.
-  leg = std::move(*swap);
-  if (!transfer(leg, wire::MsgType::kSwapReply, /*forward=*/false)) return true;
-  initiator.process_swap_reply(std::get<wire::SwapReply>(leg));
+  if (!transfer(leg_swap_, wire::MsgType::kSwapReply, /*forward=*/false)) return true;
+  initiator.process_swap_reply(std::get<wire::SwapReply>(leg_swap_));
   ++counters_.swaps_completed;
   return true;
 }

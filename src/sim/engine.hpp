@@ -227,10 +227,14 @@ class Engine {
   /// would otherwise spawn thousands of idle OS threads per engine.
   [[nodiscard]] exec::ThreadPool& pool();
 
-  /// Runs `fn(k)` for every index into alive_scratch_: Byzantine nodes
-  /// first, serially on this thread in index order (they share the mutable
-  /// adversary Coordinator), then everyone else sharded across the pool.
-  /// Safe iff `fn` touches only per-node state and read-only engine state.
+  /// How many blocks of consecutive entries shard_over_alive splits
+  /// alive_scratch_ into: four per worker, like the pool's own chunks.
+  [[nodiscard]] std::size_t alive_blocks();
+  /// Runs `fn(k, block)` for every index into alive_scratch_, with the
+  /// index's block: Byzantine nodes first, serially on this thread in index
+  /// order (they share the mutable adversary Coordinator), then everyone
+  /// else sharded across the pool a block at a time. Safe iff `fn` touches
+  /// only per-node state, per-block state and read-only engine state.
   template <typename Fn>
   void shard_over_alive(const Fn& fn);
 
@@ -283,6 +287,7 @@ class Engine {
   std::vector<PendingPull> pulls_;
   std::vector<ShardSlot> shard_slots_;
   std::vector<NodeId> alive_scratch_;        // reused by the round phases
+  std::vector<RoundScratch> end_round_scratch_;  // one per end_round block
   std::unique_ptr<exec::ThreadPool> pool_;   // lazily built on first use
 
   // Structure-of-arrays view slab (refresh_views / view_of): all node
@@ -292,11 +297,18 @@ class Engine {
   std::vector<std::size_t> view_offset_;  // per-node slot start in the slab
   std::vector<std::uint32_t> view_len_;   // per-node entry count
 
+  // The exchange's leg messages, one per leg type: the nodes write each
+  // leg into its message and the wire path decodes back into it, so every
+  // view-carrying vector keeps its capacity across exchanges.
+  wire::Message leg_request_{wire::PullRequest{}};
+  wire::Message leg_reply_{wire::PullReply{}};
+  wire::Message leg_confirm_{wire::AuthConfirm{}};
+  wire::Message leg_swap_{wire::SwapReply{}};
+
   // Encrypted-link session cache (encrypt_links only) and the wire-path
   // scratch buffers: encode/seal/open/decode reuse these every leg, so the
   // steady-state wire path of an encrypted exchange performs zero heap
-  // allocations (the INode-produced messages themselves are the only
-  // remaining allocator traffic in run_exchange).
+  // allocations.
   std::unique_ptr<wire::LinkTable> link_table_;
   std::vector<std::uint8_t> wire_plain_;
   std::vector<std::uint8_t> wire_frame_;

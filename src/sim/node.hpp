@@ -1,7 +1,8 @@
 // INode: the behavioural contract between the round engine and a protocol
 // implementation (honest Brahms/RAPTEE node, trusted node, Byzantine node).
-// Each call has one form: the target calls fill engine-owned scratch, and
-// no default body here calls another INode method.
+// Each call has one form: the target calls and the exchange legs fill
+// engine-owned scratch, and no default body here calls another INode
+// method.
 //
 // The engine drives one synchronous gossip round as:
 //
@@ -12,18 +13,24 @@
 //                                    the five-leg exchange below, legs
 //                                    optionally serialized + encrypted
 //                                    (EngineConfig)
-//   4. end_round()                   view/sampler updates
+//   4. end_round(scratch)            view/sampler updates, in working memory
+//                                    the engine lends (RoundScratch)
 //
-// Pull exchange legs (initiator I, responder R):
-//   I.open_pull(target)         -> PullRequest    (auth challenge, msg 1)
-//   R.answer_pull(request)      -> PullReply      (full view + auth msg 2)
-//   I.process_pull_reply(reply) -> AuthConfirm    (auth msg 3, may carry a
-//                                                  trusted swap offer)
-//   R.process_confirm(confirm)  -> optional<SwapReply>
-//   I.process_swap_reply(reply)                   (closes trusted exchange)
+// Pull exchange legs (initiator I, responder R), each writing the next
+// leg's message into `out`:
+//   I.open_pull(target, out)              PullRequest  (auth challenge, msg 1)
+//   R.answer_pull(request, out)           PullReply    (full view + auth msg 2)
+//   I.process_pull_reply(reply, out)      AuthConfirm  (auth msg 3, may carry
+//                                                       a trusted swap offer)
+//   R.process_confirm(confirm, out)       SwapReply, when it returns true
+//   I.process_swap_reply(reply)                        (closes trusted exchange)
 //
-// Implementations must tolerate any leg being dropped (message loss /
-// crashed peer): the engine then calls on_pull_timeout() on the initiator.
+// `out` is a message the engine owns and reuses for every exchange: a leg
+// overwrites every field it sends (vectors by clear-and-fill, so their
+// capacity persists), and a node keeps no reference to any message past
+// the call. Implementations must tolerate any leg being dropped (message
+// loss / crashed peer): the engine then calls on_pull_timeout() on the
+// initiator.
 //
 // The engine reads a node's view only through view_capacity() and
 // copy_view(), which fill its view slab; code holding an INode reads the
@@ -31,13 +38,37 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <memory>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "wire/message.hpp"
 
 namespace raptee::sim {
+
+/// Working memory the engine lends end_round(). The engine keeps one per
+/// block of nodes and always runs a block with the same scratch, so what a
+/// scratch grows to depends on the population and the width, never on
+/// which thread ran which node. A node type keeps its own state in it,
+/// built on first use; nodes that share a scratch must use the same type.
+class RoundScratch {
+ public:
+  template <typename T>
+  [[nodiscard]] T& get() {
+    static const char tag = 0;  // one address per T
+    if (!state_) {
+      state_ = std::make_shared<T>();
+      tag_ = &tag;
+    }
+    RAPTEE_ASSERT_MSG(tag_ == &tag, "one RoundScratch holds one node type's state");
+    return *static_cast<T*>(state_.get());
+  }
+
+ private:
+  std::shared_ptr<void> state_;
+  const char* tag_ = nullptr;
+};
 
 class INode {
  public:
@@ -73,17 +104,20 @@ class INode {
     (void)requester;
     return true;
   }
-  [[nodiscard]] virtual wire::PullRequest open_pull(NodeId target) = 0;
-  [[nodiscard]] virtual wire::PullReply answer_pull(const wire::PullRequest& request) = 0;
-  [[nodiscard]] virtual wire::AuthConfirm process_pull_reply(const wire::PullReply& reply) = 0;
-  [[nodiscard]] virtual std::optional<wire::SwapReply> process_confirm(
-      const wire::AuthConfirm& confirm) = 0;
+  virtual void open_pull(NodeId target, wire::PullRequest& out) = 0;
+  virtual void answer_pull(const wire::PullRequest& request, wire::PullReply& out) = 0;
+  virtual void process_pull_reply(const wire::PullReply& reply, wire::AuthConfirm& out) = 0;
+  /// Returns whether the responder closes a trusted exchange; only then is
+  /// `out` written and sent.
+  [[nodiscard]] virtual bool process_confirm(const wire::AuthConfirm& confirm,
+                                             wire::SwapReply& out) = 0;
   virtual void process_swap_reply(const wire::SwapReply& reply) = 0;
   /// The exchange with `target` did not complete (loss or dead peer).
   virtual void on_pull_timeout(NodeId target) { (void)target; }
 
-  /// Phase 4: end of round; protocol state updates happen here.
-  virtual void end_round(Round r) = 0;
+  /// Phase 4: end of round; protocol state updates happen here, in
+  /// `scratch` for anything sized by the round's traffic.
+  virtual void end_round(Round r, RoundScratch& scratch) = 0;
 
   /// Upper bound on this node's view size, stable within a round. The
   /// engine sizes the node's slot in its structure-of-arrays view slab

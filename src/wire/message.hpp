@@ -17,7 +17,7 @@
 // cleanly (WireError), never crash.
 #pragma once
 
-#include <optional>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -61,12 +61,55 @@ struct PullReply {
   }
 };
 
+/// The swap offer of an AuthConfirm. It reads like
+/// std::optional<std::vector<NodeId>>, except that reset() keeps the
+/// vector's capacity: the engine reuses one AuthConfirm for every exchange,
+/// and most exchanges carry no offer.
+class SwapOffer {
+ public:
+  SwapOffer() = default;
+  /// Converting, like std::optional's: an initializer may spell a present
+  /// offer as its vector.
+  SwapOffer(std::vector<NodeId> ids) : present_(true), ids_(std::move(ids)) {}
+
+  SwapOffer& operator=(std::vector<NodeId> ids) {
+    ids_ = std::move(ids);
+    present_ = true;
+    return *this;
+  }
+
+  [[nodiscard]] bool has_value() const { return present_; }
+  explicit operator bool() const { return present_; }
+  /// Makes the offer present and empty; returns it for filling.
+  std::vector<NodeId>& emplace() {
+    ids_.clear();
+    present_ = true;
+    return ids_;
+  }
+  void reset() {
+    ids_.clear();
+    present_ = false;
+  }
+
+  [[nodiscard]] std::vector<NodeId>& operator*() { return ids_; }
+  [[nodiscard]] const std::vector<NodeId>& operator*() const { return ids_; }
+  [[nodiscard]] const std::vector<NodeId>* operator->() const { return &ids_; }
+
+  friend bool operator==(const SwapOffer& a, const SwapOffer& b) {
+    return a.present_ == b.present_ && (!a.present_ || a.ids_ == b.ids_);
+  }
+
+ private:
+  bool present_ = false;
+  std::vector<NodeId> ids_;  ///< empty unless present_
+};
+
 struct AuthConfirm {
   NodeId sender;
   crypto::AuthConfirm confirm;
   /// Present iff the initiator established mutual trust: half of its view
   /// (with a self-link inserted, Jelasity framework criterion 2).
-  std::optional<std::vector<NodeId>> swap_offer;
+  SwapOffer swap_offer;
 
   friend bool operator==(const AuthConfirm& a, const AuthConfirm& b) {
     return a.sender == b.sender && a.confirm.proof_a == b.confirm.proof_a &&

@@ -13,6 +13,10 @@
 namespace raptee::adversary {
 namespace {
 
+using test::answer_pull_of;
+using test::open_pull_of;
+using test::process_confirm_of;
+using test::process_pull_reply_of;
 using test::pull_targets_of;
 using test::push_targets_of;
 
@@ -153,7 +157,7 @@ TEST(ByzantineNode, PullAnswersAreAllFaulty) {
   auto coord = std::make_shared<Coordinator>(ids(100, 30), ids(0, 20), basic_attack(), 11,
                                              balanced());
   ByzantineNode node(NodeId{100}, coord, 3);
-  const auto reply = node.answer_pull(wire::PullRequest{NodeId{5}, {}});
+  const auto reply = answer_pull_of(node, wire::PullRequest{NodeId{5}, {}});
   EXPECT_EQ(reply.sender, NodeId{100});
   EXPECT_EQ(reply.view.size(), 20u);
   for (NodeId id : reply.view) EXPECT_TRUE(coord->is_member(id));
@@ -166,7 +170,7 @@ TEST(ByzantineNode, NeverAnswersSwaps) {
   wire::AuthConfirm confirm;
   confirm.sender = NodeId{0};
   confirm.swap_offer = std::vector<NodeId>{NodeId{1}};
-  EXPECT_FALSE(node.process_confirm(confirm).has_value());
+  EXPECT_FALSE(process_confirm_of(node, confirm).has_value());
 }
 
 TEST(ByzantineNode, BogusSwapOfferKnobControlsConfirms) {
@@ -175,13 +179,13 @@ TEST(ByzantineNode, BogusSwapOfferKnobControlsConfirms) {
   auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), config, 13,
                                              balanced());
   ByzantineNode node(NodeId{100}, coord, 5);
-  const auto confirm = node.process_pull_reply(wire::PullReply{NodeId{5}, {}, {}});
+  const auto confirm = process_pull_reply_of(node, wire::PullReply{NodeId{5}, {}, {}});
   EXPECT_TRUE(confirm.swap_offer.has_value());
 
   auto coord2 = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 13,
                                               balanced());
   ByzantineNode node2(NodeId{100}, coord2, 5);
-  EXPECT_FALSE(node2.process_pull_reply(wire::PullReply{NodeId{5}, {}, {}})
+  EXPECT_FALSE(process_pull_reply_of(node2, wire::PullReply{NodeId{5}, {}, {}})
                    .swap_offer.has_value());
 }
 
@@ -220,14 +224,14 @@ TEST(ByzantineNode, PullRepliesReachTheLedgerUnderThePulledTarget) {
 
   // The reply's sender field is only the responder's claim (an on-path
   // flip can rewrite it): the ledger keys the reply by the pulled target.
-  (void)node.open_pull(NodeId{3});
-  (void)node.process_pull_reply(wire::PullReply{NodeId{7}, {}, ids(0, 4)});
+  (void)open_pull_of(node, NodeId{3});
+  (void)process_pull_reply_of(node, wire::PullReply{NodeId{7}, {}, ids(0, 4)});
   EXPECT_EQ(ledger.observed_victims(), 1u);
   EXPECT_EQ(ledger.evaluate(1).trusted_total, 1u);
 
   // A pull to a fellow member adds nothing.
-  (void)node.open_pull(NodeId{101});
-  (void)node.process_pull_reply(wire::PullReply{NodeId{101}, {}, ids(100, 4)});
+  (void)open_pull_of(node, NodeId{101});
+  (void)process_pull_reply_of(node, wire::PullReply{NodeId{101}, {}, ids(100, 4)});
   EXPECT_EQ(ledger.observed_victims(), 1u);
 }
 
@@ -281,11 +285,11 @@ TEST(Strategies, OscillatingCamouflagesAnswersOffDuty) {
   ByzantineNode node(NodeId{100}, coord, 1);
 
   node.begin_round(0);  // on duty: poisoned answer, all members
-  auto reply = node.answer_pull(wire::PullRequest{NodeId{5}, {}});
+  auto reply = answer_pull_of(node, wire::PullRequest{NodeId{5}, {}});
   for (NodeId id : reply.view) EXPECT_TRUE(coord->is_member(id));
 
   node.begin_round(1);  // off duty: camouflage answer, all correct IDs
-  reply = node.answer_pull(wire::PullRequest{NodeId{5}, {}});
+  reply = answer_pull_of(node, wire::PullRequest{NodeId{5}, {}});
   EXPECT_EQ(reply.view.size(), 20u);
   for (NodeId id : reply.view) EXPECT_FALSE(coord->is_member(id));
 }
@@ -326,7 +330,7 @@ TEST(Strategies, BogusSwapAlwaysAttachesOffers) {
   auto coord = make_coordinator(AttackSpec::bogus_swap(), basic_attack());
   ByzantineNode node(NodeId{100}, coord, 1);
   node.begin_round(0);
-  const auto confirm = node.process_pull_reply(wire::PullReply{NodeId{5}, {}, {}});
+  const auto confirm = process_pull_reply_of(node, wire::PullReply{NodeId{5}, {}, {}});
   ASSERT_TRUE(confirm.swap_offer.has_value());
   for (NodeId id : *confirm.swap_offer) EXPECT_TRUE(coord->is_member(id));
 }

@@ -11,6 +11,10 @@
 namespace raptee::brahms {
 namespace {
 
+using test::answer_pull_of;
+using test::open_pull_of;
+using test::process_confirm_of;
+using test::process_pull_reply_of;
 using test::pull_targets_of;
 using test::push_targets_of;
 
@@ -35,12 +39,15 @@ std::vector<NodeId> id_range(std::uint32_t from, std::uint32_t count) {
   return out;
 }
 
+/// end_round's working memory, lent as the engine lends it.
+sim::RoundScratch scratch;
+
 /// Drives one complete pull exchange initiator->responder (no engine).
 void run_pull(BrahmsNode& initiator, BrahmsNode& responder) {
-  const auto request = initiator.open_pull(responder.id());
-  const auto reply = responder.answer_pull(request);
-  const auto confirm = initiator.process_pull_reply(reply);
-  (void)responder.process_confirm(confirm);
+  const auto request = open_pull_of(initiator, responder.id());
+  const auto reply = answer_pull_of(responder, request);
+  const auto confirm = process_pull_reply_of(initiator, reply);
+  (void)process_confirm_of(responder, confirm);
 }
 
 TEST(BrahmsNode, RequiresAuthenticator) {
@@ -112,7 +119,7 @@ TEST(BrahmsNode, PullAnswerIsFullView) {
   auto node = make_node(NodeId{0});
   node->bootstrap(id_range(1, 10));
   node->begin_round(0);
-  const auto reply = node->answer_pull(wire::PullRequest{NodeId{99}, {}});
+  const auto reply = answer_pull_of(*node, wire::PullRequest{NodeId{99}, {}});
   EXPECT_EQ(reply.sender, NodeId{0});
   EXPECT_EQ(reply.view, node->view().ids());
 }
@@ -129,7 +136,7 @@ TEST(BrahmsNode, ViewRenewalDrawsFromAllThreeSources) {
   for (std::uint32_t i = 0; i < 4; ++i) a->on_push(wire::PushMessage{NodeId{200 + i}});
   // One pull from b: brings 40..59.
   run_pull(*a, *b);
-  a->end_round(0);
+  a->end_round(0, scratch);
 
   const auto view = a->view().ids();
   EXPECT_EQ(view.size(), 20u);
@@ -155,7 +162,7 @@ TEST(BrahmsNode, FloodBlocksViewUpdate) {
   // push_slice = 8; 9 pushes exceed it -> defence (ii) blocks the update.
   for (std::uint32_t i = 0; i < 9; ++i) a->on_push(wire::PushMessage{NodeId{200 + i}});
   run_pull(*a, *b);
-  a->end_round(0);
+  a->end_round(0, scratch);
 
   EXPECT_TRUE(a->telemetry().update_blocked);
   // Ages aside, membership is unchanged.
@@ -174,7 +181,7 @@ TEST(BrahmsNode, NoPushesBlocksViewUpdate) {
   a->begin_round(0);
   b->begin_round(0);
   run_pull(*a, *b);  // pulls but no pushes
-  a->end_round(0);
+  a->end_round(0, scratch);
   EXPECT_TRUE(a->telemetry().update_blocked);
 }
 
@@ -183,7 +190,7 @@ TEST(BrahmsNode, NoPullsBlocksViewUpdate) {
   a->bootstrap(id_range(1, 20));
   a->begin_round(0);
   a->on_push(wire::PushMessage{NodeId{200}});
-  a->end_round(0);
+  a->end_round(0, scratch);
   EXPECT_TRUE(a->telemetry().update_blocked);
 }
 
@@ -196,7 +203,7 @@ TEST(BrahmsNode, ExactSliceLimitIsNotFlood) {
   b->begin_round(0);
   for (std::uint32_t i = 0; i < 8; ++i) a->on_push(wire::PushMessage{NodeId{200 + i}});
   run_pull(*a, *b);
-  a->end_round(0);
+  a->end_round(0, scratch);
   EXPECT_FALSE(a->telemetry().update_blocked);
 }
 
@@ -213,7 +220,7 @@ TEST(BrahmsNode, SelfNeverEntersView) {
     a->on_push(wire::PushMessage{NodeId{0}});  // adversarial echo of own id
     a->on_push(wire::PushMessage{NodeId{210}});
     run_pull(*a, *b);
-    a->end_round(r);
+    a->end_round(r, scratch);
   }
   const auto view = a->view().ids();
   EXPECT_EQ(std::count(view.begin(), view.end(), NodeId{0}), 0);
@@ -235,7 +242,7 @@ TEST(BrahmsNode, RenewalSamplesStreamWithMultiplicity) {
     b->begin_round(0);
     a->on_push(wire::PushMessage{NodeId{200}});
     for (int pull = 0; pull < 5; ++pull) run_pull(*a, *b);
-    a->end_round(0);
+    a->end_round(0, scratch);
     const auto view = a->view().ids();
     hits += std::count(view.begin(), view.end(), NodeId{300});
     ++trials;
@@ -254,7 +261,7 @@ TEST(BrahmsNode, TelemetryCountsRoundActivity) {
   a->on_push(wire::PushMessage{NodeId{200}});
   run_pull(*a, *b);
   run_pull(*b, *a);
-  a->end_round(0);
+  a->end_round(0, scratch);
   EXPECT_EQ(a->telemetry().pushes_received, 1u);
   EXPECT_EQ(a->telemetry().pulls_completed, 1u);
   EXPECT_EQ(a->telemetry().pulls_answered, 1u);
@@ -266,11 +273,11 @@ TEST(BrahmsNode, PullTimeoutLeavesViewIntact) {
   auto a = make_node(NodeId{0}, small_config(20), 1);
   a->bootstrap(id_range(1, 20));
   a->begin_round(0);
-  (void)a->open_pull(NodeId{3});
+  (void)open_pull_of(*a, NodeId{3});
   a->on_pull_timeout(NodeId{3});
   EXPECT_TRUE(a->view().contains(NodeId{3}));
   // A fresh exchange can start afterwards (slot was released).
-  (void)a->open_pull(NodeId{4});
+  (void)open_pull_of(*a, NodeId{4});
 }
 
 TEST(BrahmsNode, SamplerValidationEvictsDeadUnderChurn) {
@@ -284,7 +291,7 @@ TEST(BrahmsNode, SamplerValidationEvictsDeadUnderChurn) {
                   [](NodeId id) { return id.value < 10; });
   node.bootstrap(id_range(1, 19));
   node.begin_round(1);
-  node.end_round(1);
+  node.end_round(1, scratch);
   for (NodeId id : node.sample_list()) EXPECT_LT(id.value, 10u);
 }
 

@@ -1,5 +1,5 @@
 // Brahms sampling component: min-wise uniformity, order/duplication
-// insensitivity, churn validation.
+// insensitivity, churn validation, and the per-round feed dedup.
 #include "brahms/sampler.hpp"
 
 #include <gtest/gtest.h>
@@ -84,11 +84,30 @@ TEST(SamplerArray, HistorySampleBounded) {
   Rng rng(5);
   SamplerArray arr(16, rng);
   for (std::uint32_t i = 0; i < 100; ++i) arr.feed(NodeId{i});
-  const auto hist = arr.history_sample(4, rng);
+  std::vector<NodeId> hist;
+  std::vector<std::size_t> indices;
+  arr.history_sample(4, rng, hist, indices);
   EXPECT_EQ(hist.size(), 4u);
   std::set<std::uint32_t> uniq;
   for (NodeId id : hist) uniq.insert(id.value);
   EXPECT_EQ(uniq.size(), 4u);
+}
+
+TEST(SamplerArray, HistorySampleDrawsLikeSamplingTheSampleList) {
+  // The scratch-filling form makes rng.sample(sample_list(), k)'s draws:
+  // the same IDs in the same order, and the stream left at the same state.
+  for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{8}, std::size_t{40}}) {
+    Rng seeder(50 + k);
+    SamplerArray arr(16, seeder);
+    for (std::uint32_t i = 0; i < 30; ++i) arr.feed(NodeId{i * 7});
+    Rng reference(k), scratch_rng(k);
+    const std::vector<NodeId> expected = reference.sample(arr.sample_list(), k);
+    std::vector<NodeId> hist{NodeId{999}};  // stale contents are replaced
+    std::vector<std::size_t> indices;
+    arr.history_sample(k, scratch_rng, hist, indices);
+    EXPECT_EQ(hist, expected) << "k=" << k;
+    EXPECT_EQ(scratch_rng.next(), reference.next()) << "k=" << k;
+  }
 }
 
 TEST(SamplerArray, ValidateReinitializesDeadSamples) {
@@ -141,6 +160,69 @@ TEST(SamplerArray, ConvergesToUniformOverAdversarialStream) {
   // 100x multiplicity. Allow a loose statistical band.
   EXPECT_NEAR(mean, 0.2, 0.05);
 }
+
+class SamplerFeedEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SamplerFeedEquivalence, DedupedFeedMatchesRawStream) {
+  // A round's raw stream, as end_round receives it: pushes and pull answers
+  // repeating IDs, the node's own ID, kNoNode, and IDs near 2^32 of the
+  // kind a tampered leg delivers. The raw feed skips self and kNoNode, as
+  // the feed always has; SamplerFeed must leave every sampler in the same
+  // state, for the stream and for any order of it.
+  const NodeId self{17};
+  Rng rng(GetParam());
+  std::vector<NodeId> stream;
+  const std::size_t length = 200 + static_cast<std::size_t>(rng.below(400));
+  for (std::size_t i = 0; i < length; ++i) {
+    const auto draw = static_cast<std::uint32_t>(rng.below(120));
+    switch (rng.below(8)) {
+      case 0: stream.push_back(self); break;
+      case 1: stream.push_back(kNoNode); break;
+      case 2: stream.emplace_back(NodeId::kInvalid - 1 - draw); break;
+      case 3:
+        if (!stream.empty()) {
+          const NodeId repeat = rng.pick(stream);
+          stream.push_back(repeat);
+        }
+        break;
+      default: stream.emplace_back(draw); break;
+    }
+  }
+
+  const std::uint64_t array_seed = rng.next();
+  Rng raw_seed(array_seed), fed_seed(array_seed), shuffled_seed(array_seed);
+  SamplerArray raw(24, raw_seed), fed(24, fed_seed), shuffled(24, shuffled_seed);
+  for (NodeId id : stream) {
+    if (id != self && id.valid()) raw.feed(id);
+  }
+
+  // One feed serves both rounds, as one per worker serves every node: the
+  // first is sized far too small, so its table grows mid-round.
+  SamplerFeed feed;
+  feed.reset(self, 4);
+  for (NodeId id : stream) feed.add(id);
+  std::set<std::uint32_t> distinct;
+  for (NodeId id : feed.ids()) {
+    EXPECT_NE(id, self);
+    EXPECT_TRUE(id.valid());
+    EXPECT_TRUE(distinct.insert(id.value).second) << "fed twice: " << id.value;
+  }
+  fed.feed_all(feed.ids());
+
+  rng.shuffle(stream);
+  feed.reset(self, stream.size());
+  for (NodeId id : stream) feed.add(id);
+  EXPECT_EQ(feed.ids().size(), distinct.size());
+  shuffled.feed_all(feed.ids());
+
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    EXPECT_EQ(fed.at(i).sample(), raw.at(i).sample()) << "sampler " << i;
+    EXPECT_EQ(shuffled.at(i).sample(), raw.at(i).sample()) << "sampler " << i;
+  }
+  EXPECT_EQ(fed.sample_list(), raw.sample_list());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SamplerFeedEquivalence, ::testing::Range<std::uint64_t>(1, 21));
 
 class SamplerSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -13,6 +13,10 @@
 namespace raptee::core {
 namespace {
 
+using test::answer_pull_of;
+using test::open_pull_of;
+using test::process_confirm_of;
+using test::process_pull_reply_of;
 using test::pull_targets_of;
 using test::push_targets_of;
 
@@ -166,7 +170,7 @@ TEST(RapteeNode, CamouflageTrafficShapeMatchesHonest) {
   honest_node.begin_round(50);
   EXPECT_EQ(push_targets_of(*trusted_node).size(), push_targets_of(honest_node).size());
   EXPECT_EQ(pull_targets_of(*trusted_node).size(), pull_targets_of(honest_node).size());
-  const auto reply = trusted_node->answer_pull(wire::PullRequest{NodeId{9}, {}});
+  const auto reply = answer_pull_of(*trusted_node, wire::PullRequest{NodeId{9}, {}});
   EXPECT_EQ(reply.view.size(), trusted_node->view().size());
 }
 
@@ -175,13 +179,13 @@ TEST(RapteeNode, BogusSwapOfferFromUntrustedIsIgnored) {
   auto* node = world.trusted[0];
   node->begin_round(0);
   // Craft an exchange where the "initiator" fails auth but attaches an offer.
-  const auto reply = node->answer_pull(wire::PullRequest{NodeId{3}, {}});
+  const auto reply = answer_pull_of(*node, wire::PullRequest{NodeId{3}, {}});
   (void)reply;
   wire::AuthConfirm bogus;
   bogus.sender = NodeId{3};
   bogus.confirm.proof_a.fill(0xAB);  // garbage proof
   bogus.swap_offer = std::vector<NodeId>{NodeId{4}, NodeId{5}};
-  EXPECT_FALSE(node->process_confirm(bogus).has_value());
+  EXPECT_FALSE(process_confirm_of(*node, bogus).has_value());
 }
 
 TEST(RapteeNode, StraySwapReplyIsIgnored) {
@@ -191,6 +195,79 @@ TEST(RapteeNode, StraySwapReplyIsIgnored) {
   const auto before = node->view().ids();
   node->process_swap_reply(wire::SwapReply{NodeId{9}, {NodeId{4}, NodeId{5}}});
   EXPECT_EQ(node->view().ids(), before);
+}
+
+std::vector<NodeId> id_range(std::uint32_t from, std::uint32_t count) {
+  std::vector<NodeId> out;
+  for (std::uint32_t i = 0; i < count; ++i) out.emplace_back(from + i);
+  return out;
+}
+
+/// One pull exchange a -> b, closed by the swap when both are trusted.
+void exchange(RapteeNode& a, RapteeNode& b) {
+  const auto reply = answer_pull_of(b, open_pull_of(a, b.id()));
+  const auto swap = process_confirm_of(b, process_pull_reply_of(a, reply));
+  if (swap) a.process_swap_reply(*swap);
+}
+
+TEST(RapteeNode, PulledListOutgrowingItsReserveRenewsAsBefore) {
+  // Each round the trusted overlay adds a fourth pull, to b, which closes
+  // with a swap, and every other responder advertises 2·l1 IDs: about 60
+  // pulled IDs a round against the slab's pull_slice() · l1 = 24. The
+  // renewed views, sample lists and eviction rates below were recorded
+  // with the per-pull ID vectors the slab replaced.
+  NodeFactory factory(11, brahms::AuthMode::kFingerprint);
+  RapteeConfig config = small_raptee(EvictionSpec::adaptive(), /*l1=*/8);
+  config.trusted_overlay = true;
+  const std::size_t l1 = config.brahms.params.l1;
+  auto a = factory.make_trusted(NodeId{0}, config);
+  auto b = factory.make_trusted(NodeId{1}, config);
+  a->bootstrap(id_range(1, 8));
+  std::vector<NodeId> b_view = id_range(10, 7);
+  b_view.push_back(a->id());
+  b->bootstrap(b_view);
+
+  const std::vector<std::vector<std::uint32_t>> views = {
+      {21, 20, 22, 127, 117, 4, 129, 128},
+      {24, 23, 25, 200, 11, 6, 14, 201},
+      {27, 26, 28, 248, 10, 128, 5, 20},
+      {29, 31, 30, 312, 200, 6, 131, 21}};
+  const std::vector<std::vector<std::uint32_t>> samples = {
+      {5, 7, 14, 121, 128, 129, 131, 142},
+      {5, 14, 121, 128, 129, 131, 170, 201},
+      {5, 14, 128, 129, 131, 170, 201, 260},
+      {31, 128, 129, 131, 201, 260, 298, 335}};
+  const std::vector<double> rates = {0.4, 0.75, 0.75, 0.75};
+  sim::RoundScratch scratch;
+  for (Round r = 0; r < 4; ++r) {
+    a->begin_round(r);
+    b->begin_round(r);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      a->on_push(wire::PushMessage{NodeId{20 + 3 * r + i}});
+    }
+    if (r == 0) exchange(*a, *b);  // b becomes the overlay's standing peer
+    const std::vector<NodeId> targets = pull_targets_of(*a);
+    ASSERT_EQ(targets.size(), config.brahms.params.pull_slice() + 1);
+    for (std::uint32_t k = 0; k < targets.size(); ++k) {
+      if (targets[k] == b->id()) {
+        exchange(*a, *b);
+        continue;
+      }
+      (void)open_pull_of(*a, targets[k]);
+      wire::PullReply advertised;
+      advertised.sender = targets[k];
+      advertised.view = id_range(100 + 16 * (4 * r + k), static_cast<std::uint32_t>(2 * l1));
+      (void)process_pull_reply_of(*a, advertised);
+    }
+    a->end_round(r, scratch);
+
+    std::vector<std::uint32_t> view, sample_list;
+    for (NodeId id : a->view().ids()) view.push_back(id.value);
+    for (NodeId id : a->sample_list()) sample_list.push_back(id.value);
+    EXPECT_EQ(view, views[r]) << "round " << r;
+    EXPECT_EQ(sample_list, samples[r]) << "round " << r;
+    EXPECT_DOUBLE_EQ(a->last_eviction_rate(), rates[r]) << "round " << r;
+  }
 }
 
 TEST(RapteeNode, EnclaveLedgerAccumulatesDuringRun) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "sgx/attestation.hpp"
@@ -26,6 +27,20 @@ struct Provisioned {
   }
 };
 
+/// The enclave's selections, collected into fresh vectors.
+std::vector<NodeId> filtered(Enclave& enclave, const std::vector<NodeId>& ids,
+                             double eviction_rate) {
+  std::vector<NodeId> kept;
+  enclave.filter_pulled(ids, eviction_rate, kept);
+  return kept;
+}
+
+std::vector<NodeId> swap_half(Enclave& enclave, const std::vector<NodeId>& view_ids) {
+  std::vector<NodeId> half;
+  enclave.select_swap_half(view_ids, half);
+  return half;
+}
+
 TEST(Enclave, MeasurementIsCodeBound) {
   Enclave a("code-v1", 1);
   Enclave b("code-v1", 2);
@@ -42,8 +57,8 @@ TEST(Enclave, OperationsRequireProvisioning) {
   EXPECT_THROW((void)e.auth_prove(kFull, kResponse, n, n), AssertionError);
   EXPECT_THROW((void)e.auth_check(kFull, kResponse, n, n, {}), AssertionError);
   EXPECT_THROW((void)e.group_fingerprint(), AssertionError);
-  EXPECT_THROW((void)e.filter_pulled({}, 0.5), AssertionError);
-  EXPECT_THROW((void)e.select_swap_half({}), AssertionError);
+  EXPECT_THROW((void)filtered(e, {}, 0.5), AssertionError);
+  EXPECT_THROW((void)swap_half(e, {}), AssertionError);
   EXPECT_FALSE(e.seal_group_key().has_value());
 }
 
@@ -71,17 +86,17 @@ TEST(Enclave, FilterPulledRates) {
   std::vector<NodeId> ids;
   for (std::uint32_t i = 0; i < 100; ++i) ids.emplace_back(i);
 
-  EXPECT_EQ(p.enclave.filter_pulled(ids, 0.0).size(), 100u);
-  EXPECT_TRUE(p.enclave.filter_pulled(ids, 1.0).empty());
-  EXPECT_EQ(p.enclave.filter_pulled(ids, 0.4).size(), 60u);
-  EXPECT_EQ(p.enclave.filter_pulled(ids, 0.25).size(), 75u);
+  EXPECT_EQ(filtered(p.enclave, ids, 0.0).size(), 100u);
+  EXPECT_TRUE(filtered(p.enclave, ids, 1.0).empty());
+  EXPECT_EQ(filtered(p.enclave, ids, 0.4).size(), 60u);
+  EXPECT_EQ(filtered(p.enclave, ids, 0.25).size(), 75u);
 }
 
 TEST(Enclave, FilterPulledKeepsSubsetOfInput) {
   Provisioned p;
   std::vector<NodeId> ids;
   for (std::uint32_t i = 0; i < 50; ++i) ids.emplace_back(i * 2);
-  const auto kept = p.enclave.filter_pulled(ids, 0.5);
+  const auto kept = filtered(p.enclave, ids, 0.5);
   std::set<std::uint32_t> input;
   for (NodeId id : ids) input.insert(id.value);
   for (NodeId id : kept) EXPECT_TRUE(input.count(id.value));
@@ -91,17 +106,17 @@ TEST(Enclave, SwapHalfIsHalfRoundedUp) {
   Provisioned p;
   std::vector<NodeId> ids;
   for (std::uint32_t i = 0; i < 9; ++i) ids.emplace_back(i);
-  EXPECT_EQ(p.enclave.select_swap_half(ids).size(), 5u);
+  EXPECT_EQ(swap_half(p.enclave, ids).size(), 5u);
   ids.emplace_back(9);
-  EXPECT_EQ(p.enclave.select_swap_half(ids).size(), 5u);
-  EXPECT_TRUE(p.enclave.select_swap_half({}).empty());
+  EXPECT_EQ(swap_half(p.enclave, ids).size(), 5u);
+  EXPECT_TRUE(swap_half(p.enclave, {}).empty());
 }
 
 TEST(Enclave, SwapHalfEntriesAreDistinctViewMembers) {
   Provisioned p;
   std::vector<NodeId> ids;
   for (std::uint32_t i = 0; i < 20; ++i) ids.emplace_back(i);
-  const auto half = p.enclave.select_swap_half(ids);
+  const auto half = swap_half(p.enclave, ids);
   std::set<std::uint32_t> uniq;
   for (NodeId id : half) {
     EXPECT_LT(id.value, 20u);
@@ -155,7 +170,7 @@ TEST(Enclave, CycleLedgerChargesPerFunctionClass) {
   EXPECT_GT(p.enclave.ledger().cycles(FunctionClass::kPullRequest), before);
   EXPECT_GE(p.enclave.ledger().calls(FunctionClass::kPullRequest), 1u);
 
-  (void)p.enclave.filter_pulled({NodeId{1}}, 0.5);
+  (void)filtered(p.enclave, {NodeId{1}}, 0.5);
   EXPECT_GT(p.enclave.ledger().cycles(FunctionClass::kTrustedComms), 0u);
   EXPECT_GT(p.enclave.ledger().total_cycles(), 0u);
 }

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "sim/node.hpp"
@@ -35,34 +34,32 @@ class FakeNode : public INode {
     pull_refusal_checks.push_back(requester);
     return !refuse_pulls;
   }
-  wire::PullRequest open_pull(NodeId target) override {
+  void open_pull(NodeId target, wire::PullRequest& out) override {
     last_pull_target = target;
-    return wire::PullRequest{id_, {}};
+    out = wire::PullRequest{id_, {}};
   }
-  wire::PullReply answer_pull(const wire::PullRequest& request) override {
+  void answer_pull(const wire::PullRequest& request, wire::PullReply& out) override {
     pull_requests_answered.push_back(request.sender);
-    return wire::PullReply{id_, {}, view_};
+    out = wire::PullReply{id_, {}, view_};
   }
-  wire::AuthConfirm process_pull_reply(const wire::PullReply& reply) override {
+  void process_pull_reply(const wire::PullReply& reply, wire::AuthConfirm& out) override {
     replies_received.push_back(reply.sender);
     last_reply_view = reply.view;
-    wire::AuthConfirm confirm;
-    confirm.sender = id_;
-    if (offer_on_reply) confirm.swap_offer = view_;
-    return confirm;
+    out = wire::AuthConfirm{};
+    out.sender = id_;
+    if (offer_on_reply) out.swap_offer = view_;
   }
-  std::optional<wire::SwapReply> process_confirm(const wire::AuthConfirm& confirm) override {
+  bool process_confirm(const wire::AuthConfirm& confirm, wire::SwapReply& out) override {
     confirms_received.push_back(confirm.sender);
-    if (confirm.swap_offer && answer_swaps) {
-      return wire::SwapReply{id_, view_};
-    }
-    return std::nullopt;
+    if (!confirm.swap_offer || !answer_swaps) return false;
+    out = wire::SwapReply{id_, view_};
+    return true;
   }
   void process_swap_reply(const wire::SwapReply& reply) override {
     swap_replies.push_back(reply.sender);
   }
   void on_pull_timeout(NodeId target) override { timeouts.push_back(target); }
-  void end_round(Round) override { ++end_calls; }
+  void end_round(Round, RoundScratch&) override { ++end_calls; }
   std::size_t view_capacity() const override { return view_.size(); }
   std::size_t copy_view(NodeId* out, std::size_t cap) const override {
     const std::size_t n = std::min(view_.size(), cap);

@@ -8,22 +8,30 @@
 // window (tests/support/count_allocations.hpp, shared with
 // wire_test_wire_zero_alloc and obs_test_obs_zero_alloc).
 //
-// Both step gates run at width 1 (EngineConfig::threads == 1, the default:
+// Every step gate runs at width 1 (EngineConfig::threads == 1, the default:
 // the same sharded phases as every width, on a pool of one that runs them
 // inline) and at width 4, where every sharded phase is one
 // exec::ThreadPool::parallel_for across three workers and the caller: the
 // pool allocates nothing per loop, and a phase body whose captures outgrew
 // std::function's inline buffer would show here.
-// Node-side protocol messages (PullReply views) allocate regardless of the
-// engine, so nodes here are deliberately lean — fixed inline views, empty
-// reply payloads — and the counter isolates the engine's own round
-// machinery.
+//
+// Two populations. LeanNode — fixed inline views, empty reply payloads —
+// isolates the engine's own round machinery, in round and in event mode.
+// The protocol population gates the real nodes in round mode:
+// KeyedAuthenticator BrahmsNodes and enclave-backed RapteeNodes whose
+// mutual authentication runs trusted swaps, with sampler validation on.
+// Their legs write into the engine's leg messages, their pulled IDs go to
+// a per-node slab, and end_round works in the scratch the engine lends
+// each block of nodes, so once warm a protocol round allocates nothing
+// either. The adversary is not in it: its identification ledger records
+// pull replies on the heap.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
 #include <vector>
 
+#include "core/node_factory.hpp"
 #include "evt/latency.hpp"
 #include "sim/engine.hpp"
 #include "sim/node.hpp"
@@ -34,6 +42,8 @@ namespace {
 
 constexpr std::size_t kPopulation = 16;
 constexpr std::size_t kViewSize = 4;
+constexpr std::uint32_t kProtocolPopulation = 24;
+constexpr std::uint32_t kTrustedNodes = 4;
 
 /// Allocation-free INode: fixed inline ring view, deterministic push/pull
 /// fan-out, empty exchange payloads. The target calls fill the engine's
@@ -62,23 +72,20 @@ class LeanNode final : public INode {
     out.clear();
     out.push_back(view_[0]);
   }
-  [[nodiscard]] wire::PullRequest open_pull(NodeId) override {
-    return wire::PullRequest{id_, {}};
+  void open_pull(NodeId, wire::PullRequest& out) override { out.sender = id_; }
+  void answer_pull(const wire::PullRequest&, wire::PullReply& out) override {
+    out.sender = id_;
+    out.view.clear();
   }
-  [[nodiscard]] wire::PullReply answer_pull(const wire::PullRequest&) override {
-    return wire::PullReply{id_, {}, {}};
+  void process_pull_reply(const wire::PullReply&, wire::AuthConfirm& out) override {
+    out.sender = id_;
+    out.swap_offer.reset();  // never trusted: no swap offer, exchange ends at leg 3
   }
-  [[nodiscard]] wire::AuthConfirm process_pull_reply(const wire::PullReply&) override {
-    wire::AuthConfirm confirm;
-    confirm.sender = id_;
-    return confirm;  // never trusted: no swap offer, exchange ends at leg 3
-  }
-  [[nodiscard]] std::optional<wire::SwapReply> process_confirm(
-      const wire::AuthConfirm&) override {
-    return std::nullopt;
+  [[nodiscard]] bool process_confirm(const wire::AuthConfirm&, wire::SwapReply&) override {
+    return false;
   }
   void process_swap_reply(const wire::SwapReply&) override {}
-  void end_round(Round) override {}
+  void end_round(Round, RoundScratch&) override {}
 
   [[nodiscard]] std::size_t view_capacity() const override { return kViewSize; }
   std::size_t copy_view(NodeId* out, std::size_t cap) const override {
@@ -165,6 +172,58 @@ TEST(EngineZeroAlloc, EventStepIsAllocationFreeInSteadyState) {
                           << " must not touch the heap";
     EXPECT_GT(engine.counters().pushes_delivered, 0u);  // the rounds really ran
     EXPECT_EQ(engine.virtual_now_us(), 53u * config.event.round_interval_us);
+  }
+}
+
+/// A round-mode population of real protocol nodes: KeyedAuthenticator
+/// BrahmsNodes and enclave-backed RapteeNodes, whose mutual authentication
+/// runs trusted swaps, with sampler validation on.
+Engine make_protocol_engine(std::size_t width) {
+  EngineConfig config;
+  config.seed = 7;
+  config.threads = width;
+  Engine engine(config);
+  core::NodeFactory factory(7, brahms::AuthMode::kFingerprint);
+  brahms::BrahmsConfig brahms;
+  brahms.params.l1 = 8;
+  brahms.params.l2 = 8;
+  brahms.sampler_validation_period = 5;
+  core::RapteeConfig raptee;
+  raptee.brahms = brahms;
+  for (std::uint32_t i = 0; i < kProtocolPopulation; ++i) {
+    const NodeId id{i};
+    if (i < kTrustedNodes) {
+      engine.add_node(factory.make_trusted(id, raptee, engine.aliveness_probe()),
+                      NodeKind::kTrusted);
+    } else {
+      engine.add_node(factory.make_honest(id, brahms, engine.aliveness_probe()),
+                      NodeKind::kHonest);
+    }
+  }
+  engine.bootstrap_uniform(brahms.params.l1);
+  return engine;
+}
+
+TEST(EngineZeroAlloc, ProtocolRoundIsAllocationFreeInSteadyState) {
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    Engine engine = make_protocol_engine(width);
+
+    // Warm-up: besides the engine's own scratch, grows every node's
+    // pulled-ID list and push buffer, the trusted nodes' swap buffers, the
+    // leg messages and each end_round block's workspace to their
+    // steady-state capacity.
+    for (int i = 0; i < 25; ++i) engine.step();
+    const Engine::Counters warm = engine.counters();
+
+    const std::uint64_t before = test::g_allocations.load();
+    for (int i = 0; i < 50; ++i) engine.step();
+    const std::uint64_t during = test::g_allocations.load() - before;
+
+    EXPECT_EQ(during, 0u) << "steady-state protocol round at width " << width
+                          << " must not touch the heap";
+    // The rounds really ran, trusted swaps included.
+    EXPECT_GT(engine.counters().pulls_completed, warm.pulls_completed);
+    EXPECT_GT(engine.counters().swaps_completed, warm.swaps_completed);
   }
 }
 

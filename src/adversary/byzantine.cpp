@@ -20,20 +20,43 @@ Coordinator::Coordinator(std::vector<NodeId> members, std::vector<NodeId> victim
   RAPTEE_REQUIRE(!members_.empty(), "coordinator needs at least one member");
   RAPTEE_REQUIRE(strategy_ != nullptr, "coordinator needs a strategy");
   std::sort(members_.begin(), members_.end());
+  chains_.resize(members_.size());
 }
 
 void Coordinator::begin_round(Round r) {
   if (prepared_round_ && *prepared_round_ == r) return;
+  // A positioned stream no leg took would shift every later draw of its
+  // member: each planned leg must have run.
+  for (const Chain& chain : chains_) {
+    RAPTEE_ASSERT_MSG(chain.head == kNoLeg, "a positioned Coordinator stream went unused");
+  }
+  planned_.clear();
+  std::fill(chains_.begin(), chains_.end(), Chain{});
   prepared_round_ = r;
   active_ = strategy_->active(r);
   if (active_) ++rounds_active_;
   strategy_->plan_pushes(r, *this, schedule_);
 }
 
-std::span<const NodeId> Coordinator::push_slice(NodeId member) const {
+std::size_t Coordinator::rank_of(NodeId member) const {
   const auto it = std::lower_bound(members_.begin(), members_.end(), member);
   RAPTEE_ASSERT_MSG(it != members_.end() && *it == member, "unknown member");
-  const auto idx = static_cast<std::size_t>(it - members_.begin());
+  return static_cast<std::size_t>(it - members_.begin());
+}
+
+Rng& Coordinator::leg_stream(NodeId member, Rng& positioned) {
+  if (planned_.empty()) return rng_;
+  Chain& chain = chains_[rank_of(member)];
+  RAPTEE_ASSERT_MSG(chain.head != kNoLeg,
+                    "member " << member.value << " ran a leg the round did not plan");
+  const PlannedLeg& leg = planned_[chain.head];
+  chain.head = leg.next;
+  positioned = Rng(leg.stream);
+  return positioned;
+}
+
+std::span<const NodeId> Coordinator::push_slice(NodeId member) const {
+  const std::size_t idx = rank_of(member);
   const std::size_t budget = config_.push_budget_per_member;
   const std::size_t from = idx * budget;
   if (from >= schedule_.size()) return {};
@@ -50,28 +73,30 @@ bool Coordinator::answers_pulls() const {
   return strategy_->answers_pulls(prepared_round_.value_or(0));
 }
 
-void Coordinator::answer_view(std::size_t k, std::vector<NodeId>& out) {
-  strategy_->answer_view(prepared_round_.value_or(0), *this, k, out);
+void Coordinator::answer_view(Rng& rng, std::vector<std::size_t>& scratch, std::size_t k,
+                              std::vector<NodeId>& out) const {
+  strategy_->answer_view(prepared_round_.value_or(0), *this, rng, scratch, k, out);
 }
 
 bool Coordinator::attach_bogus_swap() const {
   return strategy_->attach_bogus_swap(prepared_round_.value_or(0), *this);
 }
 
-void Coordinator::faulty_view(std::size_t k, std::vector<NodeId>& out) {
+void Coordinator::faulty_view(Rng& rng, std::vector<std::size_t>& scratch, std::size_t k,
+                              std::vector<NodeId>& out) const {
   out.clear();
   if (k <= members_.size()) {
-    rng_.sample_indices_into(members_.size(), k, index_scratch_);
-    out.reserve(index_scratch_.size());
-    for (const std::size_t i : index_scratch_) out.push_back(members_[i]);
+    rng.sample_indices_into(members_.size(), k, scratch);
+    out.reserve(scratch.size());
+    for (const std::size_t i : scratch) out.push_back(members_[i]);
     return;
   }
   // Fewer members than requested: fill with repeats.
   out.assign(members_.begin(), members_.end());
   while (out.size() < k) {
-    out.push_back(members_[static_cast<std::size_t>(rng_.below(members_.size()))]);
+    out.push_back(members_[static_cast<std::size_t>(rng.below(members_.size()))]);
   }
-  rng_.shuffle(out);
+  rng.shuffle(out);
 }
 
 NodeId Coordinator::faulty_id() {
@@ -92,6 +117,7 @@ ByzantineNode::ByzantineNode(NodeId self, std::shared_ptr<Coordinator> coordinat
       coordinator_(std::move(coordinator)),
       drbg_(mix64(seed, self.value), "byzantine-camouflage") {
   RAPTEE_REQUIRE(coordinator_ != nullptr, "ByzantineNode requires a coordinator");
+  index_scratch_.reserve(coordinator_->config().advertised_view_size);
 }
 
 void ByzantineNode::bootstrap(const std::vector<NodeId>& /*initial_peers*/) {
@@ -117,6 +143,31 @@ void ByzantineNode::pull_targets(std::vector<NodeId>& out) {
   coordinator_->pull_targets(out);
 }
 
+void ByzantineNode::plan_exchange(NodeId /*initiator*/, NodeId responder) {
+  const bool answering = responder == self_;
+  // A lossless exchange reaches the answer whenever members answer, and
+  // the confirm whenever the responder answers: correct nodes always do.
+  const bool draws =
+      answering ? coordinator_->answers_pulls()
+                : coordinator_->attach_bogus_swap() &&
+                      (!coordinator_->is_member(responder) || coordinator_->answers_pulls());
+  if (!draws) return;
+  coordinator_->position(self_, [&](Rng& rng, std::vector<std::size_t>& scratch,
+                                    std::vector<NodeId>& out) {
+    draw_leg(answering, rng, scratch, out);
+  });
+}
+
+void ByzantineNode::draw_leg(bool answer, Rng& rng, std::vector<std::size_t>& scratch,
+                             std::vector<NodeId>& out) const {
+  const std::size_t k = coordinator_->config().advertised_view_size;
+  if (answer) {
+    coordinator_->answer_view(rng, scratch, k, out);
+  } else {
+    coordinator_->faulty_view(rng, scratch, std::max<std::size_t>(1, k / 2), out);
+  }
+}
+
 void ByzantineNode::open_pull(NodeId target, wire::PullRequest& out) {
   pulled_ = target;
   out.sender = self_;
@@ -131,7 +182,9 @@ void ByzantineNode::answer_pull(const wire::PullRequest& /*request*/, wire::Pull
   out.sender = self_;
   drbg_.fill(out.auth.r_b.data(), out.auth.r_b.size());
   drbg_.fill(out.auth.proof_b.data(), out.auth.proof_b.size());  // can't forge
-  coordinator_->answer_view(coordinator_->config().advertised_view_size, out.view);
+  Rng positioned;
+  draw_leg(/*answer=*/true, coordinator_->leg_stream(self_, positioned), index_scratch_,
+           out.view);
 }
 
 void ByzantineNode::process_pull_reply(const wire::PullReply& reply, wire::AuthConfirm& out) {
@@ -142,9 +195,9 @@ void ByzantineNode::process_pull_reply(const wire::PullReply& reply, wire::AuthC
   out.sender = self_;
   drbg_.fill(out.confirm.proof_a.data(), out.confirm.proof_a.size());
   if (coordinator_->attach_bogus_swap()) {
-    coordinator_->faulty_view(
-        std::max<std::size_t>(1, coordinator_->config().advertised_view_size / 2),
-        out.swap_offer.emplace());
+    Rng positioned;
+    draw_leg(/*answer=*/false, coordinator_->leg_stream(self_, positioned), index_scratch_,
+             out.swap_offer.emplace());
   } else {
     out.swap_offer.reset();
   }

@@ -10,11 +10,17 @@
 // The attack is the adversary's own ledger: the Coordinator holds it and
 // every ByzantineNode records each pull reply it receives, keyed by the
 // target it pulled. It sees exactly what the adversary sees, nothing more.
+//
+// The ledger is dense: one slot per node ID, sized from the population at
+// construction. Two observations of different responders touch different
+// slots, so the engine's concurrent exchange waves (whose responders are
+// pairwise distinct) record without a lock, and each responder's shares
+// still accumulate in the round's exchange order.
 #pragma once
 
 #include <functional>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -32,10 +38,11 @@ struct IdentificationResult {
 
 class IdentificationAttack {
  public:
-  /// `is_byzantine` tells the attack which IDs belong to the adversary (its
-  /// own members — legitimately known to it); `is_trusted` is the
-  /// experiment's ground truth used ONLY to score the attack.
-  IdentificationAttack(std::function<bool(NodeId)> is_byzantine,
+  /// `population` bounds the node IDs observe() accepts (the experiment's
+  /// node count). `is_byzantine` tells the attack which IDs belong to the
+  /// adversary (its own members — legitimately known to it); `is_trusted`
+  /// is the experiment's ground truth used ONLY to score the attack.
+  IdentificationAttack(std::size_t population, std::function<bool(NodeId)> is_byzantine,
                        std::function<bool(NodeId)> is_trusted);
 
   /// A member pulled `responder` and received `view`. Replies from fellow
@@ -47,7 +54,7 @@ class IdentificationAttack {
   [[nodiscard]] IdentificationResult evaluate(Round now, double threshold = 0.10) const;
 
   /// Observation ledger size (victims with at least one observation).
-  [[nodiscard]] std::size_t observed_victims() const { return ledger_.size(); }
+  [[nodiscard]] std::size_t observed_victims() const;
 
  private:
   struct Observation {
@@ -57,7 +64,7 @@ class IdentificationAttack {
 
   std::function<bool(NodeId)> is_byzantine_;
   std::function<bool(NodeId)> is_trusted_;
-  std::unordered_map<std::uint32_t, Observation> ledger_;
+  std::vector<Observation> ledger_;  // indexed by node ID
 };
 
 }  // namespace raptee::adversary

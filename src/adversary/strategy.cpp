@@ -26,9 +26,10 @@ void IStrategy::plan_pulls(Coordinator& coord, std::vector<NodeId>& out) {
   }
 }
 
-void IStrategy::answer_view(Round /*r*/, Coordinator& coord, std::size_t k,
-                            std::vector<NodeId>& out) {
-  coord.faulty_view(k, out);
+void IStrategy::answer_view(Round /*r*/, const Coordinator& coord, Rng& rng,
+                            std::vector<std::size_t>& scratch, std::size_t k,
+                            std::vector<NodeId>& out) const {
+  coord.faulty_view(rng, scratch, k, out);
 }
 
 bool IStrategy::attach_bogus_swap(Round /*r*/, const Coordinator& coord) const {
@@ -36,6 +37,23 @@ bool IStrategy::attach_bogus_swap(Round /*r*/, const Coordinator& coord) const {
 }
 
 namespace {
+
+/// A dormant attacker's pull answer: k correct IDs drawn uniformly with
+/// replacement, indistinguishable from an honest answer (a poisoned one
+/// when there is no correct node to name).
+void camouflage_view(const Coordinator& coord, Rng& rng, std::vector<std::size_t>& scratch,
+                     std::size_t k, std::vector<NodeId>& out) {
+  const std::vector<NodeId>& victims = coord.victims();
+  if (victims.empty()) {
+    coord.faulty_view(rng, scratch, k, out);
+    return;
+  }
+  out.clear();
+  out.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    out.push_back(victims[static_cast<std::size_t>(rng.below(victims.size()))]);
+  }
+}
 
 // ---------------------------------------------------------------- balanced
 
@@ -189,23 +207,15 @@ class PartitionEclipseStrategy final : public EclipseStrategy {
     EclipseStrategy::plan_pushes(r, coord, schedule);
   }
 
-  void answer_view(Round r, Coordinator& coord, std::size_t k,
-                   std::vector<NodeId>& out) override {
-    if (active(r)) {
-      coord.faulty_view(k, out);
-      return;
-    }
+  void answer_view(Round r, const Coordinator& coord, Rng& rng,
+                   std::vector<std::size_t>& scratch, std::size_t k,
+                   std::vector<NodeId>& out) const override {
     // Outside the window: advertise correct IDs, exactly like a dormant
     // oscillating attacker.
-    out.clear();
-    const std::vector<NodeId>& victims = coord.victims();
-    if (victims.empty()) {
-      coord.faulty_view(k, out);
-      return;
-    }
-    out.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      out.push_back(victims[static_cast<std::size_t>(coord.rng().below(victims.size()))]);
+    if (active(r)) {
+      coord.faulty_view(rng, scratch, k, out);
+    } else {
+      camouflage_view(coord, rng, scratch, k, out);
     }
   }
 };
@@ -237,23 +247,15 @@ class OscillatingStrategy final : public BalancedStrategy {
     BalancedStrategy::plan_pushes(r, coord, schedule);
   }
 
-  void answer_view(Round r, Coordinator& coord, std::size_t k,
-                   std::vector<NodeId>& out) override {
-    if (active(r)) {
-      coord.faulty_view(k, out);
-      return;
-    }
+  void answer_view(Round r, const Coordinator& coord, Rng& rng,
+                   std::vector<std::size_t>& scratch, std::size_t k,
+                   std::vector<NodeId>& out) const override {
     // Off duty: advertise correct IDs — indistinguishable from an honest
     // answer, and it repairs nothing the burst already poisoned.
-    out.clear();
-    const std::vector<NodeId>& victims = coord.victims();
-    if (victims.empty()) {
-      coord.faulty_view(k, out);
-      return;
-    }
-    out.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      out.push_back(victims[static_cast<std::size_t>(coord.rng().below(victims.size()))]);
+    if (active(r)) {
+      coord.faulty_view(rng, scratch, k, out);
+    } else {
+      camouflage_view(coord, rng, scratch, k, out);
     }
   }
 

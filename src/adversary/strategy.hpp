@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "adversary/attack.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace raptee::adversary {
@@ -31,8 +32,11 @@ class Coordinator;
 
 /// Behavioural policy driving a Coordinator. Hooks receive the Coordinator
 /// for shared state (members(), victims(), targeted(), config(), rng(),
-/// faulty_view()); all randomness must flow through coord.rng() so a
-/// (seed, spec) pair reproduces the attack bit-for-bit.
+/// faulty_view()). All randomness flows through the Coordinator's stream so
+/// a (seed, spec) pair reproduces the attack bit-for-bit: the planning
+/// hooks draw on coord.rng() itself, and answer_view draws on the stream it
+/// is handed — a copy of coord.rng() positioned at the answer's turn in the
+/// round's exchange order (see ByzantineNode::plan_exchange).
 class IStrategy {
  public:
   virtual ~IStrategy() = default;
@@ -63,10 +67,14 @@ class IStrategy {
     return true;
   }
 
-  /// The view advertised in pull answers. Default: k Byzantine IDs
-  /// (distinct while possible) — the poisoned answer of the balanced attack.
-  virtual void answer_view(Round r, Coordinator& coord, std::size_t k,
-                           std::vector<NodeId>& out);
+  /// The view advertised in one pull answer, drawn on `rng` with `scratch`
+  /// as sampling memory. Default: k Byzantine IDs (distinct while possible)
+  /// — the poisoned answer of the balanced attack. Members answer
+  /// concurrently during the exchange phase, each on its own stream, so
+  /// this reads nothing that changes within a round besides its arguments.
+  virtual void answer_view(Round r, const Coordinator& coord, Rng& rng,
+                           std::vector<std::size_t>& scratch, std::size_t k,
+                           std::vector<NodeId>& out) const;
 
   /// Whether AuthConfirms carry a forged swap offer this round. Default:
   /// the AttackConfig/AttackSpec flag.

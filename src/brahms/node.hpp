@@ -192,8 +192,9 @@ class BrahmsNode : public sim::INode {
   std::vector<PullRecord> pulled_;
   std::vector<NodeId> pulled_ids_;      ///< the pulled-ID slab (see PullRecord)
 
-  // Single-slot exchange state (the engine completes each exchange's legs
-  // before starting the next; asserted in debug).
+  // Single-slot exchange state: a node is in one exchange at a time (the
+  // engine runs each exchange's legs to completion, and no two exchanges
+  // of a wave share a node; asserted).
   struct InitiatorSlot {
     bool active = false;
     NodeId target;

@@ -1,5 +1,7 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace raptee {
@@ -76,15 +78,28 @@ void Rng::sample_indices_into(std::size_t n, std::size_t k,
     return;
   }
   out.reserve(k);
-  // Floyd's algorithm: iterate j over the top-k window; linear membership
-  // scan is faster than a hash set for the small k used by gossip fan-outs.
-  for (std::size_t j = n - k; j < n; ++j) {
-    std::size_t t = static_cast<std::size_t>(below(j + 1));
-    bool present = false;
-    for (auto e : out) {
-      if (e == t) { present = true; break; }
+  // Floyd's algorithm: iterate j over the top-k window. Membership is a bit
+  // per candidate index on the stack while [0, n) is small, else a linear
+  // scan (the k of gossip fan-outs is small); the draws are the same.
+  constexpr std::size_t kBitsetIndices = 4096;
+  if (n <= kBitsetIndices) {
+    std::array<std::uint64_t, kBitsetIndices / 64> seen;
+    std::fill_n(seen.begin(), (n + 63) / 64, 0);
+    for (std::size_t j = n - k; j < n; ++j) {
+      const auto t = static_cast<std::size_t>(below(j + 1));
+      const std::size_t pick = (seen[t / 64] >> (t % 64)) & 1 ? j : t;
+      seen[pick / 64] |= std::uint64_t{1} << (pick % 64);
+      out.push_back(pick);
     }
-    out.push_back(present ? j : t);
+  } else {
+    for (std::size_t j = n - k; j < n; ++j) {
+      std::size_t t = static_cast<std::size_t>(below(j + 1));
+      bool present = false;
+      for (auto e : out) {
+        if (e == t) { present = true; break; }
+      }
+      out.push_back(present ? j : t);
+    }
   }
   shuffle(out);
 }

@@ -41,6 +41,15 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0xDEADBEEFCAFEF00Dull) { reseed(seed); }
 
+  /// The generator's 256-bit position: Rng(state()) continues this stream
+  /// draw for draw. A cached normal deviate is not part of it (asserted).
+  using State = std::array<std::uint64_t, 4>;
+  [[nodiscard]] State state() const {
+    RAPTEE_ASSERT_MSG(!have_spare_normal_, "Rng::state() with a cached normal deviate");
+    return state_;
+  }
+  explicit Rng(const State& state) : state_(state) {}
+
   void reseed(std::uint64_t seed) {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64(sm);

@@ -114,7 +114,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
     auto is_trusted_truth = [&kinds](NodeId id) {
       return id.value < kinds.size() && is_trusted(kinds[id.value]);
     };
-    ident = std::make_unique<adversary::IdentificationAttack>(is_byz, is_trusted_truth);
+    ident = std::make_unique<adversary::IdentificationAttack>(kinds.size(), is_byz,
+                                                            is_trusted_truth);
   }
 
   // --- engine, adversary, factory ---

@@ -105,9 +105,10 @@ struct ExperimentConfig {
 
   /// Engine-internal parallelism (sim::EngineConfig::threads): 1 = one
   /// inline worker (the default), 0 = shard over hardware concurrency,
-  /// n > 1 = shard over n workers. Shards every round phase except the
-  /// serial exchange legs; results are bit-identical across every width
-  /// and machine, lossy runs included. ScenarioSpec::threads() sets this.
+  /// n > 1 = shard over n workers. Shards every round phase, the exchanges
+  /// of a lossless, untampered run included; results are bit-identical
+  /// across every width and machine, lossy runs included.
+  /// ScenarioSpec::threads() sets this.
   std::size_t engine_threads = 1;
 
   /// Event-driven time (sim::EngineConfig::event, src/evt): opt-in message

@@ -82,14 +82,14 @@ class ScenarioSpec {
   ScenarioSpec& churn(bool enabled);
   ScenarioSpec& churn(const metrics::ChurnSpec& spec);
   ScenarioSpec& auth_mode(brahms::AuthMode mode);
-  /// Engine-internal parallelism for THIS run — every shardable round
-  /// phase: push generation and delivery, pull-target generation,
-  /// begin_round, and end_round (eviction/view renewal). 1 = a pool of one
-  /// that runs the phases inline (default), 0 = hardware concurrency,
-  /// n > 1 = shard over n workers. Results are bit-identical for every
-  /// width, lossy runs included. Exchange legs stay serial (shared
-  /// loss/tamper stream, two-endpoint mutation). Batch-level fan-out lives
-  /// on Runner, not here.
+  /// Engine-internal parallelism for THIS run — every round phase: push
+  /// generation and delivery, pull-target generation, begin_round, the
+  /// pull exchanges (in conflict-free waves) and end_round (eviction/view
+  /// renewal). 1 = a pool of one that runs the phases inline (default),
+  /// 0 = hardware concurrency, n > 1 = shard over n workers. Results are
+  /// bit-identical for every width, lossy runs included; the exchanges of a
+  /// lossy or tampered run stay serial (their loss/tamper draws share one
+  /// stream). Batch-level fan-out lives on Runner, not here.
   ScenarioSpec& threads(std::size_t n);
   ScenarioSpec& wire_roundtrip(bool enabled);
   ScenarioSpec& encrypt_links(bool enabled);

@@ -351,7 +351,7 @@ void Engine::deliver_pushes() {
   counters_.pushes_delivered += deliveries_.size();
 }
 
-bool Engine::run_exchange(INode& initiator, INode& responder) {
+bool Engine::run_exchange(Lane& lane, INode& initiator, INode& responder) {
   const NodeId init_id = initiator.id();
   const NodeId resp_id = responder.id();
   // Tampering needs bytes on a wire, so a nonzero tamper_rate implies the
@@ -367,46 +367,46 @@ bool Engine::run_exchange(INode& initiator, INode& responder) {
     if (!rng_.chance(config_.tamper_rate)) return;
     const auto byte = static_cast<std::size_t>(rng_.below(bytes.size()));
     bytes[byte] ^= static_cast<std::uint8_t>(1u << rng_.below(8));
-    ++counters_.legs_tampered;
+    ++lane.counters.legs_tampered;
   };
 
   // A leg the receiver rejected (AEAD failure, malformed bytes, or a
   // type-confused decode) is dropped, never fatal.
   auto corrupted = [&]() -> bool {
-    ++counters_.legs_dropped;
-    ++counters_.legs_corrupted;
+    ++lane.counters.legs_dropped;
+    ++lane.counters.legs_corrupted;
     return false;
   };
 
   auto transfer = [&](wire::Message& message, wire::MsgType expected,
                       bool forward) -> bool {
     if (config_.message_loss > 0.0 && rng_.chance(config_.message_loss)) {
-      ++counters_.legs_dropped;
+      ++lane.counters.legs_dropped;
       return false;
     }
     if (roundtrip) {
-      wire::encode_into(message, wire_plain_);
-      const std::uint8_t* data = wire_plain_.data();
-      std::size_t len = wire_plain_.size();
+      wire::encode_into(message, lane.plain);
+      const std::uint8_t* data = lane.plain.data();
+      std::size_t len = lane.plain.size();
       if (session) {
         // One cipher per direction carries both sequence counters; sealing
         // and opening the same leg keeps them in lockstep (in-order net).
         wire::LinkCipher& channel = session->channel_from(forward ? init_id : resp_id);
-        channel.seal_into(wire_plain_.data(), wire_plain_.size(), wire_frame_);
-        counters_.wire_bytes += wire_frame_.size();
-        tamper(wire_frame_);
-        if (!channel.open_into(wire_frame_.data(), wire_frame_.size(), wire_opened_)) {
+        channel.seal_into(lane.plain.data(), lane.plain.size(), lane.frame);
+        lane.counters.wire_bytes += lane.frame.size();
+        tamper(lane.frame);
+        if (!channel.open_into(lane.frame.data(), lane.frame.size(), lane.opened)) {
           // Integrity alarm: a deployed endpoint aborts the connection; the
           // pair re-establishes a fresh session on its next exchange.
           link_table_->invalidate_pair(init_id, resp_id);
           session = nullptr;
           return corrupted();
         }
-        data = wire_opened_.data();
-        len = wire_opened_.size();
+        data = lane.opened.data();
+        len = lane.opened.size();
       } else {
-        counters_.wire_bytes += wire_plain_.size();
-        tamper(wire_plain_);
+        lane.counters.wire_bytes += lane.plain.size();
+        tamper(lane.plain);
       }
       try {
         wire::decode_into(data, len, message);
@@ -422,61 +422,162 @@ bool Engine::run_exchange(INode& initiator, INode& responder) {
   };
 
   // Leg 1: pull request (auth challenge).
-  initiator.open_pull(resp_id, held<wire::PullRequest>(leg_request_));
-  if (!transfer(leg_request_, wire::MsgType::kPullRequest, /*forward=*/true)) return false;
+  initiator.open_pull(resp_id, held<wire::PullRequest>(lane.request));
+  if (!transfer(lane.request, wire::MsgType::kPullRequest, /*forward=*/true)) return false;
 
   // The request arrived but the responder refuses to answer (omission
   // adversary): the initiator's slot times out without a leg-2 reply ever
   // touching the wire, so this is suppression, not loss.
   if (!responder.answers_pull(init_id)) {
-    ++counters_.legs_suppressed;
+    ++lane.counters.legs_suppressed;
     return false;
   }
 
   // Leg 2: pull reply (auth response + full view).
-  responder.answer_pull(std::get<wire::PullRequest>(leg_request_),
-                        held<wire::PullReply>(leg_reply_));
-  if (!transfer(leg_reply_, wire::MsgType::kPullReply, /*forward=*/false)) return false;
+  responder.answer_pull(std::get<wire::PullRequest>(lane.request),
+                        held<wire::PullReply>(lane.reply));
+  if (!transfer(lane.reply, wire::MsgType::kPullReply, /*forward=*/false)) return false;
 
   // Leg 3: auth confirm (+ possible swap offer).
-  initiator.process_pull_reply(std::get<wire::PullReply>(leg_reply_),
-                               held<wire::AuthConfirm>(leg_confirm_));
-  if (!transfer(leg_confirm_, wire::MsgType::kAuthConfirm, /*forward=*/true))
+  initiator.process_pull_reply(std::get<wire::PullReply>(lane.reply),
+                               held<wire::AuthConfirm>(lane.confirm));
+  if (!transfer(lane.confirm, wire::MsgType::kAuthConfirm, /*forward=*/true))
     return true;  // pull itself completed
 
   // Leg 4: swap reply, only for a mutually-trusted exchange.
-  if (!responder.process_confirm(std::get<wire::AuthConfirm>(leg_confirm_),
-                                 held<wire::SwapReply>(leg_swap_))) {
+  if (!responder.process_confirm(std::get<wire::AuthConfirm>(lane.confirm),
+                                 held<wire::SwapReply>(lane.swap))) {
     return true;
   }
 
   // Leg 5: close the trusted exchange.
-  if (!transfer(leg_swap_, wire::MsgType::kSwapReply, /*forward=*/false)) return true;
-  initiator.process_swap_reply(std::get<wire::SwapReply>(leg_swap_));
-  ++counters_.swaps_completed;
+  if (!transfer(lane.swap, wire::MsgType::kSwapReply, /*forward=*/false)) return true;
+  initiator.process_swap_reply(std::get<wire::SwapReply>(lane.swap));
+  ++lane.counters.swaps_completed;
   return true;
 }
 
-void Engine::run_pull_exchanges() {
-  // The exchanges run serially: each five-leg exchange draws loss/tamper
-  // decisions from the shared engine stream and mutates both endpoints, so
-  // sharding legs would break the bit-identity contract.
-  plan_pulls();
-  for (const PendingPull& p : pulls_) {
-    ++counters_.pulls_started;
-    INode& initiator = *nodes_[p.initiator.value];
-    if (!is_alive(p.target) || p.target == p.initiator) {
-      ++counters_.pulls_timed_out;
-      initiator.on_pull_timeout(p.target);
-      continue;
+void Engine::run_pull(Lane& lane, const PendingPull& p) {
+  ++lane.counters.pulls_started;
+  INode& initiator = *nodes_[p.initiator.value];
+  if (starts(p) && run_exchange(lane, initiator, *nodes_[p.target.value])) {
+    ++lane.counters.pulls_completed;
+    return;
+  }
+  ++lane.counters.pulls_timed_out;
+  initiator.on_pull_timeout(p.target);
+}
+
+std::vector<Engine::Lane>& Engine::lanes() {
+  if (!lanes_.empty()) return lanes_;
+  lanes_.resize(4 * pool().size());
+  // Every view a leg carries — a pull answer, a swap offer or half — fits
+  // the largest view capacity in the population, so the lanes start warm.
+  std::size_t view = 0;
+  for (const auto& node : nodes_) view = std::max(view, node->view_capacity());
+  for (Lane& lane : lanes_) {
+    held<wire::PullReply>(lane.reply).view.reserve(view);
+    wire::SwapOffer& offer = held<wire::AuthConfirm>(lane.confirm).swap_offer;
+    offer.emplace().reserve(view);
+    offer.reset();  // keeps the capacity
+    held<wire::SwapReply>(lane.swap).swap_half.reserve(view);
+  }
+  return lanes_;
+}
+
+void Engine::merge_lanes() {
+  for (Lane& lane : lanes_) {
+    for (const CounterMetricEntry& entry : kCounterEntries) {
+      counters_.*entry.field += lane.counters.*entry.field;
     }
-    if (run_exchange(initiator, *nodes_[p.target.value])) {
-      ++counters_.pulls_completed;
-    } else {
-      ++counters_.pulls_timed_out;
-      initiator.on_pull_timeout(p.target);
+    lane.counters = {};
+  }
+}
+
+bool Engine::exchanges_in_waves() const {
+  // A drawn leg fate (loss, tamper) makes whether a later leg runs — and so
+  // where each Byzantine leg's Coordinator draws fall — unknowable while
+  // the round is planned, and the draws themselves interleave on rng_.
+  // Uncached link sessions share the table's one transient slot.
+  return config_.message_loss <= 0.0 && config_.tamper_rate <= 0.0 &&
+         !(link_table_ && !config_.link_sessions);
+}
+
+std::uint32_t Engine::next_wave(const PendingPull& p) {
+  std::uint32_t& initiator = last_wave_[p.initiator.value];
+  if (!starts(p)) return initiator++;  // a timeout touches only the initiator
+  std::uint32_t& target = last_wave_[p.target.value];
+  const std::uint32_t wave = std::max(initiator, target);
+  initiator = target = wave + 1;
+  return wave;
+}
+
+std::size_t Engine::schedule_waves() {
+  const std::size_t exchanges = pulls_.size();
+  // The offsets' capacity comes from the exchange count; only the entries
+  // the waves reach are zeroed, so the rest is never touched.
+  last_wave_.assign(nodes_.size(), 0);
+  wave_offsets_.reserve(exchanges + 2);
+  wave_offsets_.clear();
+  // Pass 1: each exchange's wave, counted into wave_offsets_[wave + 2].
+  // Byzantine endpoints position their Coordinator draws in the same
+  // serial walk, responder first (its answer is leg 2, the initiator's
+  // offer leg 3).
+  std::size_t waves = 0;
+  for (const PendingPull& p : pulls_) {
+    const std::uint32_t wave = next_wave(p);
+    if (wave >= waves) {
+      waves = wave + 1;
+      wave_offsets_.resize(waves + 2, 0);
+    }
+    ++wave_offsets_[wave + 2];
+    if (!starts(p)) continue;
+    if (kinds_[p.target.value] == NodeKind::kByzantine) {
+      nodes_[p.target.value]->plan_exchange(p.initiator, p.target);
+    }
+    if (kinds_[p.initiator.value] == NodeKind::kByzantine) {
+      nodes_[p.initiator.value]->plan_exchange(p.initiator, p.target);
     }
   }
+  // wave_offsets_[w + 1] becomes the start of wave w ...
+  for (std::size_t w = 2; w < waves + 2; ++w) wave_offsets_[w] += wave_offsets_[w - 1];
+  // ... and pass 2 places each exchange there, leaving wave_offsets_[w] at
+  // the start of wave w. Waves are recomputed rather than stored.
+  last_wave_.assign(nodes_.size(), 0);
+  wave_order_.resize(exchanges);
+  for (std::size_t k = 0; k < exchanges; ++k) {
+    wave_order_[wave_offsets_[next_wave(pulls_[k]) + 1]++] = static_cast<std::uint32_t>(k);
+  }
+  return waves;
+}
+
+void Engine::run_wave_lane(std::size_t lane) {
+  const std::size_t size = wave_.end - wave_.begin;
+  const std::size_t from = wave_.begin + lane * size / wave_.lanes;
+  const std::size_t to = wave_.begin + (lane + 1) * size / wave_.lanes;
+  for (std::size_t j = from; j < to; ++j) run_pull(lanes_[lane], pulls_[wave_order_[j]]);
+}
+
+void Engine::run_pull_exchanges() {
+  plan_pulls();
+  if (!exchanges_in_waves()) {
+    // One exchange at a time, on this thread, in shuffled order, with live
+    // draws on the engine and Coordinator streams.
+    for (const PendingPull& p : pulls_) run_pull(lanes()[0], p);
+  } else {
+    // Each wave is one parallel_for whose body captures only `this`, so it
+    // fits std::function's inline buffer and the loop allocates nothing.
+    const std::size_t waves = schedule_waves();
+    const std::size_t lane_count = lanes().size();
+    for (std::size_t w = 0; w < waves; ++w) {
+      wave_.begin = wave_offsets_[w];
+      wave_.end = wave_offsets_[w + 1];
+      wave_.lanes = std::min(lane_count, wave_.end - wave_.begin);
+      pool().parallel_for(
+          wave_.lanes, [this](std::size_t lane) { run_wave_lane(lane); }, /*grain=*/1);
+    }
+  }
+  merge_lanes();
 }
 
 void Engine::step_event() {
@@ -576,7 +677,7 @@ void Engine::step_event() {
         ++counters_.pulls_timed_out;
         initiator.on_pull_timeout(p.target);
       };
-      if (!is_alive(p.target) || p.target == p.initiator) {
+      if (!starts(p)) {
         timeout();
       } else if (ev.partition.severed(region_of(p.initiator),
                                      region_of(p.target), round_)) {
@@ -586,12 +687,13 @@ void Engine::step_event() {
         // The exchange could not have concluded before the round closed.
         ++counters_.legs_late;
         timeout();
-      } else if (run_exchange(initiator, *nodes_[p.target.value])) {
+      } else if (run_exchange(lanes()[0], initiator, *nodes_[p.target.value])) {
         ++counters_.pulls_completed;
       } else {
         timeout();
       }
     }
+    merge_lanes();
   }
   // A popped late arrival may have carried the clock past the deadline;
   // the leg was dropped, so the round still closes exactly on schedule.

@@ -22,6 +22,21 @@
 //    validator drops what fails to decode (and the rest models undetected
 //    corruption reaching the protocol).
 //
+// Every phase of a round-mode step runs across the engine's pool (see
+// EngineConfig::threads). The pull exchanges run in conflict-free waves:
+// an exchange's wave is one past the highest wave of any earlier exchange
+// (in the round's shuffled order) on either endpoint, so no two exchanges
+// of a wave share a node and every node meets its exchanges in shuffled
+// order. Each wave is one parallel_for over lanes — per-index leg
+// messages, wire buffers and counter shares. Byzantine endpoints, whose
+// legs draw on the adversary Coordinator's one stream, have those draws
+// positioned while the round is planned (INode::plan_exchange). A round
+// whose leg fates are draws on the engine stream (message_loss,
+// tamper_rate), or whose link sessions share one transient slot
+// (encrypt_links without link_sessions), runs its exchanges one at a time
+// in shuffled order instead. Either way results are bit-identical at
+// every width.
+//
 // The engine calls no one back: step() ends with the protocol's last
 // phase. Observers read the engine between steps — counters(), and views
 // through refresh_views() then view_of() — and the adversary records the
@@ -55,18 +70,20 @@ struct EngineConfig {
   double tamper_rate = 0.0;
   /// Cache one link session per node pair across exchanges and rounds
   /// (the deployment model). false = re-derive per exchange — the
-  /// pre-cache baseline kept for the bench/scale_links ablation. Either
-  /// way every observable metric is identical; only ciphertext differs.
+  /// pre-cache baseline kept for the bench/scale_links ablation, whose
+  /// exchanges run one at a time (the table has one transient session).
+  /// Either way every observable metric is identical; only ciphertext
+  /// differs.
   bool link_sessions = true;
   /// Width of the sharded round phases — push generation and delivery,
-  /// pull-target generation, begin_round and end_round (eviction included):
-  /// 1 = a pool of one that runs every phase inline (the default),
-  /// 0 = hardware concurrency, n > 1 = shard over n workers. Results are
-  /// bit-identical for every width, lossy runs included: push loss always
-  /// draws per-node split streams (see the note on the round phases). The
-  /// exchange legs themselves stay serial: their loss/tamper draws
-  /// interleave on the shared engine stream and each leg mutates two
-  /// nodes, so sharding them could not preserve the bit-identity contract.
+  /// pull-target generation, the pull exchanges (in conflict-free waves),
+  /// begin_round and end_round (eviction included): 1 = a pool of one that
+  /// runs every phase inline (the default), 0 = hardware concurrency,
+  /// n > 1 = shard over n workers. Results are bit-identical for every
+  /// width, lossy runs included: push loss always draws per-node split
+  /// streams (see the note on the round phases), and the exchanges of a
+  /// lossy or tampered run, whose loss/tamper draws interleave on the
+  /// shared engine stream, run one at a time (see the header note).
   std::size_t threads = 1;
   /// Opt-in event-driven step mode (src/evt): pushes and pulls become
   /// timestamped message events with per-link latency/jitter, partitions
@@ -221,6 +238,28 @@ class Engine {
     std::uint64_t sent = 0;
     std::uint64_t dropped = 0;
   };
+  /// What one parallel_for index of a wave runs its exchanges with: the
+  /// leg messages (the nodes write each leg into its message and the wire
+  /// path decodes back into it, so every view-carrying vector keeps its
+  /// capacity), the wire path's encode/seal/open buffers, and counter
+  /// shares, merged into counters_ after the phase.
+  struct Lane {
+    wire::Message request{wire::PullRequest{}};
+    wire::Message reply{wire::PullReply{}};
+    wire::Message confirm{wire::AuthConfirm{}};
+    wire::Message swap{wire::SwapReply{}};
+    std::vector<std::uint8_t> plain;
+    std::vector<std::uint8_t> frame;
+    std::vector<std::uint8_t> opened;
+    Counters counters;
+  };
+  /// The wave a parallel_for is running: its slice of wave_order_ and how
+  /// many lanes split it.
+  struct Wave {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t lanes = 0;
+  };
 
   /// The lazily-built phase pool; width 1 spawns no workers and runs every
   /// loop inline. Never wider than one worker per node — oversized knobs
@@ -256,15 +295,41 @@ class Engine {
   /// Round mode: shuffles the planned pushes and applies them, sharded by
   /// target.
   void deliver_pushes();
-  /// Round mode: runs the planned exchanges serially in shuffled order.
+  /// Round mode: runs the planned exchanges — in conflict-free waves across
+  /// the pool, or one at a time in shuffled order when a leg's fate is a
+  /// draw (see the header note).
   void run_pull_exchanges();
+  /// Whether this run's exchanges may run in waves: no leg fate is drawn
+  /// on the engine stream and every exchange gets its own link session.
+  [[nodiscard]] bool exchanges_in_waves() const;
+  /// Builds the round's wave schedule from the shuffled pulls_ into
+  /// wave_order_/wave_offsets_, and has each Byzantine endpoint position
+  /// its Coordinator draws (INode::plan_exchange) in the same serial walk.
+  /// Returns the number of waves.
+  std::size_t schedule_waves();
+  /// The wave of the next exchange in shuffled order, advancing last_wave_.
+  std::uint32_t next_wave(const PendingPull& p);
+  /// Runs lane `lane`'s share of wave_.
+  void run_wave_lane(std::size_t lane);
+  /// The lanes, built on first use: four per pool worker, like the pool's
+  /// own chunks.
+  [[nodiscard]] std::vector<Lane>& lanes();
+  /// Adds every lane's counter shares into counters_ and clears them.
+  void merge_lanes();
+  /// Whether a planned pull starts an exchange (a live target other than
+  /// the initiator); otherwise it times out touching only the initiator.
+  [[nodiscard]] bool starts(const PendingPull& p) const {
+    return is_alive(p.target) && p.target != p.initiator;
+  }
+  /// Runs one planned pull on `lane`: the exchange, or its timeout.
+  void run_pull(Lane& lane, const PendingPull& p);
   /// Event mode (config_.event.enabled), between step()'s begin and end
   /// phases: the planned pushes and pull exchanges flow through the
   /// (virtual_time, seq) event heap with per-link latency, partition cuts
   /// and the round deadline.
   void step_event();
-  /// Runs one five-leg exchange; returns false on timeout.
-  bool run_exchange(INode& initiator, INode& responder);
+  /// Runs one five-leg exchange on `lane`; returns false on timeout.
+  bool run_exchange(Lane& lane, INode& initiator, INode& responder);
   /// Adds this step's Counters deltas into the process-wide registry
   /// (relaxed atomics, allocation-free). Deltas — not absolute values — so
   /// several engines running in parallel (a bench batch) aggregate into
@@ -297,22 +362,23 @@ class Engine {
   std::vector<std::size_t> view_offset_;  // per-node slot start in the slab
   std::vector<std::uint32_t> view_len_;   // per-node entry count
 
-  // The exchange's leg messages, one per leg type: the nodes write each
-  // leg into its message and the wire path decodes back into it, so every
-  // view-carrying vector keeps its capacity across exchanges.
-  wire::Message leg_request_{wire::PullRequest{}};
-  wire::Message leg_reply_{wire::PullReply{}};
-  wire::Message leg_confirm_{wire::AuthConfirm{}};
-  wire::Message leg_swap_{wire::SwapReply{}};
+  // The exchange phase: its lanes, and the round's wave schedule — one
+  // order array grouping the exchange indices by wave (shuffled order
+  // within a wave), the per-wave offsets into it (wave w is
+  // [wave_offsets_[w], wave_offsets_[w + 1])), and per node one past the
+  // wave of its latest exchange so far (0 = none). The wave count never
+  // exceeds the exchange count, which sizes the offsets; all three keep
+  // their capacity across rounds.
+  std::vector<Lane> lanes_;
+  std::vector<std::uint32_t> last_wave_;
+  std::vector<std::uint32_t> wave_order_;
+  std::vector<std::uint32_t> wave_offsets_;
+  Wave wave_;
 
-  // Encrypted-link session cache (encrypt_links only) and the wire-path
-  // scratch buffers: encode/seal/open/decode reuse these every leg, so the
-  // steady-state wire path of an encrypted exchange performs zero heap
-  // allocations.
+  // Encrypted-link session cache (encrypt_links only). The lanes' wire
+  // buffers make the steady-state wire path of an encrypted exchange
+  // allocation-free.
   std::unique_ptr<wire::LinkTable> link_table_;
-  std::vector<std::uint8_t> wire_plain_;
-  std::vector<std::uint8_t> wire_frame_;
-  std::vector<std::uint8_t> wire_opened_;
 
   // Observability (all pointers into Registry::global(); the registry
   // never erases, so they stay valid). Resolved once in the constructor —

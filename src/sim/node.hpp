@@ -12,7 +12,10 @@
 //   3. pull exchanges                for each target of pull_targets(out),
 //                                    the five-leg exchange below, legs
 //                                    optionally serialized + encrypted
-//                                    (EngineConfig)
+//                                    (EngineConfig); before a wave-run
+//                                    round's exchanges start,
+//                                    plan_exchange() on each Byzantine
+//                                    endpoint
 //   4. end_round(scratch)            view/sampler updates, in working memory
 //                                    the engine lends (RoundScratch)
 //
@@ -25,12 +28,21 @@
 //   R.process_confirm(confirm, out)       SwapReply, when it returns true
 //   I.process_swap_reply(reply)                        (closes trusted exchange)
 //
-// `out` is a message the engine owns and reuses for every exchange: a leg
-// overwrites every field it sends (vectors by clear-and-fill, so their
-// capacity persists), and a node keeps no reference to any message past
-// the call. Implementations must tolerate any leg being dropped (message
-// loss / crashed peer): the engine then calls on_pull_timeout() on the
-// initiator.
+// `out` is a message the engine owns and reuses for every exchange it runs
+// on that lane: a leg overwrites every field it sends (vectors by
+// clear-and-fill, so their capacity persists), and a node keeps no
+// reference to any message past the call. Implementations must tolerate
+// any leg being dropped (message loss / crashed peer): the engine then
+// calls on_pull_timeout() on the initiator.
+//
+// Concurrency. A lossless round runs its exchanges in waves (see
+// sim/engine.hpp for the runs that stay serial): no two exchanges of a
+// wave share a node, each exchange runs all its legs on one thread, and
+// every node meets its exchanges in the round's shuffled order. So a node
+// is in one exchange at a time and may keep single-slot exchange state,
+// but its legs run on pool threads: they may touch only the node's own
+// state, read-only shared state, and shared state whose use was fixed in
+// plan_exchange().
 //
 // The engine reads a node's view only through view_capacity() and
 // copy_view(), which fill its view slab; code holding an INode reads the
@@ -97,6 +109,18 @@ class INode {
   /// Phase 3: replaces the contents of `out` with this round's pull
   /// targets; each then runs the exchange in the leg order documented above.
   virtual void pull_targets(std::vector<NodeId>& out) = 0;
+  /// Phase 3 planning, before a lossless round's exchanges run in waves:
+  /// called on the coordinating thread, in the round's shuffled exchange
+  /// order, on the Byzantine endpoints of every exchange that will start
+  /// (responder before initiator, the order of their legs). A node whose
+  /// legs draw on state it shares with other nodes (the adversary's
+  /// Coordinator stream) fixes each such draw's position here. A run whose
+  /// exchanges go one at a time in shuffled order (leg fates drawn by
+  /// message loss or tampering; see sim/engine.hpp) plans nothing.
+  virtual void plan_exchange(NodeId initiator, NodeId responder) {
+    (void)initiator;
+    (void)responder;
+  }
   /// Whether this node will answer a pull request from `requester` this
   /// round. Honest nodes always answer; an omission adversary refuses —
   /// the engine counts the suppressed leg and the initiator times out.

@@ -216,7 +216,7 @@ TEST(ByzantineNode, PushTargetsScratchKeepsItsCapacityAcrossRounds) {
 
 TEST(ByzantineNode, PullRepliesReachTheLedgerUnderThePulledTarget) {
   // Members are 100..103; node 3 is the one trusted correct node.
-  IdentificationAttack ledger([](NodeId id) { return id.value >= 100; },
+  IdentificationAttack ledger(/*population=*/104, [](NodeId id) { return id.value >= 100; },
                               [](NodeId id) { return id == NodeId{3}; });
   auto coord = std::make_shared<Coordinator>(ids(100, 4), ids(0, 20), basic_attack(), 15,
                                              balanced(), &ledger);

@@ -11,6 +11,7 @@ namespace {
 //   ids 0..9   honest
 //   ids 10..11 trusted
 //   ids 90..99 Byzantine
+constexpr std::size_t kPopulation = 100;
 bool is_byz(NodeId id) { return id.value >= 90; }
 bool is_trusted(NodeId id) { return id.value == 10 || id.value == 11; }
 
@@ -23,12 +24,12 @@ std::vector<NodeId> view_with(std::size_t byz_count, std::size_t total) {
 }
 
 TEST(Identification, RequiresOracles) {
-  EXPECT_THROW(IdentificationAttack({}, is_trusted), std::invalid_argument);
-  EXPECT_THROW(IdentificationAttack(is_byz, {}), std::invalid_argument);
+  EXPECT_THROW(IdentificationAttack(kPopulation, {}, is_trusted), std::invalid_argument);
+  EXPECT_THROW(IdentificationAttack(kPopulation, is_byz, {}), std::invalid_argument);
 }
 
 TEST(Identification, FlagsCleanerTrustedNodes) {
-  IdentificationAttack attack(is_byz, is_trusted);
+  IdentificationAttack attack(kPopulation, is_byz, is_trusted);
   // Honest nodes answer with 50% Byzantine views; trusted with 10%.
   for (std::uint32_t honest = 0; honest < 10; ++honest) {
     attack.observe(NodeId{honest}, view_with(10, 20));
@@ -47,7 +48,7 @@ TEST(Identification, FlagsCleanerTrustedNodes) {
 }
 
 TEST(Identification, IndistinguishableViewsYieldNoFlags) {
-  IdentificationAttack attack(is_byz, is_trusted);
+  IdentificationAttack attack(kPopulation, is_byz, is_trusted);
   for (std::uint32_t node = 0; node < 12; ++node) {
     attack.observe(NodeId{node}, view_with(8, 20));
   }
@@ -58,7 +59,7 @@ TEST(Identification, IndistinguishableViewsYieldNoFlags) {
 }
 
 TEST(Identification, FalsePositivesLowerPrecision) {
-  IdentificationAttack attack(is_byz, is_trusted);
+  IdentificationAttack attack(kPopulation, is_byz, is_trusted);
   // Honest node 0 happens to have a clean view too (false positive).
   attack.observe(NodeId{0}, view_with(1, 20));
   attack.observe(NodeId{10}, view_with(1, 20));
@@ -74,7 +75,7 @@ TEST(Identification, FalsePositivesLowerPrecision) {
 }
 
 TEST(Identification, ThresholdControlsSensitivity) {
-  IdentificationAttack attack(is_byz, is_trusted);
+  IdentificationAttack attack(kPopulation, is_byz, is_trusted);
   for (std::uint32_t honest = 0; honest < 10; ++honest) {
     attack.observe(NodeId{honest}, view_with(10, 20));
   }
@@ -85,7 +86,7 @@ TEST(Identification, ThresholdControlsSensitivity) {
 }
 
 TEST(Identification, ObservationsAccumulateAcrossRounds) {
-  IdentificationAttack attack(is_byz, is_trusted);
+  IdentificationAttack attack(kPopulation, is_byz, is_trusted);
   // Noisy per-round snapshots average out: trusted node alternates 20%/30%,
   // honest nodes 50%/60%.
   for (Round r = 0; r < 10; ++r) {
@@ -100,7 +101,7 @@ TEST(Identification, ObservationsAccumulateAcrossRounds) {
 }
 
 TEST(Identification, OnlyNonByzantineRespondersAreObserved) {
-  IdentificationAttack attack(is_byz, is_trusted);
+  IdentificationAttack attack(kPopulation, is_byz, is_trusted);
   // Reply from a Byzantine responder: not a victim observation.
   attack.observe(NodeId{95}, view_with(20, 20));
   EXPECT_EQ(attack.observed_victims(), 0u);
@@ -110,14 +111,14 @@ TEST(Identification, OnlyNonByzantineRespondersAreObserved) {
 }
 
 TEST(Identification, EmptyLedgerEvaluatesToZero) {
-  IdentificationAttack attack(is_byz, is_trusted);
+  IdentificationAttack attack(kPopulation, is_byz, is_trusted);
   const auto result = attack.evaluate(5);
   EXPECT_EQ(result.flagged, 0u);
   EXPECT_DOUBLE_EQ(result.f1, 0.0);
 }
 
 TEST(Identification, EmptyViewCountsAsCleanObservation) {
-  IdentificationAttack attack(is_byz, is_trusted);
+  IdentificationAttack attack(kPopulation, is_byz, is_trusted);
   attack.observe(NodeId{3}, {});
   EXPECT_EQ(attack.observed_victims(), 1u);
 }

@@ -185,6 +185,44 @@ TEST(Rng, SampleIndicesAllWhenKExceedsN) {
   EXPECT_EQ(uniq.size(), 7u);
 }
 
+TEST(Rng, SampleIndicesFollowFloydDrawForDraw) {
+  // Floyd's algorithm with a linear membership scan, the reference: every
+  // population size, below and above the one where membership switches to
+  // a stack bitset, must give the same indices and leave the stream at the
+  // same position.
+  const auto floyd = [](Rng& rng, std::size_t n, std::size_t k) {
+    std::vector<std::size_t> out;
+    for (std::size_t j = n - k; j < n; ++j) {
+      const auto t = static_cast<std::size_t>(rng.below(j + 1));
+      out.push_back(std::find(out.begin(), out.end(), t) == out.end() ? t : j);
+    }
+    rng.shuffle(out);
+    return out;
+  };
+  std::vector<std::size_t> out;
+  for (const std::size_t n : {2u, 63u, 64u, 65u, 1000u, 4095u, 4096u, 4097u, 10000u}) {
+    for (const std::size_t k : {1u, 2u, 40u, 63u}) {
+      if (k >= n) continue;
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng drawn(seed * 7919 + n), reference(seed * 7919 + n);
+        drawn.sample_indices_into(n, k, out);
+        EXPECT_EQ(out, floyd(reference, n, k)) << "n " << n << ", k " << k;
+        EXPECT_EQ(drawn.next(), reference.next()) << "n " << n << ", k " << k;
+      }
+    }
+  }
+}
+
+TEST(Rng, StateContinuesTheStream) {
+  Rng original(83);
+  for (int i = 0; i < 10; ++i) (void)original.next();
+  Rng copy(original.state());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(copy.next(), original.next());
+  // A cached normal deviate would be lost with the state.
+  (void)original.normal();
+  EXPECT_THROW((void)original.state(), AssertionError);
+}
+
 TEST(Rng, SampleIsUniformSubset) {
   // Each element of [0, 10) should appear in a 5-subset with p = 0.5.
   Rng r(82);

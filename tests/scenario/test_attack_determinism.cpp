@@ -63,6 +63,18 @@ TEST(AttackDeterminism, BalancedDefaultMatchesPreRedesignGoldenBytes) {
       << "balanced + churn + identification diverged from the golden run";
 }
 
+TEST(AttackDeterminism, GoldenDigestsHoldAtEveryEngineWidth) {
+  // Wider engines run the exchanges in concurrent waves, with Byzantine
+  // answers on positioned Coordinator streams and identification
+  // observations recorded from pool threads: still the same bytes.
+  for (const std::size_t width : {std::size_t{2}, std::size_t{4}, std::size_t{0}}) {
+    EXPECT_EQ(result_digest(golden_plain_spec().threads(width)), kGoldenPlain)
+        << "width " << width;
+    EXPECT_EQ(result_digest(golden_churn_ident_spec().threads(width)), kGoldenChurnIdent)
+        << "width " << width;
+  }
+}
+
 TEST(AttackDeterminism, ExplicitBalancedIsTheDefaultRun) {
   const std::string defaulted = results::to_json(golden_plain_spec().run());
   const std::string explicit_balanced = results::to_json(

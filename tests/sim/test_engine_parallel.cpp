@@ -2,8 +2,11 @@
 // running the same phases inline, so results must be a deterministic
 // function of the seed alone — the worker count must never change a byte,
 // lossy runs included (push loss always draws per-node split streams). The
+// pull exchanges of a lossless run go in conflict-free waves across the
+// pool, so every node must still meet its exchanges in the same order. The
 // scenario-level matrix below asserts that bit-identity across the churn /
-// attack / eviction / tamper axes, down to every metric stream and counter.
+// attack / eviction / tamper / link axes, down to every metric stream and
+// counter.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -101,6 +104,57 @@ TEST_F(ParallelEngineFixture, ShardedRunsAreReproducible) {
   EXPECT_EQ(first, second);
 }
 
+/// Every leg a FakeNode records, in the order it saw them.
+struct LegLogs {
+  std::vector<NodeId> answered, replies, confirms, swaps, timeouts;
+  friend bool operator==(const LegLogs&, const LegLogs&) = default;
+};
+
+TEST(ParallelEngineExchanges, HotTargetLegLogsMatchAcrossWidths) {
+  // Every node also pulls node 0, so node 0 sits in one exchange of nearly
+  // every wave while the others spread out; a dead node makes timeouts,
+  // and trusted-style swaps run the fourth and fifth legs.
+  constexpr std::uint32_t kHotNodes = 40;
+  const auto run = [](std::size_t width) {
+    EngineConfig config;
+    config.seed = 26;
+    config.threads = width;
+    Engine engine(config);
+    std::vector<FakeNode*> fakes;
+    for (std::uint32_t i = 0; i < kHotNodes; ++i) {
+      auto node = std::make_unique<FakeNode>(NodeId{i});
+      node->pull_targets_ = {NodeId{0}, NodeId{(i * 7 + 3) % kHotNodes},
+                             NodeId{(i + 1) % kHotNodes}};
+      node->view_ = {NodeId{i}, NodeId{(i + 5) % kHotNodes}};
+      node->offer_on_reply = i % 3 == 0;
+      node->answer_swaps = i % 2 == 0;
+      fakes.push_back(node.get());
+      engine.add_node(std::move(node), NodeKind::kHonest);
+    }
+    engine.set_alive(NodeId{kHotNodes - 1}, false);
+    for (Round r = 0; r < kRounds; ++r) engine.step();
+    EXPECT_GT(engine.counters().swaps_completed, 0u);
+    EXPECT_GT(engine.counters().pulls_timed_out, 0u);
+    std::vector<LegLogs> logs;
+    for (const FakeNode* f : fakes) {
+      logs.push_back({f->pull_requests_answered, f->replies_received, f->confirms_received,
+                      f->swap_replies, f->timeouts});
+    }
+    return std::pair{logs, engine.counters()};
+  };
+  const auto [one, c1] = run(1);
+  EXPECT_GT(one[0].answered.size(), kRounds * (kHotNodes - 2));  // node 0 is hot
+  for (const std::size_t width : {std::size_t{2}, std::size_t{4}}) {
+    const auto [logs, counters] = run(width);
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_TRUE(logs[i] == one[i]) << "node " << i << ", width " << width;
+    }
+    EXPECT_EQ(counters.pulls_completed, c1.pulls_completed);
+    EXPECT_EQ(counters.pulls_timed_out, c1.pulls_timed_out);
+    EXPECT_EQ(counters.swaps_completed, c1.swaps_completed);
+  }
+}
+
 // --- full protocol stack, through the scenario front door ---
 
 TEST(ParallelEngineScenario, FullRunIsWorkerCountIndependent) {
@@ -130,10 +184,14 @@ TEST(ParallelEngineScenario, ShardedLosslessRunMatchesWidthOne) {
 }
 
 // Width matrix {1, 2, 4, hw} across the scenario axes the sharded phases
-// touch: churn (rejoin bootstraps), a non-default attack strategy
-// (Coordinator-driven Byzantine phases), fixed eviction (end_round), and
-// on-path tampering (serial exchange legs under the byte round-trip).
-// Every width, 1 included, must produce bit-identical metric streams.
+// touch: churn (rejoin bootstraps), non-default attack strategies
+// (Coordinator-driven Byzantine phases, and Byzantine legs drawing on
+// positioned Coordinator streams inside concurrent waves: bogus swap
+// offers, the oscillating attacker's dormant camouflage answers, the
+// omission attacker's refusals), fixed eviction (end_round), encrypted
+// links (per-pair sessions used from concurrent waves), and on-path
+// tampering (serial exchange legs under the byte round-trip). Every width,
+// 1 included, must produce bit-identical metric streams.
 TEST(ParallelEngineScenario, LosslessWidthMatrixIsBitIdenticalAcrossAxes) {
   struct Cell {
     const char* name;
@@ -160,6 +218,31 @@ TEST(ParallelEngineScenario, LosslessWidthMatrixIsBitIdenticalAcrossAxes) {
                      .tamper_rate(0.05)
                      .rounds(16)
                      .seed(34)},
+      {"bogus_swap", test::Scenario()
+                         .adversary(0.25)
+                         .trusted_share(0.3)
+                         .attack("bogus_swap")
+                         .rounds(16)
+                         .seed(36)},
+      {"oscillating", test::Scenario()
+                          .adversary(0.25)
+                          .trusted_share(0.3)
+                          .attack("oscillating")
+                          .rounds(16)
+                          .seed(37)},
+      {"omission", test::Scenario()
+                       .adversary(0.25)
+                       .trusted_share(0.3)
+                       .attack("omission")
+                       .rounds(16)
+                       .seed(38)},
+      {"encrypt_links", test::Scenario()
+                            .adversary(0.2)
+                            .trusted_share(0.3)
+                            .wire_roundtrip(true)
+                            .encrypt_links(true)
+                            .rounds(16)
+                            .seed(39)},
   };
   for (const Cell& cell : cells) {
     const auto one = scenario::ScenarioSpec(cell.spec).threads(1).run();

@@ -169,15 +169,31 @@ TEST_F(TamperFixture, LinkSessionsPersistAcrossRoundsAndRekeyOnChurn) {
 }
 
 TEST_F(TamperFixture, PerExchangeBaselineDerivesEveryExchange) {
-  EngineConfig config;
-  config.seed = 28;
-  config.encrypt_links = true;
-  config.link_sessions = false;
-  Engine engine = make_ring(6, config);
-  for (Round r = 0; r < 8; ++r) engine.step();
-  // 6 nodes × 2 pulls × 8 rounds = 96 exchanges, one derivation each.
-  EXPECT_EQ(engine.link_derivations(), 96u);
-  EXPECT_EQ(engine.link_active_sessions(), 0u);
+  // The baseline hands every exchange the table's one transient session,
+  // so a lossless run at width 4 must still run its exchanges one at a
+  // time — and match width 1 leg for leg.
+  Engine::Counters width_one{};
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    EngineConfig config;
+    config.seed = 28;
+    config.encrypt_links = true;
+    config.link_sessions = false;
+    config.threads = width;
+    Engine engine = make_ring(6, config);
+    for (Round r = 0; r < 8; ++r) engine.step();
+    // 6 nodes × 2 pulls × 8 rounds = 96 exchanges, one derivation each.
+    EXPECT_EQ(engine.link_derivations(), 96u) << "width " << width;
+    EXPECT_EQ(engine.link_active_sessions(), 0u) << "width " << width;
+    const Engine::Counters& c = engine.counters();
+    EXPECT_EQ(c.pulls_completed, 96u) << "width " << width;
+    EXPECT_EQ(c.legs_corrupted, 0u) << "width " << width;
+    if (width == 1) {
+      width_one = c;
+    } else {
+      EXPECT_EQ(c.swaps_completed, width_one.swaps_completed);
+      EXPECT_EQ(c.wire_bytes, width_one.wire_bytes);
+    }
+  }
 }
 
 TEST_F(TamperFixture, SessionCacheIsInvisibleToObservableResults) {

@@ -16,21 +16,27 @@
 // std::function's inline buffer would show here.
 //
 // Two populations. LeanNode — fixed inline views, empty reply payloads —
-// isolates the engine's own round machinery, in round and in event mode.
+// isolates the engine's own round machinery, in round and in event mode:
+// the wave schedule, the lanes and one parallel_for per wave included.
 // The protocol population gates the real nodes in round mode:
 // KeyedAuthenticator BrahmsNodes and enclave-backed RapteeNodes whose
-// mutual authentication runs trusted swaps, with sampler validation on.
-// Their legs write into the engine's leg messages, their pulled IDs go to
-// a per-node slab, and end_round works in the scratch the engine lends
-// each block of nodes, so once warm a protocol round allocates nothing
-// either. The adversary is not in it: its identification ledger records
-// pull replies on the heap.
+// mutual authentication runs trusted swaps, with sampler validation on,
+// and the adversary — ByzantineNodes of a balanced Coordinator that
+// attaches a bogus swap offer to every confirm and keeps an identification
+// ledger. Their legs write into the lanes' leg messages, their pulled IDs
+// go to a per-node slab, end_round works in the scratch the engine lends
+// each block of nodes, the Byzantine legs draw on streams positioned while
+// the round is planned, and the ledger is one slot per node, so once warm a
+// protocol round allocates nothing either.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
 #include <vector>
 
+#include "adversary/byzantine.hpp"
+#include "adversary/identification.hpp"
+#include "adversary/strategy.hpp"
 #include "core/node_factory.hpp"
 #include "evt/latency.hpp"
 #include "sim/engine.hpp"
@@ -42,8 +48,9 @@ namespace {
 
 constexpr std::size_t kPopulation = 16;
 constexpr std::size_t kViewSize = 4;
-constexpr std::uint32_t kProtocolPopulation = 24;
+constexpr std::uint32_t kProtocolPopulation = 28;
 constexpr std::uint32_t kTrustedNodes = 4;
+constexpr std::uint32_t kByzantineNodes = 4;  // the highest IDs
 
 /// Allocation-free INode: fixed inline ring view, deterministic push/pull
 /// fan-out, empty exchange payloads. The target calls fill the engine's
@@ -175,10 +182,14 @@ TEST(EngineZeroAlloc, EventStepIsAllocationFreeInSteadyState) {
   }
 }
 
+bool is_byzantine_id(NodeId id) { return id.value >= kProtocolPopulation - kByzantineNodes; }
+
 /// A round-mode population of real protocol nodes: KeyedAuthenticator
 /// BrahmsNodes and enclave-backed RapteeNodes, whose mutual authentication
-/// runs trusted swaps, with sampler validation on.
-Engine make_protocol_engine(std::size_t width) {
+/// runs trusted swaps, with sampler validation on, and ByzantineNodes of a
+/// balanced Coordinator that attaches bogus swap offers and records every
+/// pull reply into `ledger`.
+Engine make_protocol_engine(std::size_t width, adversary::IdentificationAttack& ledger) {
   EngineConfig config;
   config.seed = 7;
   config.threads = width;
@@ -190,9 +201,26 @@ Engine make_protocol_engine(std::size_t width) {
   brahms.sampler_validation_period = 5;
   core::RapteeConfig raptee;
   raptee.brahms = brahms;
+
+  std::vector<NodeId> members, victims;
+  for (std::uint32_t i = 0; i < kProtocolPopulation; ++i) {
+    (is_byzantine_id(NodeId{i}) ? members : victims).push_back(NodeId{i});
+  }
+  adversary::AttackConfig attack;
+  attack.push_budget_per_member = brahms.params.push_slice();
+  attack.pull_fanout = brahms.params.pull_slice();
+  attack.advertised_view_size = brahms.params.l1;
+  attack.attach_bogus_swap_offer = true;
+  auto coordinator = std::make_shared<adversary::Coordinator>(
+      members, victims, attack, 7, adversary::make_strategy(adversary::AttackSpec::balanced()),
+      &ledger);
+
   for (std::uint32_t i = 0; i < kProtocolPopulation; ++i) {
     const NodeId id{i};
-    if (i < kTrustedNodes) {
+    if (is_byzantine_id(id)) {
+      engine.add_node(std::make_unique<adversary::ByzantineNode>(id, coordinator, 7),
+                      NodeKind::kByzantine);
+    } else if (i < kTrustedNodes) {
       engine.add_node(factory.make_trusted(id, raptee, engine.aliveness_probe()),
                       NodeKind::kTrusted);
     } else {
@@ -206,14 +234,30 @@ Engine make_protocol_engine(std::size_t width) {
 
 TEST(EngineZeroAlloc, ProtocolRoundIsAllocationFreeInSteadyState) {
   for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-    Engine engine = make_protocol_engine(width);
+    adversary::IdentificationAttack ledger(kProtocolPopulation, is_byzantine_id,
+                                           [](NodeId id) { return id.value < kTrustedNodes; });
+    Engine engine = make_protocol_engine(width, ledger);
 
     // Warm-up: besides the engine's own scratch, grows every node's
     // pulled-ID list and push buffer, the trusted nodes' swap buffers, the
-    // leg messages and each end_round block's workspace to their
-    // steady-state capacity.
-    for (int i = 0; i < 25; ++i) engine.step();
+    // Coordinator's positioned streams, the Byzantine nodes' sampling
+    // scratch and each end_round block's workspace to their steady-state
+    // capacity. A trusted node's pulled-ID list grows in power-of-two steps
+    // to its busiest swap round, which this population first reaches after
+    // 25 rounds; past 50 rounds, 2,000 more read no allocation at either
+    // width.
+    for (int i = 0; i < 50; ++i) engine.step();
     const Engine::Counters warm = engine.counters();
+    // Honest views hold Byzantine IDs, so honest pulls reach Byzantine
+    // responders, whose answers draw on positioned Coordinator streams.
+    engine.refresh_views();
+    std::size_t byzantine_entries = 0;
+    for (std::uint32_t i = 0; i < kProtocolPopulation; ++i) {
+      for (const NodeId entry : engine.view_of(NodeId{i})) {
+        byzantine_entries += is_byzantine_id(entry) ? 1 : 0;
+      }
+    }
+    EXPECT_GT(byzantine_entries, 0u);
 
     const std::uint64_t before = test::g_allocations.load();
     for (int i = 0; i < 50; ++i) engine.step();
@@ -221,9 +265,11 @@ TEST(EngineZeroAlloc, ProtocolRoundIsAllocationFreeInSteadyState) {
 
     EXPECT_EQ(during, 0u) << "steady-state protocol round at width " << width
                           << " must not touch the heap";
-    // The rounds really ran, trusted swaps included.
+    // The rounds really ran, trusted swaps and the adversary's harvest
+    // included.
     EXPECT_GT(engine.counters().pulls_completed, warm.pulls_completed);
     EXPECT_GT(engine.counters().swaps_completed, warm.swaps_completed);
+    EXPECT_GT(ledger.observed_victims(), 0u);
   }
 }
 

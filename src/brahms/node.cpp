@@ -73,7 +73,7 @@ void BrahmsNode::bootstrap(const std::vector<NodeId>& initial_peers) {
   }
   // The bootstrap handout also primes the samplers: a joining node treats
   // it as its first received ID stream.
-  for (const auto& entry : view_.entries()) samplers_.feed(entry.id);
+  samplers_.feed_all(view_.ids());
 }
 
 void BrahmsNode::begin_round(Round /*r*/) {

@@ -3,11 +3,44 @@
 #include <algorithm>
 #include <bit>
 
+#include "brahms/sampler_kernel.hpp"
+#include "common/assert.hpp"
+
 namespace raptee::brahms {
 
-SamplerArray::SamplerArray(std::size_t l2, Rng& rng) {
-  samplers_.reserve(l2);
-  for (std::size_t i = 0; i < l2; ++i) samplers_.emplace_back(rng.next());
+namespace detail {
+
+void sampler_feed_portable(const std::uint64_t* seeds, std::uint64_t* hashes,
+                           NodeId* samples, std::size_t l2, std::span<const NodeId> ids) {
+  for (NodeId id : ids) {
+    for (std::size_t i = 0; i < l2; ++i) {
+      const std::uint64_t h = crypto::MinWiseHash(seeds[i])(id);
+      if (h <= hashes[i]) {
+        hashes[i] = h;
+        samples[i] = id;
+      }
+    }
+  }
+}
+
+SamplerFeedKernel sampler_feed_kernel() {
+  static const SamplerFeedKernel kernel = [] {
+    const SamplerFeedKernel avx512 = sampler_feed_avx512_kernel();
+    return avx512 != nullptr ? avx512 : &sampler_feed_portable;
+  }();
+  return kernel;
+}
+
+}  // namespace detail
+
+SamplerArray::SamplerArray(std::size_t l2, Rng& rng)
+    : seeds_(l2), hashes_(l2, ~0ull), samples_(l2, kNoNode) {
+  for (std::uint64_t& seed : seeds_) seed = rng.next();
+}
+
+void SamplerArray::feed_all(std::span<const NodeId> ids) {
+  RAPTEE_ASSERT(std::find(ids.begin(), ids.end(), kNoNode) == ids.end());
+  detail::sampler_feed_kernel()(seeds_.data(), hashes_.data(), samples_.data(), size(), ids);
 }
 
 std::vector<NodeId> SamplerArray::sample_list() const {
@@ -18,9 +51,9 @@ std::vector<NodeId> SamplerArray::sample_list() const {
 
 void SamplerArray::sample_list_into(std::vector<NodeId>& out) const {
   out.clear();
-  out.reserve(samplers_.size());
-  for (const auto& s : samplers_) {
-    if (s.holds_sample()) out.push_back(s.sample());
+  out.reserve(samples_.size());
+  for (NodeId id : samples_) {
+    if (id.valid()) out.push_back(id);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -29,7 +62,7 @@ void SamplerArray::sample_list_into(std::vector<NodeId>& out) const {
 void SamplerArray::history_sample(std::size_t k, Rng& rng, std::vector<NodeId>& out,
                                   std::vector<std::size_t>& indices) const {
   sample_list_into(out);
-  indices.reserve(samplers_.size());
+  indices.reserve(samples_.size());
   rng.sample_indices_into(out.size(), k, indices);
   // Gather out[indices[j]] to position j in two passes: the picks are
   // parked in `indices` so no read sees an already overwritten slot.
@@ -42,9 +75,11 @@ void SamplerArray::history_sample(std::size_t k, Rng& rng, std::vector<NodeId>& 
 
 std::size_t SamplerArray::validate(const std::function<bool(NodeId)>& alive, Rng& rng) {
   std::size_t reinitialized = 0;
-  for (auto& s : samplers_) {
-    if (s.holds_sample() && !alive(s.sample())) {
-      s.reinit(rng.next());
+  for (std::size_t i = 0; i < size(); ++i) {
+    if (samples_[i].valid() && !alive(samples_[i])) {
+      seeds_[i] = rng.next();
+      hashes_[i] = ~0ull;
+      samples_[i] = kNoNode;
       ++reinitialized;
     }
   }

@@ -12,6 +12,16 @@
 // never tie and a sampler's state after a stream is a function of the set
 // of distinct IDs in it, not of their order or multiplicity. SamplerFeed
 // relies on that: it feeds each distinct ID of a round once.
+//
+// SamplerArray holds its samplers as parallel arrays (seeds, held hashes,
+// held samples) and feeds them through one kernel the process picks once
+// (sampler_kernel.hpp), under one branch-free rule: a sampler takes an ID
+// whose hash is <= its held hash, and an empty sampler holds hash ~0 and
+// kNoNode. That is exactly Sampler::next's rule (take when empty or on a
+// strictly lower hash). Every hash is <= ~0, so an empty sampler always
+// takes the ID, even one whose hash is ~0 itself. A holding sampler ties
+// only with the ID it holds (the bijection), and taking that again changes
+// nothing. kNoNode is never fed: every feed drops it first.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +35,8 @@
 
 namespace raptee::brahms {
 
+/// One sampler on its own: the reference SamplerArray's kernels are held
+/// against in the tests.
 class Sampler {
  public:
   explicit Sampler(std::uint64_t hash_seed) : hash_(hash_seed) {}
@@ -57,17 +69,19 @@ class Sampler {
 
 class SamplerArray {
  public:
-  /// Creates `l2` samplers with independent hash seeds drawn from `rng`.
+  /// Creates `l2` empty samplers with independent hash seeds drawn from
+  /// `rng`.
   SamplerArray(std::size_t l2, Rng& rng);
 
-  void feed(NodeId id) {
-    for (auto& s : samplers_) s.next(id);
-  }
-  void feed_all(std::span<const NodeId> ids) {
-    for (NodeId id : ids) feed(id);
-  }
+  /// Feeds one stream element (never kNoNode).
+  void feed(NodeId id) { feed_all({&id, 1}); }
+  /// Feeds every element of `ids` (none kNoNode) to every sampler.
+  void feed_all(std::span<const NodeId> ids);
 
-  [[nodiscard]] std::size_t size() const { return samplers_.size(); }
+  [[nodiscard]] std::size_t size() const { return seeds_.size(); }
+
+  /// Sampler i's held sample (kNoNode until its first element arrives).
+  [[nodiscard]] NodeId sample(std::size_t i) const { return samples_[i]; }
 
   /// Distinct IDs currently held across all samplers.
   [[nodiscard]] std::vector<NodeId> sample_list() const;
@@ -80,16 +94,17 @@ class SamplerArray {
                       std::vector<std::size_t>& indices) const;
 
   /// Probes every held sample with `alive`; re-initializes samplers whose
-  /// sample fails the probe. Returns the number re-initialized.
+  /// sample fails the probe, each with a fresh seed from `rng`. Returns
+  /// the number re-initialized.
   std::size_t validate(const std::function<bool(NodeId)>& alive, Rng& rng);
-
-  [[nodiscard]] const Sampler& at(std::size_t i) const { return samplers_[i]; }
 
  private:
   /// Clears `out` and fills it with sample_list()'s IDs.
   void sample_list_into(std::vector<NodeId>& out) const;
 
-  std::vector<Sampler> samplers_;
+  std::vector<std::uint64_t> seeds_;   ///< sampler i's MinWiseHash seed
+  std::vector<std::uint64_t> hashes_;  ///< the held sample's hash; ~0 when empty
+  std::vector<NodeId> samples_;        ///< the held sample; kNoNode when empty
 };
 
 /// The exact per-round dedup of a sampler feed: an open-addressing set of

@@ -17,17 +17,22 @@ namespace raptee::crypto {
 
 class MinWiseHash {
  public:
+  /// The mixer's constants, shared with the vector sampler kernel.
+  static constexpr std::uint64_t kOffset = 0x9E3779B97F4A7C15ull;
+  static constexpr std::uint64_t kMul1 = 0xFF51AFD7ED558CCDull;
+  static constexpr std::uint64_t kMul2 = 0xC4CEB9FE1A85EC53ull;
+
   MinWiseHash() = default;
   explicit MinWiseHash(std::uint64_t seed) : seed_(seed) {}
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   [[nodiscard]] std::uint64_t operator()(NodeId id) const {
-    std::uint64_t x = (static_cast<std::uint64_t>(id.value) + 0x9E3779B97F4A7C15ull) ^ seed_;
+    std::uint64_t x = (static_cast<std::uint64_t>(id.value) + kOffset) ^ seed_;
     x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDull;
+    x *= kMul1;
     x ^= x >> 33;
-    x *= 0xC4CEB9FE1A85EC53ull;
+    x *= kMul2;
     x ^= x >> 33;
     return x;
   }

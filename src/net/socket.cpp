@@ -117,7 +117,11 @@ long read_some(int fd, std::uint8_t* buf, std::size_t cap) {
 
 long write_some(int fd, const std::uint8_t* buf, std::size_t len) {
   while (true) {
-    const ssize_t n = ::write(fd, buf, len);
+    // MSG_NOSIGNAL: a write racing the peer's close fails with EPIPE
+    // instead of raising SIGPIPE, which would kill the process. Pipes (the
+    // event loop's wake pipe) are not sockets and take write(2).
+    ssize_t n = ::send(fd, buf, len, MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK) n = ::write(fd, buf, len);
     if (n >= 0) return n;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;

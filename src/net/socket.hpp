@@ -78,7 +78,9 @@ void set_nodelay(int fd);
 /// read(2) wrapper: >0 bytes read, 0 on orderly EOF, -1 on EAGAIN,
 /// -2 on a hard error (connection must be torn down).
 [[nodiscard]] long read_some(int fd, std::uint8_t* buf, std::size_t cap);
-/// write(2) wrapper with the same convention (-1 EAGAIN, -2 hard error).
+/// send(2) wrapper with the same convention (-1 EAGAIN, -2 hard error,
+/// including EPIPE once the peer has closed: it never raises SIGPIPE).
+/// On a descriptor that is not a socket (a pipe) it calls write(2).
 [[nodiscard]] long write_some(int fd, const std::uint8_t* buf, std::size_t len);
 
 }  // namespace raptee::net

@@ -65,7 +65,7 @@ TEST(SamplerArray, SizeAndIndependentSeeds) {
   for (std::uint32_t i = 0; i < 200; ++i) arr.feed(NodeId{i});
   // Independent hash functions: the samplers should not all agree.
   std::set<std::uint32_t> distinct;
-  for (std::size_t i = 0; i < arr.size(); ++i) distinct.insert(arr.at(i).sample().value);
+  for (std::size_t i = 0; i < arr.size(); ++i) distinct.insert(arr.sample(i).value);
   EXPECT_GT(distinct.size(), 5u);
 }
 
@@ -149,7 +149,7 @@ TEST(SamplerArray, ConvergesToUniformOverAdversarialStream) {
     }
     int byz = 0;
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (arr.at(i).sample().value >= 1000) ++byz;
+      if (arr.sample(i).value >= 1000) ++byz;
     }
     byz_share.push_back(byz);
   }
@@ -163,14 +163,18 @@ TEST(SamplerArray, ConvergesToUniformOverAdversarialStream) {
 
 class SamplerFeedEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SamplerFeedEquivalence, DedupedFeedMatchesRawStream) {
-  // A round's raw stream, as end_round receives it: pushes and pull answers
-  // repeating IDs, the node's own ID, kNoNode, and IDs near 2^32 of the
-  // kind a tampered leg delivers. The raw feed skips self and kNoNode, as
-  // the feed always has; SamplerFeed must leave every sampler in the same
-  // state, for the stream and for any order of it.
-  const NodeId self{17};
-  Rng rng(GetParam());
+/// l2 independent Samplers seeded as SamplerArray(l2, rng) seeds its own:
+/// the reference the array's kernel is held against.
+std::vector<Sampler> reference_samplers(std::size_t l2, Rng& rng) {
+  std::vector<Sampler> samplers;
+  for (std::size_t i = 0; i < l2; ++i) samplers.emplace_back(rng.next());
+  return samplers;
+}
+
+/// A round's raw stream, as end_round receives it: pushes and pull answers
+/// repeating IDs, the node's own ID, kNoNode, and IDs near 2^32 of the kind
+/// a tampered leg delivers.
+std::vector<NodeId> raw_round_stream(NodeId self, Rng& rng) {
   std::vector<NodeId> stream;
   const std::size_t length = 200 + static_cast<std::size_t>(rng.below(400));
   for (std::size_t i = 0; i < length; ++i) {
@@ -188,12 +192,26 @@ TEST_P(SamplerFeedEquivalence, DedupedFeedMatchesRawStream) {
       default: stream.emplace_back(draw); break;
     }
   }
+  return stream;
+}
+
+TEST_P(SamplerFeedEquivalence, DedupedFeedMatchesRawStream) {
+  // The raw stream goes through l2 separate Samplers, skipping self and
+  // kNoNode as the feed always has; SamplerFeed into a SamplerArray must
+  // leave every sampler in the same state, for the stream and for any
+  // order of it.
+  const NodeId self{17};
+  Rng rng(GetParam());
+  std::vector<NodeId> stream = raw_round_stream(self, rng);
 
   const std::uint64_t array_seed = rng.next();
   Rng raw_seed(array_seed), fed_seed(array_seed), shuffled_seed(array_seed);
-  SamplerArray raw(24, raw_seed), fed(24, fed_seed), shuffled(24, shuffled_seed);
+  std::vector<Sampler> raw = reference_samplers(24, raw_seed);
+  SamplerArray fed(24, fed_seed), shuffled(24, shuffled_seed);
   for (NodeId id : stream) {
-    if (id != self && id.valid()) raw.feed(id);
+    if (id != self && id.valid()) {
+      for (Sampler& s : raw) s.next(id);
+    }
   }
 
   // One feed serves both rounds, as one per worker serves every node: the
@@ -215,11 +233,64 @@ TEST_P(SamplerFeedEquivalence, DedupedFeedMatchesRawStream) {
   EXPECT_EQ(feed.ids().size(), distinct.size());
   shuffled.feed_all(feed.ids());
 
+  std::vector<NodeId> raw_list;
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    EXPECT_EQ(fed.at(i).sample(), raw.at(i).sample()) << "sampler " << i;
-    EXPECT_EQ(shuffled.at(i).sample(), raw.at(i).sample()) << "sampler " << i;
+    EXPECT_EQ(fed.sample(i), raw[i].sample()) << "sampler " << i;
+    EXPECT_EQ(shuffled.sample(i), raw[i].sample()) << "sampler " << i;
+    if (raw[i].holds_sample()) raw_list.push_back(raw[i].sample());
   }
-  EXPECT_EQ(fed.sample_list(), raw.sample_list());
+  std::sort(raw_list.begin(), raw_list.end());
+  raw_list.erase(std::unique(raw_list.begin(), raw_list.end()), raw_list.end());
+  EXPECT_EQ(fed.sample_list(), raw_list);
+}
+
+TEST_P(SamplerFeedEquivalence, ValidateMidStreamMatchesReinitializedSamplers) {
+  // validate() re-initializes some samplers between two rounds' feeds; the
+  // second round then reaches empty samplers, which must take the first ID
+  // they see (the empty half of the <= rule), on whichever kernel this
+  // process runs.
+  const NodeId self{17};
+  Rng rng(GetParam());
+  const std::uint64_t array_seed = rng.next();
+  Rng raw_seed(array_seed), fed_seed(array_seed);
+  std::vector<Sampler> raw = reference_samplers(20, raw_seed);
+  SamplerArray fed(20, fed_seed);
+
+  const auto feed_round = [&] {
+    const std::vector<NodeId> stream = raw_round_stream(self, rng);
+    SamplerFeed feed;
+    feed.reset(self, stream.size());
+    for (NodeId id : stream) {
+      feed.add(id);
+      if (id != self && id.valid()) {
+        for (Sampler& s : raw) s.next(id);
+      }
+    }
+    fed.feed_all(feed.ids());
+  };
+
+  feed_round();
+  // Samples below 60 count as departed; the reference re-draws its seeds
+  // from a stream in the same state, in sampler order.
+  const auto alive = [](NodeId id) { return id.value >= 60; };
+  Rng validate_rng(GetParam() + 1000), reference_rng(GetParam() + 1000);
+  std::size_t expected_reinits = 0;
+  for (Sampler& s : raw) {
+    if (s.holds_sample() && !alive(s.sample())) {
+      s.reinit(reference_rng.next());
+      ++expected_reinits;
+    }
+  }
+  EXPECT_EQ(fed.validate(alive, validate_rng), expected_reinits);
+  EXPECT_GT(expected_reinits, 0u);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    EXPECT_EQ(fed.sample(i), raw[i].sample()) << "after validate, sampler " << i;
+  }
+
+  feed_round();
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    EXPECT_EQ(fed.sample(i), raw[i].sample()) << "sampler " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SamplerFeedEquivalence, ::testing::Range<std::uint64_t>(1, 21));

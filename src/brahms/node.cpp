@@ -3,26 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/assert.hpp"
 
 namespace raptee::brahms {
 
 namespace {
-
-/// Deduplicates preserving first occurrence, dropping `self`.
-std::vector<NodeId> dedup_excluding(const std::vector<NodeId>& ids, NodeId self) {
-  std::vector<NodeId> out;
-  out.reserve(ids.size());
-  std::unordered_set<std::uint32_t> seen;
-  seen.reserve(ids.size() * 2);
-  for (NodeId id : ids) {
-    if (id == self || !id.valid()) continue;
-    if (seen.insert(id.value).second) out.push_back(id);
-  }
-  return out;
-}
 
 /// Makes room for `extra` more elements in power-of-two steps. A trusted
 /// node's pulled-ID list outgrows its reserve with its swaps; grown this
@@ -67,7 +53,12 @@ BrahmsNode::BrahmsNode(NodeId self, BrahmsConfig config,
 
 void BrahmsNode::bootstrap(const std::vector<NodeId>& initial_peers) {
   view_.clear();
-  for (NodeId peer : dedup_excluding(initial_peers, self_)) {
+  // The handout's distinct IDs other than self, in first-seen order: that
+  // order sets the view order pick_id reads.
+  SamplerFeed handout;
+  handout.reset(self_, initial_peers.size());
+  for (NodeId peer : initial_peers) handout.add(peer);
+  for (NodeId peer : handout.ids()) {
     if (view_.full()) break;
     view_.insert(peer, 0);
   }

@@ -125,7 +125,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   engine_config.encrypt_links = config.encrypt_links;
   engine_config.message_loss = config.message_loss;
   engine_config.tamper_rate = config.tamper_rate;
-  engine_config.link_sessions = config.link_sessions;
   engine_config.threads = config.engine_threads;
   engine_config.event = config.event;
   sim::Engine engine(engine_config);

@@ -98,10 +98,6 @@ struct ExperimentConfig {
   /// AEAD rejects every flip; without it only what fails typed decoding is
   /// dropped — the rest models undetected corruption reaching the protocol.
   double tamper_rate = 0.0;
-  /// Persistent per-pair link sessions (sim::EngineConfig::link_sessions);
-  /// false = the per-exchange-derivation baseline (bench ablation only —
-  /// observable results are identical either way).
-  bool link_sessions = true;
 
   /// Engine-internal parallelism (sim::EngineConfig::threads): 1 = one
   /// inline worker (the default), 0 = shard over hardware concurrency,

@@ -1,6 +1,7 @@
 #include "net/bus.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <random>
 #include <utility>
 
@@ -32,6 +33,25 @@ std::uint64_t link_token_of(std::uint64_t initiator_nonce,
   return token;
 }
 
+struct CounterEntry {
+  const char* name;
+  std::uint64_t BusStats::* field;
+};
+
+/// Indexed by Bus::Counter.
+constexpr CounterEntry kCounterEntries[] = {
+    {"bus.frames_sent", &BusStats::frames_sent},
+    {"bus.frames_received", &BusStats::frames_received},
+    {"bus.bytes_sent", &BusStats::bytes_sent},
+    {"bus.bytes_received", &BusStats::bytes_received},
+    {"bus.accepted", &BusStats::accepted},
+    {"bus.dialed", &BusStats::dialed},
+    {"bus.dial_retries", &BusStats::dial_retries},
+    {"bus.teardowns", &BusStats::teardowns},
+    {"bus.open_failures", &BusStats::open_failures},
+    {"bus.handshake_failures", &BusStats::handshake_failures},
+};
+
 }  // namespace
 
 Bus::Bus(BusConfig config) : config_(std::move(config)) {
@@ -41,18 +61,12 @@ Bus::Bus(BusConfig config) : config_(std::move(config)) {
     std::random_device rd;
     nonce_base_ = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
   }
+  static_assert(std::size(kCounterEntries) == kCounters);
   obs::Registry& reg = obs::Registry::global();
-  metrics_.frames_sent = &reg.counter("bus.frames_sent");
-  metrics_.frames_received = &reg.counter("bus.frames_received");
-  metrics_.bytes_sent = &reg.counter("bus.bytes_sent");
-  metrics_.bytes_received = &reg.counter("bus.bytes_received");
-  metrics_.accepted = &reg.counter("bus.accepted");
-  metrics_.dialed = &reg.counter("bus.dialed");
-  metrics_.dial_retries = &reg.counter("bus.dial_retries");
-  metrics_.teardowns = &reg.counter("bus.teardowns");
-  metrics_.open_failures = &reg.counter("bus.open_failures");
-  metrics_.handshake_failures = &reg.counter("bus.handshake_failures");
-  metrics_.flush_us = &reg.histogram("bus.flush_us");
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    totals_[i] = &reg.counter(kCounterEntries[i].name);
+  }
+  flush_us_ = &reg.histogram("bus.flush_us");
   // Per-callback wall time of the loop thread (dispatches and timers) —
   // safe to arm here: the loop thread starts in start().
   loop_.set_profile(&reg.histogram("bus.dispatch_us"),
@@ -73,10 +87,7 @@ void Bus::start() {
   const std::lock_guard<std::mutex> lock(start_mu_);
   if (started_) return;
   started_ = true;
-  loop_.post([this] {
-    register_listener();
-    if (config_.idle_timeout.count() > 0) sweep_idle();
-  });
+  loop_.post([this] { register_listener(); });
   thread_ = std::thread([this] { loop_.run(); });
 }
 
@@ -91,11 +102,7 @@ void Bus::accept_ready() {
     auto fd = accept_connection(listen_fd_.get());
     if (!fd) return;
     if (draining_) continue;  // accepted-but-draining: drop immediately
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.accepted;
-    }
-    metrics_.accepted->add(1);
+    count(kAccepted);
     Connection& conn = adopt_connection(std::move(*fd), /*inbound=*/true);
     send_hello(conn);
   }
@@ -107,7 +114,6 @@ Bus::Connection& Bus::adopt_connection(Fd fd, bool inbound) {
   conn->fd = std::move(fd);
   conn->inbound = inbound;
   conn->connecting = !inbound;
-  conn->last_activity = std::chrono::steady_clock::now();
   const std::uint64_t id = conn->id;
   const int raw = conn->fd.get();
   Connection& ref = *conns_.emplace(id, std::move(conn)).first->second;
@@ -146,7 +152,7 @@ void Bus::send_hello(Connection& conn) {
       encode_hello(config_.self, config_.role, conn.local_nonce);
   // The handshake always travels in the clear: sealing starts only once
   // both HELLOs have bound the connection to a link session.
-  append_frame(conn.wbuf, hello.data(), hello.size(), config_.max_frame);
+  append_frame(conn.wbuf, hello.data(), hello.size());
   flush_writes(conn);
 }
 
@@ -163,14 +169,14 @@ void Bus::connect(NodeId peer, std::uint16_t port) {
 
 void Bus::add_route(NodeId peer, std::uint16_t port) {
   loop_.post([this, peer, port] { peers_[peer.value].port = port; });
-  const std::lock_guard<std::mutex> lock(stats_mu_);
+  const std::lock_guard<std::mutex> lock(routes_mu_);
   routes_.insert(peer.value);
 }
 
 bool Bus::send(NodeId peer, std::vector<std::uint8_t> payload) {
   if (peer == config_.self) return false;
   {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
+    const std::lock_guard<std::mutex> lock(routes_mu_);
     if (!routes_.contains(peer.value)) return false;
   }
   loop_.post([this, peer, payload = std::move(payload)]() mutable {
@@ -219,11 +225,7 @@ void Bus::dial(NodeId peer) {
     retry_dial(peer, "refused");
     return;
   }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.dialed;
-  }
-  metrics_.dialed->add(1);
+  count(kDialed);
   Connection& conn = adopt_connection(std::move(fd), /*inbound=*/false);
   conn.peer = peer;
   ps.dialing = conn.id;
@@ -243,11 +245,7 @@ void Bus::retry_dial(NodeId peer, const char* why) {
     }
     return;
   }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.dial_retries;
-  }
-  metrics_.dial_retries->add(1);
+  count(kDialRetries);
   (void)why;
   const auto backoff = ps.backoff;
   ps.backoff = std::min(ps.backoff * 2, config_.backoff_max);
@@ -286,12 +284,7 @@ void Bus::conn_readable(std::uint64_t conn_id) {
       teardown(conn_id, n == 0 ? "peer-closed" : "read-error");
       return;
     }
-    conn.last_activity = std::chrono::steady_clock::now();
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.bytes_received += static_cast<std::uint64_t>(n);
-    }
-    metrics_.bytes_received->add(static_cast<std::uint64_t>(n));
+    count(kBytesReceived, static_cast<std::uint64_t>(n));
     try {
       conn.splitter.feed(buf, static_cast<std::size_t>(n));
       while (conn.splitter.next(conn.payload)) {
@@ -306,11 +299,7 @@ void Bus::conn_readable(std::uint64_t conn_id) {
 }
 
 void Bus::handle_frame(Connection& conn) {
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.frames_received;
-  }
-  metrics_.frames_received->add(1);
+  count(kFramesReceived);
   if (!conn.hello_received) {
     handle_hello(conn);
     return;
@@ -328,11 +317,7 @@ void Bus::handle_frame(Connection& conn) {
           conn.payload.data(), conn.payload.size(), conn.opened)) {
     // Integrity alarm: a deployed endpoint aborts the connection; both
     // sides invalidate the pair (teardown does) and the next send rekeys.
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.open_failures;
-    }
-    metrics_.open_failures->add(1);
+    count(kOpenFailures);
     teardown(conn.id, "aead-failure");
     return;
   }
@@ -355,20 +340,20 @@ void Bus::handle_hello(Connection& conn) {
     remote_nonce = r.u64();
     r.expect_done();
     if (magic != kHelloMagic || version != kHelloVersion || role_byte > 1) {
-      record_handshake_failure();
+      count(kHandshakeFailures);
       teardown(conn.id, "bad-hello");
       return;
     }
     role = static_cast<PeerRole>(role_byte);
   } catch (const wire::WireError&) {
-    record_handshake_failure();
+    count(kHandshakeFailures);
     teardown(conn.id, "malformed-hello");
     return;
   }
   // An outbound dial knows who it expects: a different id means the address
   // book is wrong, not that a new peer appeared.
   if (!conn.inbound && peer != conn.peer) {
-    record_handshake_failure();
+    count(kHandshakeFailures);
     teardown(conn.id, "hello-id-mismatch");
     return;
   }
@@ -438,24 +423,19 @@ void Bus::enqueue_payload(Connection& conn, const std::uint8_t* data,
                           std::size_t len) {
   const std::uint64_t id = conn.id;  // flush may tear `conn` down
   if (conn.plaintext) {
-    append_frame(conn.wbuf, data, len, config_.max_frame);
+    append_frame(conn.wbuf, data, len);
   } else {
     conn.session->channel_from(config_.self).seal_into(data, len, seal_scratch_);
-    append_frame(conn.wbuf, seal_scratch_.data(), seal_scratch_.size(),
-                 config_.max_frame);
+    append_frame(conn.wbuf, seal_scratch_.data(), seal_scratch_.size());
   }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.frames_sent;
-  }
-  metrics_.frames_sent->add(1);
+  count(kFramesSent);
   flush_writes(conn);
   const auto it = conns_.find(id);
   if (it != conns_.end()) update_interest(*it->second);
 }
 
 void Bus::flush_writes(Connection& conn) {
-  const obs::ScopedTimer flush_timer(metrics_.flush_us);
+  const obs::ScopedTimer flush_timer(flush_us_);
   while (conn.wpos < conn.wbuf.size()) {
     const long n = write_some(conn.fd.get(), conn.wbuf.data() + conn.wpos,
                               conn.wbuf.size() - conn.wpos);
@@ -465,12 +445,7 @@ void Bus::flush_writes(Connection& conn) {
       return;
     }
     conn.wpos += static_cast<std::size_t>(n);
-    conn.last_activity = std::chrono::steady_clock::now();
-    {
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.bytes_sent += static_cast<std::uint64_t>(n);
-    }
-    metrics_.bytes_sent->add(static_cast<std::uint64_t>(n));
+    count(kBytesSent, static_cast<std::uint64_t>(n));
   }
   if (conn.wpos == conn.wbuf.size()) {
     conn.wbuf.clear();
@@ -531,38 +506,14 @@ void Bus::teardown(std::uint64_t conn_id, const char* reason) {
       pit->second.dialing = 0;
     }
   }
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.teardowns;
-  }
-  metrics_.teardowns->add(1);
+  count(kTeardowns);
   conns_.erase(it);
   if (was_established && config_.on_peer_down) config_.on_peer_down(peer, reason);
 }
 
-void Bus::record_handshake_failure() {
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.handshake_failures;
-  }
-  metrics_.handshake_failures->add(1);
-}
-
-void Bus::sweep_idle() {
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<std::uint64_t> idle;
-  // raptee-lint: allow(no-unordered-iteration) id collection only; sorted below before teardown
-  for (const auto& [id, conn] : conns_) {
-    const auto cutoff =
-        conn->established ? config_.idle_timeout : config_.connect_deadline;
-    if (cutoff.count() > 0 && now - conn->last_activity > cutoff) idle.push_back(id);
-  }
-  // Tear down in connection-id order so the close/log sequence is stable
-  // rather than hash-table order.
-  std::sort(idle.begin(), idle.end());
-  for (const std::uint64_t id : idle) teardown(id, "idle");
-  loop_.run_after(std::max(config_.idle_timeout / 2, std::chrono::milliseconds(1)),
-                  [this] { sweep_idle(); });
+void Bus::count(Counter counter, std::uint64_t n) {
+  counts_[counter].add(n);
+  totals_[counter]->add(n);
 }
 
 void Bus::drain_and_stop(std::chrono::milliseconds deadline) {
@@ -626,8 +577,11 @@ void Bus::stop() {
 }
 
 BusStats Bus::stats() const {
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  BusStats stats;
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    stats.*kCounterEntries[i].field = counts_[i].value();
+  }
+  return stats;
 }
 
 }  // namespace raptee::net

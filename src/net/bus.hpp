@@ -5,9 +5,10 @@
 // It owns an EventLoop on a dedicated thread and multiplexes any number of
 // connections over it:
 //
-//   * framing      — every frame is a 4-byte length prefix + payload
-//                    (net/frame.hpp); the payload bytes are exactly what
-//                    the caller handed send(), sealed when applicable.
+//   * framing      — every frame is a 4-byte length prefix + payload of
+//                    at most kMaxFrame bytes, either way (net/frame.hpp);
+//                    the payload bytes are exactly what the caller handed
+//                    send(), sealed when applicable.
 //   * handshake    — the first frame each way is a HELLO (magic, version,
 //                    role, NodeId, a per-connection nonce); everything
 //                    after it is payload.
@@ -37,15 +38,15 @@
 //                    initiated by the LOWER NodeId survives on both sides
 //                    (a deterministic, symmetric rule), so a pair never
 //                    carries sealed traffic on two streams at once.
-//   * idle teardown — idle_timeout > 0 closes connections with no traffic
-//                    for that long; both endpoints invalidate the pair's
-//                    link session (symmetric establishment counting), and
-//                    the next send re-dials and rekeys.
+//   * counters     — each BusStats event is counted once, on the loop
+//                    thread, in this bus's stats() and in the process-wide
+//                    "bus.*" registry totals.
 //
 // Threading: connect/send/reply/stats are safe from any thread; all
 // callbacks run on the loop thread and must not block.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -62,6 +63,7 @@
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
 #include "wire/link_session.hpp"
 
 namespace raptee::net {
@@ -114,9 +116,6 @@ struct BusConfig {
   std::chrono::milliseconds connect_deadline{3000};
   std::chrono::milliseconds backoff_initial{10};
   std::chrono::milliseconds backoff_max{250};
-  /// 0 = connections never idle out.
-  std::chrono::milliseconds idle_timeout{0};
-  std::size_t max_frame = kMaxFrame;
   /// Base for per-connection HELLO nonces; 0 = seeded from the system
   /// entropy source. Tests pin it for reproducible link tokens.
   std::uint64_t nonce_seed = 0;
@@ -196,7 +195,6 @@ class Bus {
     std::vector<std::uint8_t> opened;    // AEAD-open scratch
     std::vector<std::uint8_t> wbuf;      // pending outgoing stream bytes
     std::size_t wpos = 0;
-    std::chrono::steady_clock::time_point last_activity;
   };
 
   struct PeerState {
@@ -224,12 +222,27 @@ class Bus {
   void flush_writes(Connection& conn);
   void update_interest(Connection& conn);
   void teardown(std::uint64_t conn_id, const char* reason);
-  void record_handshake_failure();
-  void sweep_idle();
   void finish_drain(std::chrono::steady_clock::time_point deadline);
   [[nodiscard]] Peer peer_of(const Connection& conn) const {
     return Peer{conn.peer, conn.id, conn.peer_role, conn.link_token};
   }
+
+  /// Indexes the counter table in bus.cpp (registry name, BusStats field).
+  enum Counter : std::size_t {
+    kFramesSent,
+    kFramesReceived,
+    kBytesSent,
+    kBytesReceived,
+    kAccepted,
+    kDialed,
+    kDialRetries,
+    kTeardowns,
+    kOpenFailures,
+    kHandshakeFailures,
+    kCounters
+  };
+  /// Adds `n` to this bus's count of `counter` and to its registry total.
+  void count(Counter counter, std::uint64_t n = 1);
 
   BusConfig config_;
   EventLoop loop_;
@@ -247,29 +260,18 @@ class Bus {
   std::unordered_map<std::uint32_t, PeerState> peers_;  // key: NodeId.value
   std::vector<std::uint8_t> seal_scratch_;
 
-  // --- any thread (guarded by stats_mu_) ---
+  // --- any thread ---
   std::atomic<std::size_t> established_{0};
-  mutable std::mutex stats_mu_;
-  BusStats stats_;
+  mutable std::mutex routes_mu_;
   std::unordered_set<std::uint32_t> routes_;  // peers with a known address
 
-  // Process-wide "bus.*" metrics mirroring stats_ (additive across Bus
-  // instances — see obs/registry.hpp). Pointers into Registry::global(),
-  // resolved once in the constructor; valid for the process lifetime.
-  struct Metrics {
-    obs::Counter* frames_sent = nullptr;
-    obs::Counter* frames_received = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* bytes_received = nullptr;
-    obs::Counter* accepted = nullptr;
-    obs::Counter* dialed = nullptr;
-    obs::Counter* dial_retries = nullptr;
-    obs::Counter* teardowns = nullptr;
-    obs::Counter* open_failures = nullptr;
-    obs::Counter* handshake_failures = nullptr;
-    obs::Histogram* flush_us = nullptr;
-  };
-  Metrics metrics_;
+  // This bus's event counts, and their process-wide "bus.*" totals (additive
+  // across Bus instances — see obs/registry.hpp): relaxed adds on the loop
+  // thread, read from any thread. totals_ and flush_us_ point into
+  // Registry::global(), resolved once in the constructor.
+  std::array<obs::Counter, kCounters> counts_;
+  std::array<obs::Counter*, kCounters> totals_{};
+  obs::Histogram* flush_us_ = nullptr;
 };
 
 }  // namespace raptee::net

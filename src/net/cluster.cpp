@@ -31,9 +31,7 @@ void LoopbackCluster::start() {
   for (std::size_t i = 0; i < config_.nodes; ++i) {
     auto ep = std::make_unique<Endpoint>();
     ep->id = NodeId{static_cast<std::uint32_t>(i)};
-    if (config_.encrypt) {
-      ep->links = std::make_unique<wire::LinkTable>(master);
-    }
+    ep->links = std::make_unique<wire::LinkTable>(master);
     ep->node = factory_->make_honest(ep->id, nc);
     endpoints_.push_back(std::move(ep));
   }

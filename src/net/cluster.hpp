@@ -48,8 +48,6 @@ struct ClusterConfig {
   /// Per-leg reply budget before the initiator declares a pull timeout.
   std::chrono::milliseconds reply_timeout{1500};
   std::uint64_t nonce_seed = 0;  ///< pins link tokens for reproducible tests
-  /// false = plaintext node links (framing-only mode, for ablation).
-  bool encrypt = true;
 };
 
 class LoopbackCluster {

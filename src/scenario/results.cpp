@@ -136,14 +136,15 @@ std::string to_json(const metrics::ExperimentConfig& config) {
       .field("run_identification", config.run_identification)
       .field("identification_threshold", config.identification_threshold)
       // Fixed policies, still emitted so config documents keep their shape:
-      // the D4 smoothing window, and enclaves always charging Table-I cycles.
+      // the D4 smoothing window, enclaves always charging Table-I cycles,
+      // and (in its old slot below) one cached link session per node pair.
       .field("stability_window", metrics::kStabilityWindow)
       .field("use_cycle_model", true)
       .field("wire_roundtrip", config.wire_roundtrip)
       .field("encrypt_links", config.encrypt_links)
       .field("message_loss", config.message_loss)
       .field("tamper_rate", config.tamper_rate)
-      .field("link_sessions", config.link_sessions)
+      .field("link_sessions", true)
       .field("engine_threads", config.engine_threads);
   // The event block exists only for event-mode configs, so round-mode config
   // JSON stays byte-identical to the pre-evt schema (same omission rule as

@@ -99,10 +99,6 @@ ScenarioSpec& ScenarioSpec::tamper_rate(double probability) {
   base_.tamper_rate = probability;
   return *this;
 }
-ScenarioSpec& ScenarioSpec::link_sessions(bool enabled) {
-  base_.link_sessions = enabled;
-  return *this;
-}
 ScenarioSpec& ScenarioSpec::event_mode(bool enabled) {
   base_.event.enabled = enabled;
   return *this;

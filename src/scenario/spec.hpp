@@ -98,9 +98,6 @@ class ScenarioSpec {
   /// with encrypt_links the AEAD rejects every flip, without it only
   /// structural corruption is caught by the typed-leg validator.
   ScenarioSpec& tamper_rate(double probability);
-  /// Persistent per-pair link sessions (default); false re-derives per
-  /// exchange — the bench/scale_links ablation baseline.
-  ScenarioSpec& link_sessions(bool enabled);
 
   // --- event-driven time (src/evt) ---
   /// Switches the engine onto the event scheduler (virtual clock, per-link

@@ -63,8 +63,7 @@ Engine::Engine(EngineConfig config)
   crypto::Drbg key_rng(mix64(config.seed, 0x6C696E6B6Dull));
   link_master_ = key_rng.generate_key();
   if (config_.encrypt_links) {
-    link_table_ =
-        std::make_unique<wire::LinkTable>(link_master_, config_.link_sessions);
+    link_table_ = std::make_unique<wire::LinkTable>(link_master_);
   }
   obs::Registry& reg = obs::Registry::global();
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
@@ -457,10 +456,11 @@ bool Engine::run_exchange(Lane& lane, INode& initiator, INode& responder) {
   return true;
 }
 
-void Engine::run_pull(Lane& lane, const PendingPull& p) {
+void Engine::run_pull(Lane& lane, const PendingPull& p, bool reachable) {
   ++lane.counters.pulls_started;
   INode& initiator = *nodes_[p.initiator.value];
-  if (starts(p) && run_exchange(lane, initiator, *nodes_[p.target.value])) {
+  if (reachable && starts(p) &&
+      run_exchange(lane, initiator, *nodes_[p.target.value])) {
     ++lane.counters.pulls_completed;
     return;
   }
@@ -498,9 +498,7 @@ bool Engine::exchanges_in_waves() const {
   // A drawn leg fate (loss, tamper) makes whether a later leg runs — and so
   // where each Byzantine leg's Coordinator draws fall — unknowable while
   // the round is planned, and the draws themselves interleave on rng_.
-  // Uncached link sessions share the table's one transient slot.
-  return config_.message_loss <= 0.0 && config_.tamper_rate <= 0.0 &&
-         !(link_table_ && !config_.link_sessions);
+  return config_.message_loss <= 0.0 && config_.tamper_rate <= 0.0;
 }
 
 std::uint32_t Engine::next_wave(const PendingPull& p) {
@@ -670,28 +668,19 @@ void Engine::step_event() {
         ++counters_.pushes_delivered;
         continue;
       }
+      // A started exchange the drain cannot deliver times out in run_pull.
       const PendingPull& p = pulls_[e.a];
-      ++counters_.pulls_started;
-      INode& initiator = *nodes_[p.initiator.value];
-      const auto timeout = [&] {
-        ++counters_.pulls_timed_out;
-        initiator.on_pull_timeout(p.target);
-      };
-      if (!starts(p)) {
-        timeout();
-      } else if (ev.partition.severed(region_of(p.initiator),
-                                     region_of(p.target), round_)) {
+      bool reachable = true;
+      if (starts(p) &&
+          ev.partition.severed(region_of(p.initiator), region_of(p.target), round_)) {
         ++counters_.partition_drops;
-        timeout();
-      } else if (e.b > deadline) {
+        reachable = false;
+      } else if (starts(p) && e.b > deadline) {
         // The exchange could not have concluded before the round closed.
         ++counters_.legs_late;
-        timeout();
-      } else if (run_exchange(lanes()[0], initiator, *nodes_[p.target.value])) {
-        ++counters_.pulls_completed;
-      } else {
-        timeout();
+        reachable = false;
       }
+      run_pull(lanes()[0], p, reachable);
     }
     merge_lanes();
   }

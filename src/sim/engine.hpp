@@ -32,10 +32,8 @@
 // legs draw on the adversary Coordinator's one stream, have those draws
 // positioned while the round is planned (INode::plan_exchange). A round
 // whose leg fates are draws on the engine stream (message_loss,
-// tamper_rate), or whose link sessions share one transient slot
-// (encrypt_links without link_sessions), runs its exchanges one at a time
-// in shuffled order instead. Either way results are bit-identical at
-// every width.
+// tamper_rate) runs its exchanges one at a time in shuffled order instead.
+// Either way results are bit-identical at every width.
 //
 // The engine calls no one back: step() ends with the protocol's last
 // phase. Observers read the engine between steps — counters(), and views
@@ -68,13 +66,6 @@ struct EngineConfig {
   double message_loss = 0.0;
   /// Per-leg probability of an on-path single-bit flip (see header note).
   double tamper_rate = 0.0;
-  /// Cache one link session per node pair across exchanges and rounds
-  /// (the deployment model). false = re-derive per exchange — the
-  /// pre-cache baseline kept for the bench/scale_links ablation, whose
-  /// exchanges run one at a time (the table has one transient session).
-  /// Either way every observable metric is identical; only ciphertext
-  /// differs.
-  bool link_sessions = true;
   /// Width of the sharded round phases — push generation and delivery,
   /// pull-target generation, the pull exchanges (in conflict-free waves),
   /// begin_round and end_round (eviction included): 1 = a pool of one that
@@ -211,9 +202,8 @@ class Engine {
   }
 
   /// Link-session statistics (both 0 unless encrypt_links): total link
-  /// secrets derived, and sessions currently cached. With link_sessions
-  /// the former tracks the number of active pairs; without it, the number
-  /// of encrypted exchanges.
+  /// secrets derived, which tracks the number of active pairs, and
+  /// sessions currently cached.
   [[nodiscard]] std::uint64_t link_derivations() const;
   [[nodiscard]] std::size_t link_active_sessions() const;
 
@@ -300,7 +290,7 @@ class Engine {
   /// draw (see the header note).
   void run_pull_exchanges();
   /// Whether this run's exchanges may run in waves: no leg fate is drawn
-  /// on the engine stream and every exchange gets its own link session.
+  /// on the engine stream.
   [[nodiscard]] bool exchanges_in_waves() const;
   /// Builds the round's wave schedule from the shuffled pulls_ into
   /// wave_order_/wave_offsets_, and has each Byzantine endpoint position
@@ -321,8 +311,9 @@ class Engine {
   [[nodiscard]] bool starts(const PendingPull& p) const {
     return is_alive(p.target) && p.target != p.initiator;
   }
-  /// Runs one planned pull on `lane`: the exchange, or its timeout.
-  void run_pull(Lane& lane, const PendingPull& p);
+  /// Runs one planned pull on `lane`: the exchange, or its timeout — always
+  /// when not `reachable` (an event-mode pull cut off or past the deadline).
+  void run_pull(Lane& lane, const PendingPull& p, bool reachable = true);
   /// Event mode (config_.event.enabled), between step()'s begin and end
   /// phases: the planned pushes and pull exchanges flow through the
   /// (virtual_time, seq) event heap with per-link latency, partition cuts

@@ -13,8 +13,7 @@ std::uint64_t pair_key(NodeId lo, NodeId hi) {
 
 }  // namespace
 
-LinkTable::LinkTable(const crypto::SymmetricKey& master, bool cache)
-    : master_(master), cache_(cache) {}
+LinkTable::LinkTable(const crypto::SymmetricKey& master) : master_(master) {}
 
 std::uint32_t LinkTable::epoch_of(NodeId node) const {
   return node.value < epochs_.size() ? epochs_[node.value] : 0;
@@ -42,10 +41,6 @@ LinkSession& LinkTable::session(NodeId a, NodeId b, std::uint64_t round) {
   const NodeId lo = a.value < b.value ? a : b;
   const NodeId hi = a.value < b.value ? b : a;
   const std::lock_guard<std::mutex> lock(mu_);
-  if (!cache_) {
-    transient_ = make_session(lo, hi);
-    return *transient_;
-  }
   const std::uint64_t key = pair_key(lo, hi);
   const auto it = sessions_.find(key);
   if (it != sessions_.end() && it->second->epoch_lo == epoch_of(lo) &&
@@ -88,7 +83,6 @@ void LinkTable::invalidate_pair(NodeId a, NodeId b) {
   const NodeId hi = a.value < b.value ? b : a;
   const std::lock_guard<std::mutex> lock(mu_);
   sessions_.erase(pair_key(lo, hi));
-  transient_.reset();
 }
 
 void LinkTable::invalidate_session(NodeId a, NodeId b, const LinkSession* expected) {

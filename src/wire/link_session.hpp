@@ -2,12 +2,9 @@
 //
 // The paper's §III-B link encryption is a *session* property in a real
 // deployment: two nodes run one key agreement, then amortize the derived
-// cipher state over every exchange they perform. The simulator used to
-// model the opposite — a fresh label allocation, HKDF derivation and two
-// duplex cipher pairs for every exchange of every round — which made
-// the encrypted exchange phase the hottest allocation site in the engine.
-//
-// LinkTable caches exactly one LinkSession per unordered node pair:
+// cipher state over every exchange they perform. LinkTable models exactly
+// that: one LinkSession per unordered node pair, cached across exchanges
+// and rounds.
 //
 //   * session(a, b, round) establishes (or returns) the pair's session;
 //     establishment derives a fresh link secret from the engine's master
@@ -22,8 +19,9 @@
 //     pairs that stopped exchanging are dropped and re-derive on next use.
 //
 // Determinism: the table draws no simulation randomness — session keys are
-// a pure function of (master key, pair, establishment index) — so caching
-// is invisible to every observable metric; only ciphertext bytes change.
+// a pure function of (master key, pair, establishment index) — and its
+// sessions are per pair, so a round's exchanges may run in concurrent
+// waves (no two exchanges of a wave share a node, hence a pair).
 //
 // Distributed agreement: two endpoints that each own an independent
 // LinkTable constructed from the same master key derive byte-identical
@@ -91,11 +89,7 @@ struct LinkSession {
 
 class LinkTable {
  public:
-  /// `cache = false` is the per-exchange-derivation baseline (the pre-cache
-  /// behaviour, kept for the bench/scale_links ablation): every session()
-  /// call establishes a fresh transient session. The baseline mode keeps a
-  /// single transient slot and is only meaningful single-threaded.
-  explicit LinkTable(const crypto::SymmetricKey& master, bool cache = true);
+  explicit LinkTable(const crypto::SymmetricKey& master);
 
   /// The session for the unordered pair {a, b}, establishing it on first
   /// use, after invalidation, or after idle retirement. The reference stays
@@ -130,10 +124,10 @@ class LinkTable {
   /// memory to the working set of actively exchanging pairs.
   void retire_idle(std::uint64_t round, std::uint64_t max_idle);
 
-  /// Cached sessions currently held (excludes the transient scratch).
+  /// Cached sessions currently held.
   [[nodiscard]] std::size_t active_sessions() const;
   /// Total link-secret derivations performed — the bench/scale_links gate:
-  /// with caching this tracks O(active pairs), without it O(exchanges).
+  /// O(active pairs), where per-exchange derivation would be O(exchanges).
   [[nodiscard]] std::uint64_t derivations() const;
 
  private:
@@ -141,7 +135,6 @@ class LinkTable {
   [[nodiscard]] std::uint32_t epoch_of(NodeId node) const;
 
   crypto::SymmetricKey master_;
-  bool cache_;
   mutable std::mutex mu_;
   /// key: lo << 32 | hi. unique_ptr pins each session so references stay
   /// valid across rehashes (part of the concurrency contract).
@@ -152,7 +145,6 @@ class LinkTable {
   std::unordered_map<std::uint64_t, std::uint32_t> establishments_;
   std::vector<std::uint32_t> epochs_;  // per-node invalidation epochs
   std::uint64_t derivations_ = 0;
-  std::unique_ptr<LinkSession> transient_;  // cache == false scratch
 };
 
 }  // namespace raptee::wire

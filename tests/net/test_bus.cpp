@@ -1,12 +1,14 @@
 // Bus integration tests over real loopback sockets: HELLO establishment,
 // queue-before-connect ordering, retriable dialing (dial before the
-// listener exists), simultaneous-dial dedup, idle teardown, reconnect
-// after teardown, sealed vs plaintext dispatch, and drain semantics.
+// listener exists), simultaneous-dial dedup, reconnect after a peer
+// restart, sealed vs plaintext dispatch, event counting, and drain
+// semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,6 +17,7 @@
 
 #include "crypto/key.hpp"
 #include "net/bus.hpp"
+#include "obs/registry.hpp"
 #include "wire/link_session.hpp"
 
 namespace raptee::net {
@@ -81,13 +84,11 @@ struct Endpoint {
   std::unique_ptr<Bus> bus;
   std::uint16_t port = 0;
 
-  void build(std::uint32_t id, const crypto::SymmetricKey* master,
-             std::chrono::milliseconds idle = 0ms) {
+  void build(std::uint32_t id, const crypto::SymmetricKey* master) {
     if (master) links = std::make_unique<wire::LinkTable>(*master);
     BusConfig config;
     config.self = NodeId{id};
     config.links = links.get();
-    config.idle_timeout = idle;
     config.nonce_seed = 1000 + id;
     config.on_message = [this](const Peer& from, std::vector<std::uint8_t> payload) {
       sink.on_message(from, std::move(payload));
@@ -229,25 +230,6 @@ TEST(Bus, SimultaneousDialDedupsToOneConnection) {
   b.bus->stop();
 }
 
-TEST(Bus, IdleConnectionsTearDownAndRedialOnDemand) {
-  Endpoint a, b;
-  a.build(1, nullptr, /*idle=*/60ms);
-  b.build(2, nullptr, /*idle=*/60ms);
-  a.bus->connect(NodeId{2}, b.port);
-  b.bus->add_route(NodeId{1}, a.port);
-  ASSERT_TRUE(a.bus->send(NodeId{2}, bytes_of("one")));
-  ASSERT_TRUE(b.sink.wait_messages(1));
-  // Silence for well past the idle timeout: both sides drop the link.
-  ASSERT_TRUE(a.sink.wait_downs(1, 2000ms));
-  EXPECT_EQ(a.bus->established_peers(), 0u);
-  // A later send transparently re-dials.
-  ASSERT_TRUE(a.bus->send(NodeId{2}, bytes_of("two")));
-  ASSERT_TRUE(b.sink.wait_messages(2));
-  EXPECT_EQ(b.sink.messages[1].second, "two");
-  a.bus->stop();
-  b.bus->stop();
-}
-
 TEST(Bus, ReconnectAfterPeerRestart) {
   const crypto::SymmetricKey master = crypto::Drbg(5, "restart").generate_key();
   Endpoint a;
@@ -282,6 +264,75 @@ TEST(Bus, ReconnectAfterPeerRestart) {
   EXPECT_EQ(b2.bus->stats().open_failures, 0u);
   a.bus->stop();
   b2.bus->stop();
+}
+
+TEST(Bus, CountsEachEventOnceInStatsAndRegistry) {
+  // The ten bus counters, written out apart from the bus's own table, so a
+  // count filed under the wrong name or BusStats field shows here.
+  struct Entry {
+    const char* name;
+    std::uint64_t BusStats::* field;
+  };
+  const Entry entries[] = {
+      {"bus.frames_sent", &BusStats::frames_sent},
+      {"bus.frames_received", &BusStats::frames_received},
+      {"bus.bytes_sent", &BusStats::bytes_sent},
+      {"bus.bytes_received", &BusStats::bytes_received},
+      {"bus.accepted", &BusStats::accepted},
+      {"bus.dialed", &BusStats::dialed},
+      {"bus.dial_retries", &BusStats::dial_retries},
+      {"bus.teardowns", &BusStats::teardowns},
+      {"bus.open_failures", &BusStats::open_failures},
+      {"bus.handshake_failures", &BusStats::handshake_failures},
+  };
+  obs::Registry& registry = obs::Registry::global();
+  std::vector<std::uint64_t> before;
+  for (const Entry& entry : entries) {
+    before.push_back(registry.counter(entry.name).value());
+  }
+
+  constexpr std::uint64_t kPayloads = 12;
+  constexpr std::size_t kSize = 100;
+  Endpoint a, b;
+  a.build(1, nullptr);
+  b.build(2, nullptr);
+  a.bus->add_route(NodeId{2}, b.port);
+  for (std::uint64_t i = 0; i < kPayloads; ++i) {
+    const auto fill = static_cast<std::uint8_t>(0x40 + i);
+    ASSERT_TRUE(a.bus->send(NodeId{2}, std::vector<std::uint8_t>(kSize, fill)));
+  }
+  ASSERT_TRUE(b.sink.wait_messages(kPayloads));
+  // Stopping joins each loop thread, so every count is final below.
+  a.bus->stop();
+  b.bus->stop();
+
+  const BusStats sa = a.bus->stats();
+  const BusStats sb = b.bus->stats();
+  // A plaintext frame is a 4-byte length prefix and its payload. Each side's
+  // HELLO counts as sent bytes and as a received frame; frames_sent counts
+  // payload frames only.
+  const std::uint64_t hello = 4 + encode_hello(NodeId{1}, PeerRole::kNode, 0).size();
+  const std::uint64_t payload_bytes = kPayloads * (4 + kSize);
+  EXPECT_EQ(sa.dialed, 1u);
+  EXPECT_EQ(sa.accepted, 0u);
+  EXPECT_EQ(sb.dialed, 0u);
+  EXPECT_EQ(sb.accepted, 1u);
+  EXPECT_EQ(sa.frames_sent, kPayloads);
+  EXPECT_EQ(sa.frames_received, 1u);
+  EXPECT_EQ(sb.frames_sent, 0u);
+  EXPECT_EQ(sb.frames_received, 1 + kPayloads);
+  EXPECT_EQ(sa.bytes_sent, hello + payload_bytes);
+  EXPECT_EQ(sa.bytes_received, hello);
+  EXPECT_EQ(sb.bytes_sent, hello);
+  EXPECT_EQ(sb.bytes_received, hello + payload_bytes);
+  EXPECT_EQ(sa.open_failures + sb.open_failures, 0u);
+  EXPECT_EQ(sa.handshake_failures + sb.handshake_failures, 0u);
+  // The registry totals moved by exactly the two buses' counts.
+  for (std::size_t i = 0; i < std::size(entries); ++i) {
+    EXPECT_EQ(registry.counter(entries[i].name).value() - before[i],
+              sa.*entries[i].field + sb.*entries[i].field)
+        << entries[i].name;
+  }
 }
 
 TEST(Bus, DrainFlushesQueuedBytesBeforeStopping) {

@@ -71,24 +71,5 @@ TEST(LoopbackCluster, NineNodesConvergeOverRealSockets) {
   cluster.stop();
 }
 
-TEST(LoopbackCluster, PlaintextAblationAlsoConverges) {
-  // encrypt = false exercises the framing-only path (no LinkTable): the
-  // protocol outcome must not depend on sealing.
-  ClusterConfig config;
-  config.nodes = 8;
-  config.seed = 7;
-  config.view_size = 6;
-  config.nonce_seed = 0xFACE;
-  config.encrypt = false;
-  LoopbackCluster cluster(config);
-  cluster.start();
-  cluster.run_rounds(8);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < cluster.size(); ++i) total += distinct_peers(cluster, i);
-  EXPECT_GT(total, cluster.size() * 2) << "views did not grow past bootstrap";
-  EXPECT_GT(cluster.pulls_completed(), 0u);
-  cluster.stop();
-}
-
 }  // namespace
 }  // namespace raptee::net

@@ -1,7 +1,7 @@
 // Determinism gates for the pluggable adversary layer:
 //
 //  * every catalog strategy is same-seed bit-identical down to the
-//    results::to_json bytes (the scale_links-style purity bar);
+//    results::to_json bytes;
 //  * the default balanced attack is byte-identical to the PRE-redesign
 //    hardcoded adversary — asserted against SHA-256 digests of result JSON
 //    captured from the seed tree before the IStrategy refactor (commit

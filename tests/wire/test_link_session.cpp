@@ -1,7 +1,6 @@
 // wire::LinkTable contract: one persistent session per unordered pair with
 // sequence-number continuity across exchanges, O(1) invalidation on churn
-// with fresh keys on re-establishment, idle retirement, and the transient
-// per-exchange baseline mode used by bench/scale_links.
+// with fresh keys on re-establishment, and idle retirement.
 #include "wire/link_session.hpp"
 
 #include <gtest/gtest.h>
@@ -118,18 +117,6 @@ TEST(LinkTable, RetireIdleDropsOnlyStaleSessions) {
   EXPECT_EQ(table.derivations(), 2u) << "recently used pair survives";
   (void)table.session(kA, kB, 100);
   EXPECT_EQ(table.derivations(), 3u) << "retired pair re-derives";
-}
-
-TEST(LinkTable, TransientModeEstablishesPerCall) {
-  LinkTable table(master(), /*cache=*/false);
-  (void)table.session(kA, kB, 0);
-  (void)table.session(kA, kB, 0);
-  (void)table.session(kA, kB, 1);
-  EXPECT_EQ(table.derivations(), 3u);
-  EXPECT_EQ(table.active_sessions(), 0u);
-  // Each establishment starts its sequence space from zero (the old
-  // per-exchange behaviour the baseline mode reproduces).
-  EXPECT_EQ(table.session(kA, kB, 2).channel_from(kA).sent(), 0u);
 }
 
 TEST(LinkTable, ReestablishedSessionsNeverReuseAKeystream) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "common/prefetch.hpp"
 
 namespace raptee::brahms {
 
@@ -163,6 +164,17 @@ bool BrahmsNode::process_confirm(const wire::AuthConfirm& confirm, wire::SwapRep
 
 void BrahmsNode::process_swap_reply(const wire::SwapReply& reply) {
   integrate_swap_reply(reply.sender, reply.swap_half);
+}
+
+void BrahmsNode::prefetch() const {
+  prefetch_bytes(this, sizeof *this);
+  auth_->prefetch();
+  const std::vector<gossip::ViewEntry>& view = view_.entries();
+  prefetch_bytes(view.data(), view.size() * sizeof(gossip::ViewEntry));
+  // An initiator appends the pull answer, at most l1 IDs, past size().
+  const std::size_t room =
+      std::min(pulled_ids_.capacity() - pulled_ids_.size(), config_.params.l1);
+  if (room > 0) prefetch_bytes(pulled_ids_.data() + pulled_ids_.size(), room * sizeof(NodeId));
 }
 
 void BrahmsNode::add_swap_ids(NodeId peer, std::span<const NodeId> ids) {

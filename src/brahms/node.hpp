@@ -60,6 +60,8 @@ struct RoundTelemetry {
   std::size_t pulled_ids_total = 0;    ///< IDs received via pulls (pre-filter)
   double eviction_rate = 0.0;          ///< rate applied this round (trusted nodes)
   bool update_blocked = false;         ///< defence (ii) triggered
+
+  friend bool operator==(const RoundTelemetry&, const RoundTelemetry&) = default;
 };
 
 class BrahmsNode : public sim::INode {
@@ -83,6 +85,9 @@ class BrahmsNode : public sim::INode {
   void process_swap_reply(const wire::SwapReply& reply) override;
   void on_pull_timeout(NodeId target) override;
   void end_round(Round r, sim::RoundScratch& scratch) override;
+  /// Hints this object, the authenticator, the view's entries and the next
+  /// pull answer's room in the pulled-ID slab.
+  void prefetch() const override;
   /// The dynamic view has fixed capacity l1 — a constant slab-slot bound.
   [[nodiscard]] std::size_t view_capacity() const override { return view_.capacity(); }
   std::size_t copy_view(NodeId* out, std::size_t cap) const override {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include "brahms/auth.hpp"
+#include "common/prefetch.hpp"
 #include "sgx/enclave.hpp"
 
 namespace raptee::core {
@@ -14,6 +15,8 @@ class EnclaveAuthenticator final : public brahms::Authenticator {
  public:
   /// The enclave must already be provisioned (attested) — asserted.
   EnclaveAuthenticator(brahms::AuthMode mode, sgx::Enclave& enclave, crypto::Drbg drbg);
+
+  void prefetch() const override { prefetch_bytes(this, sizeof *this); }
 
  private:
   [[nodiscard]] crypto::AuthToken prove(crypto::AuthLeg leg, const crypto::AuthNonce& first,

@@ -3,8 +3,43 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "crypto/hmac_kernel.hpp"
 
 namespace raptee::crypto {
+
+namespace detail {
+
+Digest256 hmac_counter_portable(const Sha256::State& inner, const Sha256::State& outer,
+                                std::uint64_t counter) {
+  std::uint8_t ctr_bytes[8];
+  for (int i = 0; i < 8; ++i) ctr_bytes[i] = static_cast<std::uint8_t>(counter >> (8 * i));
+  HmacSha256 mac(inner, outer);
+  mac.update(ctr_bytes, sizeof ctr_bytes);
+  return mac.finish();
+}
+
+Digest256 hmac_tagged_portable(const Sha256::State& inner, const Sha256::State& outer,
+                               std::span<const std::uint8_t, 4> tag,
+                               std::span<const std::uint8_t, 16> first,
+                               std::span<const std::uint8_t, 16> second) {
+  HmacSha256 mac(inner, outer);
+  mac.update(tag.data(), tag.size());
+  mac.update(first.data(), first.size());
+  mac.update(second.data(), second.size());
+  return mac.finish();
+}
+
+const HmacKernels& hmac_kernels() {
+  static const HmacKernels kernels = [] {
+    const HmacCounter counter = hmac_counter_shani_kernel();
+    const HmacTagged tagged = hmac_tagged_shani_kernel();
+    return HmacKernels{counter != nullptr ? counter : &hmac_counter_portable,
+                       tagged != nullptr ? tagged : &hmac_tagged_portable};
+  }();
+  return kernels;
+}
+
+}  // namespace detail
 
 HmacKey::HmacKey(const std::uint8_t* key, std::size_t key_len) {
   std::array<std::uint8_t, 64> block_key{};
@@ -27,6 +62,16 @@ HmacKey::HmacKey(const std::uint8_t* key, std::size_t key_len) {
   Sha256 outer;
   outer.update(pad.data(), pad.size());
   outer_ = outer.chaining_value();
+}
+
+Digest256 HmacKey::mac_counter(std::uint64_t counter) const {
+  return detail::hmac_kernels().counter(inner_, outer_, counter);
+}
+
+Digest256 HmacKey::mac_tagged(std::span<const std::uint8_t, 4> tag,
+                              std::span<const std::uint8_t, 16> first,
+                              std::span<const std::uint8_t, 16> second) const {
+  return detail::hmac_kernels().tagged(inner_, outer_, tag, first, second);
 }
 
 Digest256 HmacSha256::finish() {

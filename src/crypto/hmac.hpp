@@ -9,9 +9,16 @@
 // messages under one key (the DRBG, the authenticators, the link ciphers,
 // the enclave) keeps one. A schedule is key-equivalent material: guard it
 // like the key.
+//
+// The pull handshake MACs two fixed message shapes, the DRBG's counter
+// block and the fingerprint proof. HmacKey computes each in one kernel call
+// (mac_counter, mac_tagged), picked once per process from CPUID
+// (crypto/hmac_kernel.hpp): register-resident SHA-NI code where the CPU
+// has it, HmacSha256's streaming code elsewhere, the same bytes either way.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -25,6 +32,13 @@ class HmacKey {
   /// Keys longer than a block are hashed first, as RFC 2104 says.
   HmacKey(const std::uint8_t* key, std::size_t key_len);
 
+  /// HMAC(key, le64(counter)): one Drbg output block.
+  [[nodiscard]] Digest256 mac_counter(std::uint64_t counter) const;
+  /// HMAC(key, tag ‖ first ‖ second): one fingerprint proof.
+  [[nodiscard]] Digest256 mac_tagged(std::span<const std::uint8_t, 4> tag,
+                                     std::span<const std::uint8_t, 16> first,
+                                     std::span<const std::uint8_t, 16> second) const;
+
  private:
   friend class HmacSha256;
   Sha256::State inner_{};  ///< after the block key XOR ipad
@@ -34,8 +48,12 @@ class HmacKey {
 /// Incremental HMAC-SHA-256.
 class HmacSha256 {
  public:
+  /// Starts from a schedule's two chaining values, after key XOR ipad and
+  /// key XOR opad.
+  HmacSha256(const Sha256::State& inner, const Sha256::State& outer)
+      : inner_(inner, 1), outer_(outer) {}
   /// Starts from a precomputed schedule.
-  explicit HmacSha256(const HmacKey& key) : inner_(key.inner_, 1), outer_(key.outer_) {}
+  explicit HmacSha256(const HmacKey& key) : HmacSha256(key.inner_, key.outer_) {}
   HmacSha256(const std::uint8_t* key, std::size_t key_len)
       : HmacSha256(HmacKey(key, key_len)) {}
   explicit HmacSha256(const std::vector<std::uint8_t>& key)

@@ -39,12 +39,7 @@ Drbg::Drbg(std::uint64_t seed, std::string_view personalization)
 
 void Drbg::fill(std::uint8_t* out, std::size_t len) {
   while (len > 0) {
-    std::uint8_t ctr_bytes[8];
-    for (int i = 0; i < 8; ++i) ctr_bytes[i] = static_cast<std::uint8_t>(counter_ >> (8 * i));
-    ++counter_;
-    HmacSha256 mac(seed_key_);
-    mac.update(ctr_bytes, sizeof ctr_bytes);
-    const Digest256 block = mac.finish();
+    const Digest256 block = seed_key_.mac_counter(counter_++);
     const std::size_t take = std::min<std::size_t>(len, block.size());
     std::memcpy(out, block.data(), take);
     out += take;

@@ -7,7 +7,8 @@
 // The DRBG is HMAC-SHA-256 in counter mode seeded from the simulation seed —
 // deterministic so that experiments reproduce, yet structurally the same as
 // a deployed CSPRNG. It keeps its state key as an HmacKey schedule, so each
-// 32-byte output block costs two SHA-256 compressions.
+// 32-byte output block is one HmacKey::mac_counter kernel call: two SHA-256
+// compressions, register-resident on CPUs with SHA-NI.
 #pragma once
 
 #include <array>

@@ -23,18 +23,16 @@ Block proof_counter_block(const AuthNonce& first, const AuthNonce& second) {
   return make_counter_block(nonce);
 }
 
-/// kFingerprint's proof: HMAC(key, domain || first || second) truncated to
-/// the token size; the domain names the leg.
+/// The domains naming a proof's leg: message 2, message 3.
+constexpr std::array<std::uint8_t, 4> kResponseDomain{'r', 'e', 's', 'p'};
+constexpr std::array<std::uint8_t, 4> kConfirmDomain{'i', 'n', 'i', 't'};
+
+/// kFingerprint's proof: HMAC(key, domain || first || second), a whole
+/// digest per token.
 AuthToken mac_proof(const HmacKey& key, AuthLeg leg, const AuthNonce& first,
                     const AuthNonce& second) {
-  HmacSha256 mac(key);
-  mac.update(leg == AuthLeg::kResponse ? "resp" : "init");
-  mac.update(first.data(), first.size());
-  mac.update(second.data(), second.size());
-  const Digest256 d = mac.finish();
-  AuthToken token{};
-  std::memcpy(token.data(), d.data(), token.size());
-  return token;
+  return key.mac_tagged(leg == AuthLeg::kResponse ? kResponseDomain : kConfirmDomain, first,
+                        second);
 }
 
 /// Constant-time token comparison.

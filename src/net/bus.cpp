@@ -153,6 +153,7 @@ void Bus::send_hello(Connection& conn) {
   // The handshake always travels in the clear: sealing starts only once
   // both HELLOs have bound the connection to a link session.
   append_frame(conn.wbuf, hello.data(), hello.size());
+  count(kFramesSent);
   flush_writes(conn);
 }
 

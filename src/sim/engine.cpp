@@ -49,6 +49,12 @@ T& held(wire::Message& leg) {
   return leg.emplace<T>();
 }
 
+// The exchange lookahead (Engine::run_pulls): the endpoints' INode objects
+// are requested this many exchanges ahead, so that INode::prefetch(),
+// called kPrefetchStateAhead ahead, finds its node's fields in cache.
+constexpr std::size_t kPrefetchObjectsAhead = 4;
+constexpr std::size_t kPrefetchStateAhead = 2;
+
 // Event kinds on the engine's scheduler: `a` indexes the per-round staging
 // array of the matching kind; a pull event's `b` carries the exchange's
 // virtual completion time.
@@ -468,6 +474,25 @@ void Engine::run_pull(Lane& lane, const PendingPull& p, bool reachable) {
   initiator.on_pull_timeout(p.target);
 }
 
+template <typename PullAt>
+void Engine::run_pulls(Lane& lane, std::size_t from, std::size_t to, const PullAt& pull_at) {
+  // A pull that does not start touches only its initiator, and its target
+  // may be dead or unknown, so only a started pull's target is hinted.
+  for (std::size_t j = from; j < to; ++j) {
+    if (j + kPrefetchObjectsAhead < to) {
+      const PendingPull& p = pull_at(j + kPrefetchObjectsAhead);
+      __builtin_prefetch(nodes_[p.initiator.value].get());
+      if (starts(p)) __builtin_prefetch(nodes_[p.target.value].get());
+    }
+    if (j + kPrefetchStateAhead < to) {
+      const PendingPull& p = pull_at(j + kPrefetchStateAhead);
+      nodes_[p.initiator.value]->prefetch();
+      if (starts(p)) nodes_[p.target.value]->prefetch();
+    }
+    run_pull(lane, pull_at(j));
+  }
+}
+
 std::vector<Engine::Lane>& Engine::lanes() {
   if (!lanes_.empty()) return lanes_;
   lanes_.resize(4 * pool().size());
@@ -553,7 +578,8 @@ void Engine::run_wave_lane(std::size_t lane) {
   const std::size_t size = wave_.end - wave_.begin;
   const std::size_t from = wave_.begin + lane * size / wave_.lanes;
   const std::size_t to = wave_.begin + (lane + 1) * size / wave_.lanes;
-  for (std::size_t j = from; j < to; ++j) run_pull(lanes_[lane], pulls_[wave_order_[j]]);
+  run_pulls(lanes_[lane], from, to,
+            [this](std::size_t j) -> const PendingPull& { return pulls_[wave_order_[j]]; });
 }
 
 void Engine::run_pull_exchanges() {
@@ -561,7 +587,8 @@ void Engine::run_pull_exchanges() {
   if (!exchanges_in_waves()) {
     // One exchange at a time, on this thread, in shuffled order, with live
     // draws on the engine and Coordinator streams.
-    for (const PendingPull& p : pulls_) run_pull(lanes()[0], p);
+    run_pulls(lanes()[0], 0, pulls_.size(),
+              [this](std::size_t j) -> const PendingPull& { return pulls_[j]; });
   } else {
     // Each wave is one parallel_for whose body captures only `this`, so it
     // fits std::function's inline buffer and the loop allocates nothing.

@@ -301,6 +301,13 @@ class Engine {
   std::uint32_t next_wave(const PendingPull& p);
   /// Runs lane `lane`'s share of wave_.
   void run_wave_lane(std::size_t lane);
+  /// Runs the planned pulls pull_at(j), j in [from, to), on `lane` in
+  /// order: a run one thread owns, a lane's slice of a wave or the serial
+  /// list. A two-stage prefetch runs ahead of it and never past `to`: the
+  /// endpoints' INode objects four exchanges ahead, then INode::prefetch()
+  /// on them two ahead.
+  template <typename PullAt>
+  void run_pulls(Lane& lane, std::size_t from, std::size_t to, const PullAt& pull_at);
   /// The lanes, built on first use: four per pool worker, like the pool's
   /// own chunks.
   [[nodiscard]] std::vector<Lane>& lanes();

@@ -44,6 +44,14 @@
 // state, read-only shared state, and shared state whose use was fixed in
 // plan_exchange().
 //
+// Lookahead. The engine walks each run of exchanges one thread runs (a
+// lane's slice of a wave, or the serial run) with a prefetch pipeline: two
+// exchanges ahead it calls prefetch() on both endpoints, from the thread
+// that will run that exchange, never past the run's end. prefetch() is a
+// hint: it reads only the node's own state, writes nothing, allocates
+// nothing, and no result may depend on whether or when it is called. The
+// default does nothing.
+//
 // The engine reads a node's view only through view_capacity() and
 // copy_view(), which fill its view slab; code holding an INode reads the
 // view through Engine::view_of.
@@ -138,6 +146,9 @@ class INode {
   virtual void process_swap_reply(const wire::SwapReply& reply) = 0;
   /// The exchange with `target` did not complete (loss or dead peer).
   virtual void on_pull_timeout(NodeId target) { (void)target; }
+  /// Phase 3 lookahead hint (see the header note): prefetches the state
+  /// this node's next exchange touches. Reads only the node's own state.
+  virtual void prefetch() const {}
 
   /// Phase 4: end of round; protocol state updates happen here, in
   /// `scratch` for anything sized by the round's traffic.

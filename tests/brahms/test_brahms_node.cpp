@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <set>
 
+#include "support/count_allocations.hpp"
 #include "support/targets.hpp"
 
 namespace raptee::brahms {
@@ -293,6 +294,81 @@ TEST(BrahmsNode, SamplerValidationEvictsDeadUnderChurn) {
   node.begin_round(1);
   node.end_round(1, scratch);
   for (NodeId id : node.sample_list()) EXPECT_LT(id.value, 10u);
+}
+
+/// Calls the lookahead hint on `node` and returns the allocations it made.
+std::uint64_t prefetch_allocations(const BrahmsNode& node) {
+  const std::uint64_t before = test::g_allocations.load();
+  node.prefetch();
+  return test::g_allocations.load() - before;
+}
+
+TEST(BrahmsNode, PrefetchChangesNothing) {
+  // Two twin pairs built from the same seeds run the same exchanges; the
+  // hinted pair calls prefetch() before bootstrap (an empty view), after
+  // begin_round and between every leg. Every leg, view, telemetry record
+  // and sample list must match the plain pair's.
+  auto a = make_node(NodeId{0}, small_config(20), 1);
+  auto b = make_node(NodeId{100}, small_config(20), 2);
+  auto hinted_a = make_node(NodeId{0}, small_config(20), 1);
+  auto hinted_b = make_node(NodeId{100}, small_config(20), 2);
+  std::uint64_t allocations = prefetch_allocations(*hinted_a) + prefetch_allocations(*hinted_b);
+  a->bootstrap(id_range(1, 20));
+  b->bootstrap(id_range(40, 20));
+  hinted_a->bootstrap(id_range(1, 20));
+  hinted_b->bootstrap(id_range(40, 20));
+
+  const auto hint_both = [&] {
+    allocations += prefetch_allocations(*hinted_a) + prefetch_allocations(*hinted_b);
+  };
+  // One exchange initiator -> responder on each pair, leg by leg.
+  const auto exchange = [&](BrahmsNode& initiator, BrahmsNode& responder,
+                            BrahmsNode& hinted_initiator, BrahmsNode& hinted_responder) {
+    const auto request = open_pull_of(initiator, responder.id());
+    hint_both();
+    const auto hinted_request = open_pull_of(hinted_initiator, hinted_responder.id());
+    EXPECT_EQ(request, hinted_request);
+    const auto reply = answer_pull_of(responder, request);
+    hint_both();
+    const auto hinted_reply = answer_pull_of(hinted_responder, hinted_request);
+    EXPECT_EQ(reply, hinted_reply);
+    const auto confirm = process_pull_reply_of(initiator, reply);
+    hint_both();
+    const auto hinted_confirm = process_pull_reply_of(hinted_initiator, hinted_reply);
+    EXPECT_EQ(confirm, hinted_confirm);
+    const auto swap = process_confirm_of(responder, confirm);
+    hint_both();
+    EXPECT_EQ(swap, process_confirm_of(hinted_responder, hinted_confirm));
+    hint_both();
+  };
+
+  for (Round r = 0; r < 4; ++r) {
+    for (BrahmsNode* node : {a.get(), b.get(), hinted_a.get(), hinted_b.get()}) {
+      node->begin_round(r);
+    }
+    hint_both();
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      a->on_push(wire::PushMessage{NodeId{200 + 10 * r + i}});
+      hinted_a->on_push(wire::PushMessage{NodeId{200 + 10 * r + i}});
+    }
+    // Thirteen pulls of 20 IDs fill a's slab past its reserve of 8 · 20,
+    // so the hint meets a full slab and, once it has grown to 256, a
+    // window clipped at its capacity.
+    for (int pull = 0; pull < 13; ++pull) exchange(*a, *b, *hinted_a, *hinted_b);
+    exchange(*b, *a, *hinted_b, *hinted_a);
+    a->end_round(r, scratch);
+    b->end_round(r, scratch);
+    hinted_a->end_round(r, scratch);
+    hinted_b->end_round(r, scratch);
+    hint_both();
+    EXPECT_EQ(a->view().entries(), hinted_a->view().entries()) << "round " << r;
+    EXPECT_EQ(b->view().entries(), hinted_b->view().entries()) << "round " << r;
+    EXPECT_EQ(a->telemetry(), hinted_a->telemetry()) << "round " << r;
+    EXPECT_EQ(b->telemetry(), hinted_b->telemetry()) << "round " << r;
+    EXPECT_EQ(a->sample_list(), hinted_a->sample_list()) << "round " << r;
+    EXPECT_EQ(b->sample_list(), hinted_b->sample_list()) << "round " << r;
+  }
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

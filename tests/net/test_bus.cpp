@@ -309,17 +309,17 @@ TEST(Bus, CountsEachEventOnceInStatsAndRegistry) {
   const BusStats sa = a.bus->stats();
   const BusStats sb = b.bus->stats();
   // A plaintext frame is a 4-byte length prefix and its payload. Each side's
-  // HELLO counts as sent bytes and as a received frame; frames_sent counts
-  // payload frames only.
+  // HELLO counts as a sent frame and sent bytes on its own bus, and as a
+  // received frame and received bytes on its peer's.
   const std::uint64_t hello = 4 + encode_hello(NodeId{1}, PeerRole::kNode, 0).size();
   const std::uint64_t payload_bytes = kPayloads * (4 + kSize);
   EXPECT_EQ(sa.dialed, 1u);
   EXPECT_EQ(sa.accepted, 0u);
   EXPECT_EQ(sb.dialed, 0u);
   EXPECT_EQ(sb.accepted, 1u);
-  EXPECT_EQ(sa.frames_sent, kPayloads);
+  EXPECT_EQ(sa.frames_sent, 1 + kPayloads);
   EXPECT_EQ(sa.frames_received, 1u);
-  EXPECT_EQ(sb.frames_sent, 0u);
+  EXPECT_EQ(sb.frames_sent, 1u);
   EXPECT_EQ(sb.frames_received, 1 + kPayloads);
   EXPECT_EQ(sa.bytes_sent, hello + payload_bytes);
   EXPECT_EQ(sa.bytes_received, hello);
